@@ -317,7 +317,7 @@ def _run_sweep_point(index, names, values, cfg: Config, args, out_root: Path, co
         manifest.write()
         status = {EXIT_OK: "ok", EXIT_BLOWUP: "blowup", EXIT_NOCONV: "no-convergence"}
         return index, status.get(code, f"exit_{code}"), code, scalar
-    except Exception as exc:  # a failed point must not sink the sweep
+    except ChemolabError as exc:  # a parameter failure must not sink the sweep
         manifest.write()
         return index, f"error: {exc}", EXIT_USAGE, math.nan
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InvariantBreach, OutOfRange, ZUnbounded
 from .evolve import RunReport
@@ -91,6 +90,10 @@ class SandwichTrajectory:
 
 
 def _integrate_sandwich(p: ModelParams, y0, horizon, rtol, n_out):
+    # Imported here: scipy.integrate costs about as much as the rest of
+    # chemolab to import, and most commands never integrate an ODE.
+    from scipy.integrate import solve_ivp
+
     kap = p.kappa
 
     def f(s):
@@ -247,6 +250,8 @@ def envelope_odes(
     """
     if not u0_min > 0:
         raise OutOfRange("u0_min", f"must be > 0 (got {u0_min})")
+    from scipy.integrate import solve_ivp
+
     kap = p.kappa
 
     def z_rhs(_t, z):

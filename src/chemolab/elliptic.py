@@ -3,10 +3,11 @@
 Cell-centered cosines are exact discrete eigenfunctions of the mirror-ghost
 operator, so both the continuum eigenvalues 1 + sum((k_i*pi/L_i)**2) and their
 discrete counterparts 1 + sum((4/h_i**2)*sin(k_i*pi*h_i/(2*L_i))**2) are
-available in closed form.  The solve is direct (symmetric banded) in 1D and
-unpreconditioned conjugate gradients in 2D; in both cases the constant mode is
-projected exactly afterwards, which pins the discrete compatibility identity
-sum(v) = sum(s) to roundoff.
+available in closed form.  The same fact makes every constant-coefficient
+Neumann system (I - c*lap_h) x = b diagonal in the DCT-II basis, so one exact
+spectral solve serves the chemical equation (c = 1) and implicit diffusion
+(c = dt) in any dimension.  The constant mode is projected exactly afterwards,
+which pins the discrete compatibility identity sum(x) = sum(b) to roundoff.
 """
 
 from __future__ import annotations
@@ -16,15 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.fft import dct, idct
 
-from .errors import NoConvergence, NonpositiveV, OutOfRange
+from .errors import NonpositiveV, OutOfRange
 from .grid import Field, Grid, cell_gradients, integrate
-
-CG_RTOL = 1e-12            # well under the 1e-10 contract
-CG_MAXITER_PER_CELL = 10
 
 
 def continuum_eigenvalues(
@@ -130,51 +127,41 @@ def neumann_eigenvalues(grid: Grid, count: int) -> list[EigenPair]:
 # ---------------------------------------------------------------------------
 
 
-def _banded_helmholtz_1d(grid: Grid) -> np.ndarray:
-    n = grid.shape[0]
-    h = grid.spacings[0]
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -1.0 / h**2
-    ab[1, :] = 1.0 + 2.0 / h**2
-    ab[1, 0] = ab[1, -1] = 1.0 + 1.0 / h**2
-    return ab
+def solve_screened_array(grid: Grid, rhs: np.ndarray, c: float) -> np.ndarray:
+    """Solve (I - c*lap_h) x = rhs, mirror-ghost Neumann stencil, c >= 0.
+
+    A forward DCT-II along each axis diagonalises the operator exactly, the
+    coefficients are divided by 1 + c*grid.laplacian_eigenvalues, and the
+    inverse DCT-II along each axis returns to cell values.
+    """
+    # Per-axis transforms: dctn's n-d argument handling makes a round trip on
+    # a 64-cell 1D grid about 40% slower.
+    x = rhs
+    for ax in range(grid.dim):
+        x = dct(x, type=2, norm="ortho", axis=ax)
+    x /= 1.0 + c * grid.laplacian_eigenvalues
+    for ax in range(grid.dim):
+        x = idct(x, type=2, norm="ortho", axis=ax, overwrite_x=True)
+    # Constants are eigenvectors with eigenvalue 1, so shifting by the mass
+    # defect restores sum(x) = sum(rhs) exactly without degrading the residual.
+    x += (rhs.sum() - x.sum()) / grid.n_cells
+    return x
 
 
-def solve_helmholtz_array(grid: Grid, source: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+def solve_helmholtz_array(grid: Grid, source: np.ndarray) -> np.ndarray:
     """Solve (-lap_h + I) v = s with zero-flux walls; see solve_helmholtz."""
     if not np.all(np.isfinite(source)):
         raise OutOfRange("source", "must be finite")
-    if grid.dim == 1:
-        v = scipy.linalg.solveh_banded(_banded_helmholtz_1d(grid), source)
-    else:
-        A = sp.identity(grid.n_cells, format="csr") - grid.laplacian_matrix
-        b = source.ravel()
-        v, info = spla.cg(
-            A,
-            b,
-            x0=None if x0 is None else x0.ravel(),
-            rtol=CG_RTOL,
-            atol=0.0,
-            maxiter=CG_MAXITER_PER_CELL * grid.n_cells,
-        )
-        if info != 0:
-            raise NoConvergence(f"Helmholtz CG failed (info={info})")
-        v = v.reshape(grid.shape)
-    # Constants are eigenvectors with eigenvalue 1, so shifting by the mass
-    # defect restores sum(v) = sum(s) exactly without degrading the residual.
-    v += (source.sum() - v.sum()) / grid.n_cells
-    return v
+    return solve_screened_array(grid, source, 1.0)
 
 
-def solve_helmholtz(grid: Grid, source: Field, x0: Field | None = None) -> Field:
+def solve_helmholtz(grid: Grid, source: Field) -> Field:
     """v with (-lap_h + I) v = source, mirror-ghost Neumann stencil.
 
-    1D is a direct symmetric banded solve; 2D is conjugate gradients to
-    relative residual CG_RTOL (cap 10 iterations per cell, NoConvergence
-    beyond).  Nonnegative sources give nonnegative v (M-matrix).
+    Direct: the DCT-II diagonalisation of solve_screened_array, exact up to
+    roundoff in 1D and 2D.  Nonnegative sources give nonnegative v (M-matrix).
     """
-    x0a = None if x0 is None else x0.values
-    return Field(solve_helmholtz_array(grid, source.values, x0a), grid)
+    return Field(solve_helmholtz_array(grid, source.values), grid)
 
 
 def helmholtz_matrix(grid: Grid) -> sp.csr_matrix:

@@ -7,13 +7,15 @@ and diffusion implicitly, then refreshes the chemical by an elliptic solve
     flux   F = chi * avg(u) * grad(v)          on interior faces, 0 on walls
     u*       = u + dt * (-div F + f(u))
     (I - dt*lap_h) u_new = u*
-    v_new    = helmholtz(g(u_new))
+    (I -    lap_h) v_new = g(u_new)
 
-Interior fluxes telescope and the implicit operator preserves cell sums, so
-the discrete mass law  sum(u_new) = sum(u) + dt*sum(f(u))  holds to roundoff;
-each step records its relative mass residual.  Tiny negative densities are
-clamped and counted; overshoot beyond 1e-8 of the max is a hard error because
-it signals under-resolution.
+Both linear systems go through the one exact DCT-II solve of
+elliptic.solve_screened_array.  Interior fluxes telescope and the implicit
+operator preserves cell sums, so the discrete mass law
+sum(u_new) = sum(u) + dt*sum(f(u))  holds to roundoff; each step records its
+relative mass residual.  Tiny negative densities are clamped and counted;
+overshoot beyond 1e-8 of the max is a hard error because it signals
+under-resolution.
 """
 
 from __future__ import annotations
@@ -22,16 +24,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .diagnostics import lp_norm
-from .elliptic import solve_helmholtz_array
-from .errors import NegativeOvershoot, NoConvergence, OutOfRange, StalledDt
+from .elliptic import solve_helmholtz_array, solve_screened_array
+from .errors import NegativeOvershoot, OutOfRange, StalledDt
 from .grid import (
     Field,
-    Grid,
     face_averages,
     face_divergence,
     face_gradients,
@@ -46,7 +44,6 @@ DT_MIN = 1e-12
 BLOWUP_LINF = 1e6
 CLAMP_SOFT = 1e-12         # negatives below this fraction of max(u) are routine
 CLAMP_HARD = 1e-8          # beyond this fraction the step errors out
-IMPLICIT_RTOL = 1e-13      # 2D implicit-diffusion CG (mass is projected exactly)
 MONITOR_EPS = 0.5          # epsilon in the monitor exponent kappa*n/2 + eps
 TARGET_TOL = 1e-6          # convergence threshold against a constant target
 
@@ -85,30 +82,6 @@ def adapt_dt(s: SimState, p: ModelParams, k: Kinetics) -> float:
     return dt
 
 
-def _implicit_diffusion(grid: Grid, rhs: np.ndarray, dt: float) -> np.ndarray:
-    if grid.dim == 1:
-        n = grid.shape[0]
-        h = grid.spacings[0]
-        ab = np.zeros((2, n))
-        ab[0, 1:] = -dt / h**2
-        ab[1, :] = 1.0 + 2.0 * dt / h**2
-        ab[1, 0] = ab[1, -1] = 1.0 + dt / h**2
-        out = scipy.linalg.solveh_banded(ab, rhs)
-    else:
-        A = sp.identity(grid.n_cells, format="csr") - dt * grid.laplacian_matrix
-        out, info = spla.cg(
-            A, rhs.ravel(), x0=rhs.ravel(), rtol=IMPLICIT_RTOL, atol=0.0,
-            maxiter=10 * grid.n_cells,
-        )
-        if info != 0:
-            raise NoConvergence(f"implicit diffusion CG failed (info={info})")
-        out = out.reshape(grid.shape)
-    # The implicit operator maps constants to themselves; project the solver's
-    # mass defect onto the constant mode so cell sums are conserved exactly.
-    out += (rhs.sum() - out.sum()) / grid.n_cells
-    return out
-
-
 def step(s: SimState, p: ModelParams, k: Kinetics) -> SimState:
     """One IMEX step of size s.dt; see the module docstring for the scheme."""
     grid = s.u.grid
@@ -118,7 +91,7 @@ def step(s: SimState, p: ModelParams, k: Kinetics) -> SimState:
     chemo = [p.chi * a * g for a, g in zip(avgs, grads)]
     f_old = k.f(u)
     u_star = u + s.dt * (-face_divergence(chemo, grid) + f_old)
-    u_new = _implicit_diffusion(grid, u_star, s.dt)
+    u_new = solve_screened_array(grid, u_star, s.dt)
 
     mass_old = u.sum()
     mass_residual = abs(u_new.sum() - mass_old - s.dt * f_old.sum()) / max(
@@ -138,7 +111,7 @@ def step(s: SimState, p: ModelParams, k: Kinetics) -> SimState:
         clamped_mass += float(-u_new[negatives].sum()) * grid.cell_volume
         u_new = np.where(negatives, 0.0, u_new)
 
-    v_new = solve_helmholtz_array(grid, k.g(u_new), x0=s.v.values)
+    v_new = solve_helmholtz_array(grid, k.g(u_new))
     return SimState(
         t=s.t + s.dt,
         u=Field(u_new, grid),

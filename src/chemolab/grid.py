@@ -3,8 +3,8 @@
 Cell centers sit at (i + 1/2)*h, so the mirror ghost value equals the first
 interior value and the zero-flux condition is exact to second order.  All
 discrete calculus used elsewhere lives here: face gradients, conservative
-divergence of face fluxes, the mirror-ghost Laplacian (array form and sparse
-assembly), centered cell gradients, and midpoint-rule integrals.
+divergence of face fluxes, the mirror-ghost Laplacian (array form, sparse
+assembly and eigenvalues), centered cell gradients, and midpoint-rule integrals.
 """
 
 from __future__ import annotations
@@ -80,6 +80,21 @@ class Grid:
         ix = sp.identity(self.shape[0], format="csr")
         iy = sp.identity(self.shape[1], format="csr")
         return (sp.kron(mats[0], iy) + sp.kron(ix, mats[1])).tocsr()
+
+    @cached_property
+    def laplacian_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of -lap_h on the sampled cosines, in DCT-II order.
+
+        Entry k belongs to the cell-centered cosine product with indices k;
+        each axis adds 4/h**2 * sin(k*pi/(2n))**2.
+        """
+        total = np.zeros(self.shape)
+        for ax, (n, h) in enumerate(zip(self.shape, self.spacings)):
+            shape = [1] * self.dim
+            shape[ax] = n
+            lam = 4.0 / h**2 * np.sin(np.arange(n) * np.pi / (2 * n)) ** 2
+            total = total + lam.reshape(shape)
+        return total
 
 
 def _neumann_laplacian_1d(n: int, h: float) -> sp.csr_matrix:

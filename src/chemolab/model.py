@@ -34,7 +34,7 @@ F_KINDS = ("generalized-logistic", "power-envelope", "allee", "polynomial")
 
 # Tolerances pinned by the contracts in this module.
 EQUALITY_RTOL = 1e-12      # regime conditions testing exact parameter equalities
-ZERO_ATOL = 1e-12          # |f(z)| at reported zeros
+ZERO_ATOL = 1e-12          # |f(z)| at reported zeros whose bracket did not close
 ZERO_SCAN_SAMPLES = 4096   # uniform pre-scan before bisection
 DISSIPATIVITY_GRID = 256   # log-spaced sample pairs per side of the equilibrium
 
@@ -328,7 +328,9 @@ def growth_zeros(
     The scan uses ZERO_SCAN_SAMPLES uniform samples on [0, upper].  The
     default bound is four times (a_env/b_env)**(1/theta_env): every zero z
     satisfies b_env*z**theta_env <= a_env under the verified envelope, so
-    this covers all of them while keeping the sampling dense.
+    this covers all of them while keeping the sampling dense.  A zero is
+    reported when |f| < atol there or its bisection bracket closed to
+    adjacent floats; NoZeroFound otherwise.
     """
     if upper is None:
         a_env, b_env, th_env = k.envelope
@@ -337,10 +339,12 @@ def growth_zeros(
         raise OutOfRange("upper", f"search bound must be > 0 (got {upper})")
     xs = np.linspace(0.0, float(upper), ZERO_SCAN_SAMPLES)
     fs = k.f(xs)
-    zeros: list[float] = []
+    # (zero, proven): an exact zero sample or a bracket closed by bisection
+    # proves the root whatever the rounding error of f there.
+    zeros: list[tuple[float, bool]] = []
     for i in range(len(xs)):
         if fs[i] == 0.0:
-            zeros.append(float(xs[i]))
+            zeros.append((float(xs[i]), True))
     # Sign changes between consecutive nonzero samples; samples that are
     # exactly zero would otherwise mask a crossing right next to them.
     nz = np.flatnonzero(fs != 0.0)
@@ -348,33 +352,41 @@ def growth_zeros(
         if fs[i] * fs[j] < 0.0:
             zeros.append(_bisect(k.f, float(xs[i]), float(xs[j])))
     zeros.sort()
-    merged: list[float] = []
+    merged: list[tuple[float, bool]] = []
     merge_tol = max(atol, 1e-9 * upper)
-    for z in zeros:
-        if not merged or z - merged[-1] > merge_tol:
-            merged.append(z)
+    for z, proven in zeros:
+        if not merged or z - merged[-1][0] > merge_tol:
+            merged.append((z, proven))
     if not merged:
         raise NoZeroFound(f"f has no nonnegative zero below {upper}")
-    bad = [z for z in merged if abs(float(k.f(np.array([z]))[0])) >= atol]
+    bad = [
+        z for z, proven in merged
+        if not proven and abs(float(k.f(np.array([z]))[0])) >= atol
+    ]
     if bad:
         raise NoZeroFound(f"bisection failed to polish zeros near {bad}")
-    return merged, merged[-1]
+    return [z for z, _ in merged], merged[-1][0]
 
 
-def _bisect(f, lo: float, hi: float) -> float:
+def _bisect(f, lo: float, hi: float) -> tuple[float, bool]:
+    """Bisect a sign change of f on [lo, hi].
+
+    The flag is True when an exact zero was hit or the bracket closed to
+    adjacent floats, so the sign change pins the root to the last ulp.
+    """
     flo = float(f(np.array([lo]))[0])
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
+            return mid, True
         fm = float(f(np.array([mid]))[0])
         if fm == 0.0:
-            return mid
+            return mid, True
         if flo * fm < 0.0:
             hi = mid
         else:
             lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), False
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from chemolab import cli
 from chemolab.cli import main
 from chemolab.config import Config, eval_number
 from chemolab.errors import OutOfRange, UnknownKey
@@ -201,6 +206,25 @@ sweep.count = 0
         )
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_programming_error_is_not_a_point_failure(self, tmp_path, monkeypatch):
+        def broken(cfg, args, manifest):
+            raise TypeError("bug in a handler")
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", broken)
+        cfg = _write(
+            tmp_path,
+            BASE
+            + """
+sweep.command = classify
+sweep.parameter = model.chi
+sweep.start = 0.3
+sweep.stop = 0.6
+sweep.count = 2
+""",
+        )
+        with pytest.raises(TypeError, match="bug in a handler"):
+            main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+
     def test_classify_sweep_summary(self, tmp_path):
         cfg = _write(
             tmp_path,
@@ -241,3 +265,13 @@ sweep.count2 = 2
         lines = (out / "sweep_summary.csv").read_text().splitlines()
         assert lines[0] == "index,model.chi,model.b,status,exit_code,scalar"
         assert len(lines) == 5
+
+
+def test_import_does_not_load_scipy_integrate():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, chemolab, chemolab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -5,9 +5,10 @@ import pytest
 import scipy.linalg
 
 import chemolab as cl
-from chemolab.elliptic import discrete_sigma, helmholtz_matrix
+from chemolab.elliptic import discrete_sigma, helmholtz_matrix, solve_screened_array
 from chemolab.errors import NonpositiveV, OutOfRange
-from chemolab.grid import Field, integrate, laplacian_apply
+from chemolab.evolve import DT_MAX_FACTOR
+from chemolab.grid import Field, Grid, integrate, laplacian_apply
 
 
 def _grid_1d(nx, length=math.pi):
@@ -124,13 +125,31 @@ class TestHelmholtzSolve:
         assert v.values.min() >= src.values.min() - 1e-10
         assert v.values.max() <= src.values.max() + 1e-10
 
-    def test_2d_cg_matches_direct_solve(self):
-        g = _grid_2d(16)
+    @pytest.mark.parametrize(
+        "lengths, shape",
+        [
+            ((math.pi,), (16,)),
+            ((math.pi, math.pi), (16, 16)),
+            ((1.0, 2.5), (12, 20)),
+            ((math.pi, math.pi), (9, 8)),
+        ],
+        ids=["1d-16", "2d-16x16", "2d-12x20-nonsquare", "2d-9x8"],
+    )
+    @pytest.mark.parametrize("system", ["helmholtz", "implicit-diffusion"])
+    def test_solve_matches_dense_reference(self, system, lengths, shape):
+        g = Grid(lengths, shape)
         rng = np.random.default_rng(11)
-        src = rng.uniform(0.0, 1.0, g.shape)
-        v = cl.solve_helmholtz(g, Field(src, g)).values.ravel()
-        direct = scipy.linalg.solve(helmholtz_matrix(g).toarray(), src.ravel())
-        assert v == pytest.approx(direct, abs=1e-9)
+        rhs = rng.uniform(0.0, 1.0, g.shape)
+        if system == "helmholtz":
+            c = 1.0
+            x = cl.solve_helmholtz(g, Field(rhs, g)).values
+        else:
+            c = DT_MAX_FACTOR * min(g.spacings) ** 2
+            x = solve_screened_array(g, rhs, c)
+        A = np.eye(g.n_cells) - c * g.laplacian_matrix.toarray()
+        dense = scipy.linalg.solve(A, rhs.ravel())
+        assert x.ravel() == pytest.approx(dense, abs=1e-12)
+        assert abs(x.sum() - rhs.sum()) <= 1e-14 * rhs.sum()
 
     def test_operator_is_symmetric_positive_definite(self):
         g = _grid_2d(8)

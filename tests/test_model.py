@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chemolab as cl
@@ -97,6 +97,7 @@ class TestGrowthZeros:
             cl.growth_zeros(k, upper=0.5)
 
     @given(a=st.floats(0.1, 10), b=st.floats(0.1, 10), kappa=st.floats(0.25, 3))
+    @example(a=7.35666256524149, b=1.0, kappa=0.25)
     @settings(max_examples=25, deadline=None)
     def test_logistic_zero_set_is_exact(self, a, b, kappa):
         k = cl.make_kinetics(_params(a=a, b=b, kappa=kappa, theta=kappa + 1), "generalized-logistic")
