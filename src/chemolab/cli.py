@@ -3,14 +3,17 @@
 Exit codes: 0 success/converged, 1 usage or config error, 2 blow-up detected,
 3 solver non-convergence.  Every invocation writes its artifacts under the
 --out directory together with a line-oriented manifest listing the inputs,
-the package version, and each produced file.  Reruns with identical config
-and seed are byte-identical apart from the manifest timestamp.
+the package version, and each produced file.  Every artifact is a CSV file
+written by the manifest itself: floats with 17 significant digits, booleans
+as true/false, and a cell quoted only where CSV needs it.  Reruns with
+identical config and seed are byte-identical apart from the manifest
+timestamp.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import csv
 import dataclasses
 import datetime
 import hashlib
@@ -31,7 +34,7 @@ from .config import (
     params_from_config,
 )
 from .errors import ChemolabError, ConfigError, NoConvergence, OutOfRange
-from .grid import Field, write_snapshot_csv
+from .grid import Field
 from .model import classify_regime, growth_zeros
 
 EXIT_OK = 0
@@ -56,13 +59,12 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 class _Manifest:
-    def __init__(self, out_dir: Path, command: str, config_path: str, seed: int, threads: int,
+    def __init__(self, out_dir: Path, command: str, config_path: str, seed: int,
                  config_sha: str | None = None):
         self.out_dir = out_dir
         self.lines = [
@@ -71,13 +73,16 @@ class _Manifest:
             f"config: {config_path}",
             f"config_sha256: {config_sha if config_sha is not None else _sha256(config_path)}",
             f"seed: {seed}",
-            f"threads: {threads}",
         ]
         self.artifacts: list[str] = []
 
-    def path(self, name: str) -> Path:
+    def write_csv(self, name: str, header, rows) -> None:
+        """List ``name`` as an artifact and write it as a header plus rows."""
         self.artifacts.append(name)
-        return self.out_dir / name
+        with open(self.out_dir / name, "w", encoding="utf-8", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(header)
+            out.writerows([_cell(x) for x in row] for row in rows)
 
     def write(self):
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -87,6 +92,23 @@ class _Manifest:
             for name in self.artifacts:
                 fh.write(f"artifact: {name}\n")
             fh.write(f"timestamp: {stamp}\n")
+
+
+def _cell(x) -> str:
+    # float first, as the common case (np.float64 is a float); bools before
+    # the str fallback, which would give "True"
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    return str(x)
+
+
+def write_snapshot_csv(manifest: _Manifest, name: str, u: Field, v: Field) -> None:
+    """Snapshot file: rows x,u,v (1D) or x,y,u,v (2D) at the cell centres."""
+    grid = u.grid
+    columns = [c.ravel() for c in grid.coordinates] + [u.values.ravel(), v.values.ravel()]
+    manifest.write_csv(name, ("x", "y")[: grid.dim] + ("u", "v"), zip(*columns))
 
 
 def _sha256(path: str) -> str:
@@ -126,12 +148,13 @@ def _cmd_simulate(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
         rows=cfg.integer("run.rows", 500),
         snapshot_times=snap_times,
     )
-    report.write_series_csv(manifest.path("series.csv"))
+    footer = f"# status={report.status} final_time={report.final_time:.17g}"
+    manifest.write_csv("series.csv", evolve.SERIES_COLUMNS, [*report.series, [footer]])
     for i, (t, u_vals, v_vals) in enumerate(report.snapshots):
         write_snapshot_csv(
-            manifest.path(f"snapshot_{i:03d}.csv"), Field(u_vals, grid), Field(v_vals, grid)
+            manifest, f"snapshot_{i:03d}.csv", Field(u_vals, grid), Field(v_vals, grid)
         )
-    write_snapshot_csv(manifest.path("final.csv"), report.final_u, report.final_v)
+    write_snapshot_csv(manifest, "final.csv", report.final_u, report.final_v)
     print(f"status: {report.status} at t = {report.final_time:.6g} "
           f"({report.steps} steps, max mass residual {report.max_mass_residual:.3e})")
     code = EXIT_BLOWUP if report.status in ("BlowUp", "StalledDt") else EXIT_OK
@@ -155,18 +178,19 @@ def _cmd_steady(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
         p, k, eq, mode, chi_range, steps, grid=grid,
         seed_fraction=cfg.number("steady.seed_fraction", steady.SEED_FRACTION),
     )
-    steady.write_branch_csv(manifest.path("branch.csv"), branch)
+    manifest.write_csv(
+        "branch.csv", ("chi", "amplitude", "residual", "seed_mode"),
+        [(s.chi, s.amplitude(branch.reference), s.residual_norm, branch.seed_mode)
+         for s in branch.states],
+    )
     if branch.states:
         last = branch.states[-1]
-        write_snapshot_csv(manifest.path("steady_state.csv"), last.u, last.v)
+        write_snapshot_csv(manifest, "steady_state.csv", last.u, last.v)
         report = steady.validate_steady(last, dataclasses.replace(p, chi=last.chi), k)
-        with open(manifest.path("validation.csv"), "w", encoding="utf-8") as fh:
-            fh.write("name,bound,observed,pass,note\n")
-            for row in report.rows:
-                fh.write(
-                    f"{row.name},{row.bound:.17g},{row.observed:.17g},"
-                    f"{str(row.passed).lower()},{row.note}\n"
-                )
+        manifest.write_csv(
+            "validation.csv", ("name", "bound", "observed", "pass", "note"),
+            [(r.name, r.bound, r.observed, r.passed, r.note) for r in report.rows],
+        )
         print(f"branch points: {len(branch.states)}, "
               f"last amplitude {last.amplitude(eq.u0):.6g}, "
               f"validators {'pass' if report.all_pass else 'FAIL'}")
@@ -189,7 +213,10 @@ def _cmd_stability(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     eq = stability.equilibrium_info(k, u0)
     count = cfg.integer("stability.count", 6)
     rows = stability.bifurcation_table(eq, p.lengths, count)
-    stability.write_bifurcation_csv(manifest.path("bifurcation.csv"), rows)
+    manifest.write_csv(
+        "bifurcation.csv", ("k", "sigma", "multiplicity", "chi_hat", "proven"),
+        [(r.k, r.sigma, r.multiplicity, r.chi_hat, r.proven) for r in rows],
+    )
     intervals = stability.pattern_intervals(rows)
     for lo, hi in intervals:
         print(f"pattern interval: ({lo:.6g}, {hi:.6g})")
@@ -201,10 +228,10 @@ def _cmd_stability(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
             cfg.integer("stability.chi_samples", 100),
         )
         rep = stability.stability_report(eq, p.lengths, chis, count)
-        with open(manifest.path("lambda.csv"), "w", encoding="utf-8") as fh:
-            fh.write("chi,lambda_minus,lambda_plus\n")
-            for chi, (lm, lp_) in zip(rep.chis, rep.lambdas):
-                fh.write(f"{chi:.17g},{lm:.17g},{lp_:.17g}\n")
+        manifest.write_csv(
+            "lambda.csv", ("chi", "lambda_minus", "lambda_plus"),
+            [(chi, *lams) for chi, lams in zip(rep.chis, rep.lambdas)],
+        )
     if cfg.flag("stability.scan"):
         grid = grid_from_config(cfg, p)
         scan = stability.singularity_scan(
@@ -213,14 +240,11 @@ def _cmd_stability(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
             cfg.number("stability.scan_hi"),
             cfg.integer("stability.scan_points", 40),
         )
-        with open(manifest.path("scan.csv"), "w", encoding="utf-8") as fh:
-            fh.write("chi,smallest_singular_value\n")
-            for chi, sv in zip(scan.chis, scan.smallest_singular_values):
-                fh.write(f"{chi:.17g},{sv:.17g}\n")
-        with open(manifest.path("scan_roots.csv"), "w", encoding="utf-8") as fh:
-            fh.write("chi_singular\n")
-            for root in scan.roots:
-                fh.write(f"{root:.17g}\n")
+        manifest.write_csv(
+            "scan.csv", ("chi", "smallest_singular_value"),
+            zip(scan.chis, scan.smallest_singular_values),
+        )
+        manifest.write_csv("scan_roots.csv", ("chi_singular",), [(r,) for r in scan.roots])
         print(f"scan roots: {[f'{r:.8g}' for r in scan.roots]}")
     # key scalar: gap between the growing branch at this chi and the nearest
     # mode eigenvalue; it touches zero exactly at the onset thresholds
@@ -240,15 +264,15 @@ def _cmd_compare_ode(cfg: Config, args, manifest: _Manifest) -> tuple[int, float
     u0_min = cfg.number("compare.u0_min")
     u0_max = cfg.number("compare.u0_max")
     traj = cmp_ode.solve_sandwich(p, u0_min, u0_max, horizon)
-    traj.write_csv(manifest.path("trajectory.csv"))
+    manifest.write_csv(
+        "trajectory.csv", ("t", "ubar", "ulow", "log_ratio"),
+        zip(traj.times, traj.ubar, traj.ulow, traj.log_ratio),
+    )
     if traj.eps0 is not None:
         print(f"contraction rate eps0 = {traj.eps0:.8g}")
     if cfg.flag("compare.envelopes"):
         env = cmp_ode.envelope_odes(p, k, u0_min, u0_max, horizon)
-        with open(manifest.path("envelopes.csv"), "w", encoding="utf-8") as fh:
-            fh.write("t,z,y\n")
-            for t, z, y in zip(env.times_z, env.z, env.y):
-                fh.write(f"{t:.17g},{z:.17g},{y:.17g}\n")
+        manifest.write_csv("envelopes.csv", ("t", "z", "y"), zip(env.times_z, env.z, env.y))
         print(f"z_inf = {env.z_inf:.8g}, y_inf = {env.y_inf:.8g}")
     return EXIT_OK, traj.eps0 if traj.eps0 is not None else math.nan
 
@@ -258,11 +282,10 @@ def _cmd_classify(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     k = kinetics_from_config(cfg, p)
     dim = cfg.integer("classify.dim", p.dim)
     report = classify_regime(p, k, dim=dim)
-    with open(manifest.path("regimes.csv"), "w", encoding="utf-8") as fh:
-        fh.write("tag,satisfied,condition\n")
-        for v in report.verdicts:
-            cond = v.condition.replace('"', "'")
-            fh.write(f'{v.tag},{str(v.satisfied).lower()},"{cond}"\n')
+    manifest.write_csv(
+        "regimes.csv", ("tag", "satisfied", "condition"),
+        [(v.tag, v.satisfied, v.condition) for v in report.verdicts],
+    )
     for v in report.verdicts:
         if v.satisfied:
             print(v.tag)
@@ -310,16 +333,15 @@ def _run_sweep_point(index, names, values, cfg: Config, args, out_root: Path, co
     point_cfg = Config(entries)
     point_dir = out_root / f"point_{index:04d}"
     point_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _Manifest(point_dir, command, "<sweep point>", args.seed, 1,
-                         config_sha="inherited")
+    manifest = _Manifest(point_dir, command, "<sweep point>", args.seed, config_sha="inherited")
     try:
         code, scalar = _HANDLERS[command](point_cfg, args, manifest)
         manifest.write()
         status = {EXIT_OK: "ok", EXIT_BLOWUP: "blowup", EXIT_NOCONV: "no-convergence"}
-        return index, status.get(code, f"exit_{code}"), code, scalar
+        return status.get(code, f"exit_{code}"), code, scalar
     except ChemolabError as exc:  # a parameter failure must not sink the sweep
         manifest.write()
-        return index, f"error: {exc}", EXIT_USAGE, math.nan
+        return f"error: {exc}", EXIT_USAGE, math.nan
 
 
 def _cmd_sweep(cfg: Config, args, manifest: _Manifest) -> int:
@@ -327,23 +349,14 @@ def _cmd_sweep(cfg: Config, args, manifest: _Manifest) -> int:
     if command not in _HANDLERS:
         raise OutOfRange("sweep.command", f"must be one of {sorted(_HANDLERS)} (got {command})")
     names, points = _sweep_points(cfg)
-    out_root = manifest.out_dir
-    results = [None] * len(points)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
-        futures = [
-            pool.submit(_run_sweep_point, i, names, values, cfg, args, out_root, command)
-            for i, values in enumerate(points)
-        ]
-        for fut in futures:
-            index, status, code, scalar = fut.result()
-            results[index] = (status, code, scalar)
-    with open(manifest.path("sweep_summary.csv"), "w", encoding="utf-8") as fh:
-        header = ["index"] + names + ["status", "exit_code", "scalar"]
-        fh.write(",".join(header) + "\n")
-        for i, values in enumerate(points):
-            status, code, scalar = results[i]
-            vals = ",".join(f"{v:.17g}" for v in values)
-            fh.write(f'{i},{vals},"{status}",{code},{scalar:.17g}\n')
+    results = [
+        _run_sweep_point(i, names, values, cfg, args, manifest.out_dir, command)
+        for i, values in enumerate(points)
+    ]
+    manifest.write_csv(
+        "sweep_summary.csv", ["index", *names, "status", "exit_code", "scalar"],
+        [(i, *values, *result) for i, (values, result) in enumerate(zip(points, results))],
+    )
     n_ok = sum(1 for status, code, _ in results if code == EXIT_OK)
     print(f"sweep: {n_ok}/{len(points)} points succeeded")
     return EXIT_OK if n_ok >= 1 else EXIT_USAGE
@@ -367,7 +380,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = _out_dir(args)
-    manifest = _Manifest(out_dir, args.command, args.config, args.seed, args.threads)
+    manifest = _Manifest(out_dir, args.command, args.config, args.seed)
     try:
         if args.command == "sweep":
             code = _cmd_sweep(cfg, args, manifest)

@@ -82,12 +82,6 @@ class SandwichTrajectory:
         """log(ubar**kappa / ulow), the contracting gap."""
         return self.kappa * (np.log(self.ubar) - np.log(self.w))
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,ubar,ulow,log_ratio\n")
-            for t, ub, ul, lr in zip(self.times, self.ubar, self.ulow, self.log_ratio):
-                fh.write(f"{t:.17g},{ub:.17g},{ul:.17g},{lr:.17g}\n")
-
 
 def _integrate_sandwich(p: ModelParams, y0, horizon, rtol, n_out):
     # Imported here: scipy.integrate costs about as much as the rest of

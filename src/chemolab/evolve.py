@@ -125,8 +125,13 @@ def step(s: SimState, p: ModelParams, k: Kinetics) -> SimState:
 
 
 def detect_blowup(s: SimState) -> bool:
-    """Heuristic evidence only: sup-norm beyond BLOWUP_LINF or a stalled step."""
-    return float(np.max(np.abs(s.u.values))) > BLOWUP_LINF or s.dt < DT_MIN
+    """Heuristic evidence only: sup-norm beyond BLOWUP_LINF.
+
+    A stalled step is not judged here: adapt_dt raises StalledDt when the
+    admissible step falls below DT_MIN, while a step that run clamps to
+    reach the horizon exactly may be shorter than DT_MIN without any stall.
+    """
+    return float(np.max(np.abs(s.u.values))) > BLOWUP_LINF
 
 
 SERIES_COLUMNS = ("t", "mass", "linf_u", "lp_u", "linf_v", "linf_gradv", "dt")
@@ -169,13 +174,6 @@ class RunReport:
 
     def column(self, name: str) -> np.ndarray:
         return self.series[:, SERIES_COLUMNS.index(name)]
-
-    def write_series_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(SERIES_COLUMNS) + "\n")
-            for row in self.series:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-            fh.write(f"# status={self.status} final_time={self.final_time:.17g}\n")
 
 
 def _gronwall_constant(k: Kinetics) -> float:

@@ -273,21 +273,3 @@ def face_average_div_matrix(face_gradients_v: Sequence[np.ndarray], grid: Grid) 
     vals = np.concatenate(vals)
     n = grid.n_cells
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def write_snapshot_csv(path, u: Field, v: Field) -> None:
-    """Snapshot file: header then rows x,u,v (1D) or x,y,u,v (2D), 17 digits."""
-    grid = u.grid
-    coords = grid.coordinates
-    with open(path, "w", encoding="utf-8") as fh:
-        if grid.dim == 1:
-            fh.write("x,u,v\n")
-            for x, uu, vv in zip(coords[0], u.values, v.values):
-                fh.write(f"{x:.17g},{uu:.17g},{vv:.17g}\n")
-        else:
-            fh.write("x,y,u,v\n")
-            X, Y = coords
-            for x, y, uu, vv in zip(
-                X.ravel(), Y.ravel(), u.values.ravel(), v.values.ravel()
-            ):
-                fh.write(f"{x:.17g},{y:.17g},{uu:.17g},{vv:.17g}\n")

