@@ -4,53 +4,34 @@ stability/bifurcation analysis, and comparison-ODE validators."""
 
 __version__ = "0.1.0"
 
-from .compare_ode import (
-    EnvelopeTrajectories,
-    SandwichTrajectory,
-    check_sandwich,
-    envelope_odes,
-    sandwich_contraction_rate,
-    solve_sandwich,
-)
+from .compare_ode import (EnvelopeTrajectories, SandwichTrajectory, check_sandwich,
+                          envelope_odes, sandwich_contraction_rate, solve_sandwich)
 from .diagnostics import SeriesFit, fit_exponential_decay, lp_norm, monitor_exponent
-from .elliptic import (
-    EigenPair,
-    elliptic_identity_residual,
-    neumann_eigenvalues,
-    solve_helmholtz,
-)
+from .elliptic import EigenPair, elliptic_identity_residual, neumann_eigenvalues, solve_helmholtz
 from .evolve import RunReport, SimState, adapt_dt, detect_blowup, run, step
 from .grid import Field, Grid, make_grid
-from .model import (
-    Kinetics,
-    ModelParams,
-    RegimeReport,
-    build_params,
-    check_strong_dissipativity,
-    classify_regime,
-    growth_zeros,
-    make_kinetics,
-    verify_growth_envelope,
-)
-from .stability import (
-    BifurcationRow,
-    EquilibriumInfo,
-    StabilityReport,
-    bifurcation_table,
-    critical_chi,
-    equilibrium_info,
-    linearization_eigenvalues,
-    mode_eigenvalues,
-    pattern_intervals,
-    singularity_scan,
-)
-from .steady import (
-    Branch,
-    SteadyState,
-    ValidationReport,
-    continuation,
-    solve_stationary,
-    validate_steady,
-)
+from .model import (Kinetics, ModelParams, RegimeReport, build_params, check_strong_dissipativity,
+                    classify_regime, growth_zeros, make_kinetics, verify_growth_envelope)
+from .stability import (BifurcationRow, EquilibriumInfo, StabilityReport, bifurcation_table,
+                        critical_chi, equilibrium_info, linearization_eigenvalues,
+                        mode_eigenvalues, pattern_intervals, singularity_scan)
+from .steady import (Branch, SteadyState, ValidationReport, continuation, solve_stationary,
+                     validate_steady)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Every name imported above; the submodules stay reachable as attributes
+# (chemolab.stability) but are not exported.
+__all__ = [
+    "EnvelopeTrajectories", "SandwichTrajectory", "check_sandwich", "envelope_odes",
+    "sandwich_contraction_rate", "solve_sandwich",
+    "SeriesFit", "fit_exponential_decay", "lp_norm", "monitor_exponent",
+    "EigenPair", "elliptic_identity_residual", "neumann_eigenvalues", "solve_helmholtz",
+    "RunReport", "SimState", "adapt_dt", "detect_blowup", "run", "step",
+    "Field", "Grid", "make_grid",
+    "Kinetics", "ModelParams", "RegimeReport", "build_params", "check_strong_dissipativity",
+    "classify_regime", "growth_zeros", "make_kinetics", "verify_growth_envelope",
+    "BifurcationRow", "EquilibriumInfo", "StabilityReport", "bifurcation_table",
+    "critical_chi", "equilibrium_info", "linearization_eigenvalues", "mode_eigenvalues",
+    "pattern_intervals", "singularity_scan",
+    "Branch", "SteadyState", "ValidationReport", "continuation", "solve_stationary",
+    "validate_steady",
+]

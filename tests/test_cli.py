@@ -176,6 +176,38 @@ stability.count = 3
         assert len(lines) == 4
         assert lines[1].startswith("1,2,1,4,true")
 
+    SCAN_2D = BASE.replace("model.dim = 1", "model.dim = 2") + """
+grid.nx = 8
+stability.scan = true
+stability.scan_lo = 3
+stability.scan_hi = 5
+stability.scan_points = 4
+"""
+
+    def test_2d_scan_writes_roots_with_multiplicity(self, tmp_path):
+        cfg = _write(tmp_path, self.SCAN_2D)
+        out = tmp_path / "o"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "scan.csv", newline="") as fh:
+            curve = list(csv.reader(fh))
+        assert curve[0] == ["chi", "smallest_singular_value"] and len(curve) == 5
+        with open(out / "scan_roots.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["chi_singular"]
+        roots = [float(r[0]) for r in rows]
+        # modes (1, 0) and (0, 1) share one root, then (1, 1)
+        assert len(roots) == 3
+        assert roots[0] == pytest.approx(roots[1], rel=1e-12)
+        assert 4.0 < roots[0] < 4.1 and 4.4 < roots[2] < 4.5
+
+    def test_scan_rerun_is_byte_identical(self, tmp_path):
+        cfg = _write(tmp_path, self.SCAN_2D)
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["stability", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["stability", "--config", cfg, "--out", str(out2)]) == 0
+        for name in ("scan.csv", "scan_roots.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
 
 class TestCompareOdeCommand:
     def test_trajectory_artifact(self, tmp_path):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 import chemolab as cl
-from chemolab.elliptic import discrete_sigma
+from chemolab.elliptic import discrete_sigma, helmholtz_matrix
 from chemolab.errors import NotOnPlusBranch, OutOfRange, UndefinedForThisChi
 from chemolab.stability import characteristic_chi
 
@@ -231,6 +233,21 @@ class TestSingularityScan:
         scan = cl.singularity_scan(e, g, target - 0.2, target + 0.2, 9)
         assert scan.roots[0] == pytest.approx(target, abs=1e-6)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_fprime_window_centred_on_a_root(self, dim):
+        # f'(u0) = 0 makes the constant mode singular for every chi, and the
+        # window's midpoint is itself a root
+        p = _params(theta=3, dim=dim)
+        k = cl.make_kinetics(p, "polynomial", poly_coeffs=(0.5, -2.0, 2.5, -1.0))
+        e = cl.equilibrium_info(k, 1.0)
+        g = cl.make_grid(p, 16)
+        modes = np.array([characteristic_chi(e, 1.0 + lam)
+                          for lam in g.laplacian_eigenvalues.ravel()[1:]])
+        target = float(np.sort(modes)[2])
+        scan = cl.singularity_scan(e, g, target - 1.0, target + 1.0, 3)
+        expected = np.sort(modes[np.abs(modes - target) <= 1.0])
+        assert scan.roots == pytest.approx(expected.tolist(), rel=1e-12)
+
     def test_second_order_convergence_to_analytic_thresholds(self, damped_eq):
         p = _params()
         shifts = {}
@@ -240,14 +257,81 @@ class TestSingularityScan:
             shifts[nx] = abs(scan.roots[0] - 6.25)
         assert 3.0 <= shifts[128] / shifts[256] <= 5.0
 
-    def test_requires_1d(self, damped_eq):
-        p = cl.build_params(
-            {"chi": 5, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1,
-             "dim": 2, "L": math.pi}
-        )
-        g = cl.make_grid(p, 8)
+    def test_2d_square_roots_repeat_per_multiplicity(self, damped_eq):
+        g = cl.make_grid(_params(dim=2), 16)
+        lo, hi = 3.5, 12.0
+        scan = cl.singularity_scan(damped_eq, g, lo, hi, 5)
+        modes = [characteristic_chi(damped_eq, 1.0 + lam)
+                 for lam in g.laplacian_eigenvalues.ravel()[1:]]
+        assert scan.roots == pytest.approx(sorted(c for c in modes if lo <= c <= hi), rel=1e-12)
+        rows = [r for r in cl.bifurcation_table(damped_eq, g, 8)
+                if lo <= characteristic_chi(damped_eq, r.sigma_h) <= hi]
+        repeats = [
+            sum(abs(root - characteristic_chi(damped_eq, r.sigma_h)) <= 1e-10 * root
+                for root in scan.roots)
+            for r in rows
+        ]
+        assert repeats == [r.multiplicity for r in rows]
+        assert sum(repeats) == len(scan.roots)
+        assert repeats.count(2) == 5  # modes (j, k) and (k, j) share sigma_h on a square
+
+    def test_repeated_scan_is_bit_identical(self, damped_eq):
+        g = cl.make_grid(_params(dim=2), 12)
+        first, second = (cl.singularity_scan(damped_eq, g, 3.5, 8.0, 6) for _ in range(2))
+        assert first.chis.tobytes() == second.chis.tobytes()
+        assert first.smallest_singular_values.tobytes() == second.smallest_singular_values.tobytes()
+        assert first.roots == second.roots
+
+    @pytest.mark.parametrize(
+        "raw, cells, window, rel",
+        [
+            ({}, 24, (3.5, 12.0), 1e-9),
+            ({"dim": 2}, 8, (3.5, 8.0), 1e-9),
+            # Far below onset sigma_min(L) is approached by a cluster of top modes
+            # 1e-8 apart; svds(tol=1e-3) then bounds the error by about 5e-7.
+            ({"a": 9.998049980023461, "b": 1.522005768842087, "kappa": 1.7275687421751194,
+              "theta": 2.7275687421751194}, 58, (1.357945824303739, 3.810464086670553), 5e-7),
+        ],
+    )
+    def test_smallest_singular_values_match_dense_svd(self, raw, cells, window, rel):
+        p = _params(**raw)
+        k = cl.make_kinetics(p, "generalized-logistic")
+        e = cl.equilibrium_info(k, (p.a / p.b) ** (1.0 / p.kappa))
+        g = cl.make_grid(p, cells)
+        scan = cl.singularity_scan(e, g, *window, 6)
+        kinv = np.linalg.inv(helmholtz_matrix(g).toarray())
+        for chi, got in zip(scan.chis, scan.smallest_singular_values):
+            a = [[e.slope * chi + e.fprime + 1.0, -chi * e.u0], [e.gprime, 0.0]]
+            dense = np.eye(2 * g.n_cells) - np.kron(a, kinv)
+            assert got == pytest.approx(np.linalg.svd(dense, compute_uv=False)[-1], rel=rel)
+
+    def test_window_must_be_increasing(self, damped_eq):
+        g = cl.make_grid(_params(), 16)
         with pytest.raises(OutOfRange):
-            cl.singularity_scan(damped_eq, g, 3.5, 5.0, 5)
+            cl.singularity_scan(damped_eq, g, 5.0, 5.0, 4)
+
+    @seed(6)
+    @settings(max_examples=20, deadline=None)
+    @given(
+        a=st.floats(0.1, 10), b=st.floats(0.1, 10), kappa=st.floats(0.25, 3),
+        shape=st.one_of(st.tuples(st.just(1), st.integers(8, 64)),
+                        st.tuples(st.just(2), st.integers(8, 16))),
+        lo_factor=st.floats(0.5, 2.0), width=st.floats(1.1, 4.0),
+    )
+    def test_roots_equal_characteristic_chi_at_sigma_h(self, a, b, kappa, shape, lo_factor, width):
+        dim, cells = shape
+        p = _params(a=a, b=b, kappa=kappa, theta=kappa + 1, dim=dim)
+        e = cl.equilibrium_info(cl.make_kinetics(p, "generalized-logistic"), (a / b) ** (1 / kappa))
+        g = cl.make_grid(p, cells)
+        modes = np.array([characteristic_chi(e, 1.0 + lam)
+                          for lam in g.laplacian_eigenvalues.ravel()[1:]])
+        lo = lo_factor * modes.min()
+        hi = width * lo
+        assume(np.all(np.abs(modes - lo) > 1e-8 * lo) and np.all(np.abs(modes - hi) > 1e-8 * hi))
+        expected = np.sort(modes[(modes >= lo) & (modes <= hi)])
+        roots = cl.singularity_scan(e, g, lo, hi, 2).roots
+        assert len(roots) == len(expected)
+        assert roots == pytest.approx(expected.tolist(), rel=1e-10)
 
 
 class TestStabilityReport:
