@@ -127,6 +127,22 @@ def neumann_eigenvalues(grid: Grid, count: int) -> list[EigenPair]:
 # ---------------------------------------------------------------------------
 
 
+def cosine_coefficients(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II per axis; entry k pairs with grid.laplacian_eigenvalues[k]."""
+    # Per-axis transforms: dctn's n-d argument handling makes a round trip on
+    # a 64-cell 1D grid about 40% slower.
+    for ax in range(grid.dim):
+        values = dct(values, type=2, norm="ortho", axis=ax)
+    return values
+
+
+def cell_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of cosine_coefficients; overwrites ``coeffs``."""
+    for ax in range(grid.dim):
+        coeffs = idct(coeffs, type=2, norm="ortho", axis=ax, overwrite_x=True)
+    return coeffs
+
+
 def solve_screened_array(grid: Grid, rhs: np.ndarray, c: float) -> np.ndarray:
     """Solve (I - c*lap_h) x = rhs, mirror-ghost Neumann stencil, c >= 0.
 
@@ -134,14 +150,9 @@ def solve_screened_array(grid: Grid, rhs: np.ndarray, c: float) -> np.ndarray:
     coefficients are divided by 1 + c*grid.laplacian_eigenvalues, and the
     inverse DCT-II along each axis returns to cell values.
     """
-    # Per-axis transforms: dctn's n-d argument handling makes a round trip on
-    # a 64-cell 1D grid about 40% slower.
-    x = rhs
-    for ax in range(grid.dim):
-        x = dct(x, type=2, norm="ortho", axis=ax)
+    x = cosine_coefficients(grid, rhs)
     x /= 1.0 + c * grid.laplacian_eigenvalues
-    for ax in range(grid.dim):
-        x = idct(x, type=2, norm="ortho", axis=ax, overwrite_x=True)
+    x = cell_values(grid, x)
     # Constants are eigenvectors with eigenvalue 1, so shifting by the mass
     # defect restores sum(x) = sum(rhs) exactly without degrading the residual.
     x += (rhs.sum() - x.sum()) / grid.n_cells

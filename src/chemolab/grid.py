@@ -4,7 +4,7 @@ Cell centers sit at (i + 1/2)*h, so the mirror ghost value equals the first
 interior value and the zero-flux condition is exact to second order.  All
 discrete calculus used elsewhere lives here: face gradients, conservative
 divergence of face fluxes, the mirror-ghost Laplacian (array form, sparse
-assembly and eigenvalues), centered cell gradients, and midpoint-rule integrals.
+matrix and eigenvalues), centered cell gradients, and midpoint-rule integrals.
 """
 
 from __future__ import annotations
@@ -221,55 +221,3 @@ def _take(arr: np.ndarray, sl: slice, axis: int) -> np.ndarray:
     idx = [slice(None)] * arr.ndim
     idx[axis] = sl
     return arr[tuple(idx)]
-
-
-# ---------------------------------------------------------------------------
-# weighted operator assembly (Jacobians, linearized operators)
-# ---------------------------------------------------------------------------
-
-
-def _face_cell_pairs(grid: Grid, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (left cell, right cell) index pairs of interior faces along axis."""
-    idx = np.arange(grid.n_cells).reshape(grid.shape)
-    left = _take(idx, slice(0, grid.shape[axis] - 1), axis).ravel()
-    right = _take(idx, slice(1, grid.shape[axis]), axis).ravel()
-    return left, right
-
-
-def weighted_divgrad_matrix(face_weights: Sequence[np.ndarray], grid: Grid) -> sp.csr_matrix:
-    """Matrix of x -> div(w * grad x) with per-face weights w and zero-flux faces.
-
-    With unit weights this reproduces the mirror-ghost Laplacian.
-    """
-    rows, cols, vals = [], [], []
-    for ax, w in enumerate(face_weights):
-        left, right = _face_cell_pairs(grid, ax)
-        wf = np.asarray(w).ravel() / grid.spacings[ax] ** 2
-        rows.extend([left, left, right, right])
-        cols.extend([right, left, right, left])
-        vals.extend([wf, -wf, -wf, wf])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    n = grid.n_cells
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def face_average_div_matrix(face_gradients_v: Sequence[np.ndarray], grid: Grid) -> sp.csr_matrix:
-    """Matrix of x -> div(avg(x) * G) for fixed face values G of grad v.
-
-    This is the linearization of the chemotaxis divergence with respect to the
-    transported density.
-    """
-    rows, cols, vals = [], [], []
-    for ax, g in enumerate(face_gradients_v):
-        left, right = _face_cell_pairs(grid, ax)
-        gf = np.asarray(g).ravel() / (2.0 * grid.spacings[ax])
-        rows.extend([left, left, right, right])
-        cols.extend([left, right, left, right])
-        vals.extend([gf, gf, -gf, -gf])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    n = grid.n_cells
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .elliptic import continuum_eigenvalues, discrete_sigma, helmholtz_matrix
-from .errors import NotOnPlusBranch, OutOfRange, UndefinedForThisChi
+from .errors import NoConvergence, NotOnPlusBranch, OutOfRange, UndefinedForThisChi
 from .grid import Grid
 from .model import Kinetics
 
@@ -242,6 +242,14 @@ class ScanResult:
     roots: tuple[float, ...]
 
 
+def _arpack(solver, *args, **kwargs):
+    """Call an ARPACK driver; its non-convergence becomes NoConvergence."""
+    try:
+        return solver(*args, **kwargs)
+    except spla.ArpackNoConvergence as exc:
+        raise NoConvergence(f"singularity scan: {exc}") from exc
+
+
 def singularity_scan(
     e: EquilibriumInfo, grid: Grid, chi_lo: float, chi_hi: float, n_points: int
 ) -> ScanResult:
@@ -260,7 +268,7 @@ def singularity_scan(
     |theta| apart.  ``roots`` is ascending and repeats each root once per
     multiplicity, in any dimension.  ``smallest_singular_values`` is
     1/sigma_max(M(chi)^-1 D) from one sparse LU per point, 0 where that
-    factor is exactly singular.
+    factor is exactly singular.  ARPACK non-convergence raises NoConvergence.
     """
     if n_points < 2:
         raise OutOfRange("n_points", f"must be >= 2 (got {n_points})")
@@ -285,7 +293,7 @@ def singularity_scan(
     k = 6
     while True:
         k = min(k, 2 * n)
-        found = (shift - 1.0 / spla.eigs(op, k, v0=v0, return_eigenvectors=False)).real
+        found = (shift - 1.0 / _arpack(spla.eigs, op, k, v0=v0, return_eigenvectors=False)).real
         inside = (found >= chi_lo) & (found <= chi_hi)
         if not inside.all() or k == 2 * n:
             break
@@ -308,6 +316,6 @@ def singularity_scan(
         # Far below onset sigma_max is a cluster of top modes 1e-8 apart that
         # ARPACK cannot split at machine precision; tol=1e-3 bounds the error
         # there by about 5e-7 and leaves isolated values near roundoff.
-        top = spla.svds(inverse, 1, tol=1e-3, v0=v0, return_singular_vectors=False)[0]
+        top = _arpack(spla.svds, inverse, 1, tol=1e-3, v0=v0, return_singular_vectors=False)[0]
         smallest[i] = 1.0 / top
     return ScanResult(chis=chis, smallest_singular_values=smallest, roots=roots)

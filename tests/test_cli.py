@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from chemolab import cli
+from chemolab import cli, stability
 from chemolab.cli import main
 from chemolab.config import Config, eval_number
 from chemolab.errors import OutOfRange, UnknownKey
@@ -199,6 +200,16 @@ stability.scan_points = 4
         assert len(roots) == 3
         assert roots[0] == pytest.approx(roots[1], rel=1e-12)
         assert 4.0 < roots[0] < 4.1 and 4.4 < roots[2] < 4.5
+
+    def test_arpack_failure_exits_no_convergence(self, tmp_path, monkeypatch, capsys):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("No convergence (0/6 eigenvectors converged)", [], [])
+
+        monkeypatch.setattr(stability.spla, "eigs", stalled)
+        cfg = _write(tmp_path, self.SCAN_2D)
+        code = main(["stability", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_NOCONV
+        assert "singularity scan" in capsys.readouterr().err
 
     def test_scan_rerun_is_byte_identical(self, tmp_path):
         cfg = _write(tmp_path, self.SCAN_2D)

@@ -1,14 +1,19 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 import chemolab as cl
-from chemolab.elliptic import solve_helmholtz_array
-from chemolab.errors import OutOfRange
+from chemolab.elliptic import neumann_eigenvalues, solve_helmholtz_array
+from chemolab.errors import NoConvergence, OutOfRange
 from chemolab.evolve import SimState
 from chemolab.grid import Field
+from chemolab.stability import characteristic_chi
+from chemolab.steady import NEWTON_TOL, _jvp, _newton_direction, stationary_residual
 
 
 def _params(chi=4.2):
@@ -102,38 +107,79 @@ class TestContinuation:
         assert np.max(np.abs(mirrored - states[1].u.values)) < 1e-7
 
 
+def _random_state(dim):
+    """A rough nonconstant (u, v) on the 1D n=16 or 2D 8x10 test grid."""
+    if dim == 1:
+        p = _params(chi=1.3)
+        g = cl.make_grid(p, 16)
+    else:
+        p = cl.build_params(
+            {"chi": 1.3, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1,
+             "dim": 2, "lengths": (1.0, 1.6)}
+        )
+        g = cl.make_grid(p, (8, 10))
+    k = cl.make_kinetics(p, "generalized-logistic")
+    rng = np.random.default_rng(2)
+    u = 1.0 + 0.3 * rng.uniform(-1, 1, g.shape)
+    v = 0.8 + 0.2 * rng.uniform(-1, 1, g.shape)
+    return p, k, g, u, v, rng
+
+
+def _stacked(pair):
+    return np.concatenate([r.ravel() for r in pair])
+
+
 class TestJacobian:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_finite_differences(self, dim):
-        if dim == 1:
-            p = _params(chi=1.3)
-            g = cl.make_grid(p, 16)
-        else:
-            p = cl.build_params(
-                {"chi": 1.3, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1,
-                 "dim": 2, "lengths": (1.0, 1.6)}
-            )
-            g = cl.make_grid(p, (8, 10))
-        k = cl.make_kinetics(p, "generalized-logistic")
-        rng = np.random.default_rng(2)
-        u = 1.0 + 0.3 * rng.uniform(-1, 1, g.shape)
-        v = 0.8 + 0.2 * rng.uniform(-1, 1, g.shape)
-        from chemolab.steady import _jacobian, stationary_residual
-
-        J = _jacobian(u, v, p, k, g).toarray()
+        p, k, g, u, v, rng = _random_state(dim)
         n = g.n_cells
         eps = 1e-6
         for _ in range(4):
             d = rng.normal(size=2 * n)
             du, dv = d[:n].reshape(g.shape), d[n:].reshape(g.shape)
-            rp = np.concatenate(
-                [r.ravel() for r in stationary_residual(u + eps * du, v + eps * dv, p, k, g)]
-            )
-            rm = np.concatenate(
-                [r.ravel() for r in stationary_residual(u - eps * du, v - eps * dv, p, k, g)]
-            )
+            rp = _stacked(stationary_residual(u + eps * du, v + eps * dv, p, k, g))
+            rm = _stacked(stationary_residual(u - eps * du, v - eps * dv, p, k, g))
             fd = (rp - rm) / (2 * eps)
-            assert fd == pytest.approx(J @ d, rel=1e-6, abs=1e-6)
+            assert fd == pytest.approx(_stacked(_jvp(u, v, du, dv, p, k, g)), rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_newton_direction_matches_dense_solve(self, dim):
+        p, k, g, u, v, _ = _random_state(dim)
+        n = g.n_cells
+        columns = []
+        for j in range(2 * n):
+            e = np.zeros(2 * n)
+            e[j] = 1.0
+            du, dv = e[:n].reshape(g.shape), e[n:].reshape(g.shape)
+            columns.append(_stacked(_jvp(u, v, du, dv, p, k, g)))
+        ru, rv = stationary_residual(u, v, p, k, g)
+        dense = np.linalg.solve(np.column_stack(columns), -_stacked((ru, rv)))
+        krylov = _stacked(_newton_direction(u, v, ru, rv, p, k, g))
+        assert np.linalg.norm(krylov - dense) <= 1e-8 * np.linalg.norm(dense)
+
+
+class TestSingularPoint:
+    @pytest.mark.parametrize("dim, cells", [(1, 64), (2, 16)])
+    def test_newton_at_exact_mode_one_onset(self, dim, cells):
+        p = cl.build_params(
+            {"chi": 1, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1, "dim": dim, "L": math.pi}
+        )
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, cells)
+        eq = cl.equilibrium_info(k, 1.0)
+        mode = neumann_eigenvalues(g, 2)[1]
+        p = replace(p, chi=characteristic_chi(eq, mode.sigma_h))
+        u = 1.0 + 1e-3 * mode.eigenfunction.values
+        guess = (Field(u, g), Field(solve_helmholtz_array(g, k.g(u)), g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                state = cl.solve_stationary(p, k, guess)
+            except NoConvergence as exc:
+                assert exc.history
+            else:
+                assert state.residual_norm < NEWTON_TOL
 
 
 class TestSteadyEvolveConsistency:
@@ -145,6 +191,36 @@ class TestSteadyEvolveConsistency:
         s2 = cl.step(replace(s, dt=dt), p42, k)
         drift = np.max(np.abs(s2.u.values - pattern.u.values))
         assert drift < 10.0 * dt * max(pattern.residual_norm, 1e-12)
+
+    @seed(7)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0),
+        shape=st.one_of(st.tuples(st.just(1), st.integers(16, 64)),
+                        st.tuples(st.just(2), st.integers(8, 16))),
+        factor=st.floats(1.05, 1.5),
+    )
+    def test_random_steady_state_is_step_fixed_point(self, a, b, kappa, shape, factor):
+        dim, cells = shape
+        p = cl.build_params(
+            {"chi": 1, "a": a, "b": b, "theta": kappa + 1, "kappa": kappa, "beta": 1,
+             "dim": dim, "L": math.pi}
+        )
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, cells)
+        eq = cl.equilibrium_info(k, (a / b) ** (1 / kappa))
+        pairs = neumann_eigenvalues(g, 6)[1:]
+        onsets = [characteristic_chi(eq, pair.sigma_h) for pair in pairs]
+        mode = 1 + int(np.argmin(onsets))
+        chi = factor * min(onsets)
+        branch = cl.continuation(p, k, eq, mode, (chi, chi), 1, grid=g)
+        assume(branch.states)
+        state = branch.states[0]
+        p_chi = replace(p, chi=chi)
+        s = SimState(t=0.0, u=state.u.copy(), v=state.v.copy(), dt=0.0)
+        dt = cl.adapt_dt(s, p_chi, k)
+        moved = cl.step(replace(s, dt=dt), p_chi, k).u.values - state.u.values
+        assert np.max(np.abs(moved)) <= 10.0 * dt * max(state.residual_norm, 1e-12)
 
 
 class TestValidateSteady:
