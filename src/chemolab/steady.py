@@ -154,8 +154,10 @@ def solve_stationary(
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             u_try = u + s * du
             v_try = v + s * dv
-            ru_try, rv_try = stationary_residual(u_try, v_try, p, k, grid)
-            res_try = norm(ru_try, rv_try)
+            # u < 0 with a non-integer exponent gives a NaN residual, rejected below
+            with np.errstate(invalid="ignore"):
+                ru_try, rv_try = stationary_residual(u_try, v_try, p, k, grid)
+                res_try = norm(ru_try, rv_try)
             if np.isfinite(res_try) and res_try < res:
                 u, v, ru, rv, res = u_try, v_try, ru_try, rv_try, res_try
                 accepted = True

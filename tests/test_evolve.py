@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import chemolab as cl
 from chemolab.errors import NegativeOvershoot, OutOfRange, StalledDt
 from chemolab.evolve import DT_MAX_FACTOR, DT_MIN, SimState
-from chemolab.grid import Field, integrate
+from chemolab.grid import Field, face_gradients, integrate
 
 
 def _setup(nx=64, **overrides):
@@ -208,3 +210,65 @@ class TestRun:
         assert report.status == "ReachedHorizon"
         assert report.steps == 3
         assert report.series[-1, -1] < DT_MIN
+
+    @seed(8)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        f_kind=st.sampled_from(["generalized-logistic", "power-envelope"]),
+        chi=st.floats(0.05, 2.0), a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0),
+        kappa=st.floats(0.5, 2.0), theta=st.floats(1.5, 3.0),
+        shape=st.one_of(st.tuples(st.just(1), st.integers(16, 64)),
+                        st.tuples(st.just(2), st.integers(8, 16))),
+        data_seed=st.integers(0, 2**32 - 1), horizon=st.floats(0.5, 2.0),
+    )
+    def test_run_equals_loop_of_public_step(
+        self, f_kind, chi, a, b, kappa, theta, shape, data_seed, horizon
+    ):
+        dim, cells = shape
+        p = cl.build_params(
+            {"chi": chi, "a": a, "b": b, "theta": theta, "kappa": kappa, "beta": 1,
+             "dim": dim, "L": math.pi}
+        )
+        g = cl.make_grid(p, cells)
+        u0 = Field(np.random.default_rng(data_seed).uniform(0.0, 2.0, g.shape), g)
+        _assert_run_equals_step_loop(p, cl.make_kinetics(p, f_kind), u0, horizon)
+
+    def test_clamped_run_equals_loop_of_public_step(self):
+        # an empty region far from the mass: the implicit solve leaves roundoff
+        # negatives there, clamped on 9 of the 333 steps
+        p, k, g = _setup(nx=256, chi=0.05)
+        u0 = Field(np.where(g.coordinates[0] < 0.5, 1.0, 0.0), g)
+        report = _assert_run_equals_step_loop(p, k, u0, 0.5)
+        assert report.clamped_mass > 0.0
+
+
+def _assert_run_equals_step_loop(p, k, u0, horizon):
+    """run against a loop of public adapt_dt + step with run's horizon clamp:
+    bit-identical series, final fields, step count and clamp totals, and the
+    per-step mass law at roundoff."""
+    g = u0.grid
+    # rows far above the step count records every step
+    report = cl.run(p, k, u0, horizon, rows=10**9)
+
+    def row(s):
+        grad_v = max(float(np.max(np.abs(f))) for f in face_gradients(s.v.values, g))
+        return (s.t, integrate(s.u.values, g), float(np.max(np.abs(s.u.values))),
+                cl.lp_norm(s.u, report.p_star), float(np.max(np.abs(s.v.values))), grad_v, s.dt)
+
+    s = SimState.initial(p, k, u0)
+    rows, residuals = [row(s)], []
+    while s.t < horizon * (1.0 - 1e-12):
+        s = cl.step(replace(s, dt=min(cl.adapt_dt(s, p, k), horizon - s.t)), p, k)
+        assert s.last_mass_residual <= 1e-12
+        residuals.append(s.last_mass_residual)
+        rows.append(row(s))
+
+    assert report.status == "ReachedHorizon"
+    assert report.steps == s.step_count == len(residuals)
+    assert report.final_time == s.t
+    assert report.series.tobytes() == np.array(rows).tobytes()
+    assert report.final_u.values.tobytes() == s.u.values.tobytes()
+    assert report.final_v.values.tobytes() == s.v.values.tobytes()
+    assert report.max_mass_residual == max(residuals)
+    assert (report.clamp_count, report.clamped_mass) == (s.clamp_count, s.clamped_mass)
+    return report

@@ -37,6 +37,10 @@ class TestMakeGrid:
     def test_2d_cell_count(self):
         g = _grid_2d(16, lengths=(1.0, 1.0))
         assert g.n_cells == 256
+        assert g.cell_volume == g.volume / 256
+        # the cached scalars are not fields: equality and hash ignore them
+        fresh = _grid_2d(16, lengths=(1.0, 1.0))
+        assert g == fresh and hash(g) == hash(fresh)
 
     def test_resolution_floor(self):
         with pytest.raises(OutOfRange):

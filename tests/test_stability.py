@@ -200,6 +200,25 @@ class TestBifurcationTable:
         with pytest.raises(OutOfRange):
             cl.bifurcation_table(damped_eq, (math.pi,), 0)
 
+    def test_grid_splits_continuum_group_like_the_scan(self, damped_eq):
+        # sigma = 26 on a square: (0,5),(5,0) and (3,4),(4,3) differ in sigma_h
+        g = cl.make_grid(_params(dim=2), 32)
+        rows = [r for r in cl.bifurcation_table(damped_eq, g, 13)
+                if r.sigma == pytest.approx(26.0)]
+        assert [(r.indices, r.multiplicity, r.proven) for r in rows] == [
+            (((0, 5), (5, 0)), 2, False),
+            (((3, 4), (4, 3)), 2, False),
+        ]
+        assert [r.sigma_h for r in rows] == [discrete_sigma(g, r.indices[0]) for r in rows]
+        expected = [characteristic_chi(damped_eq, r.sigma_h)
+                    for r in rows for _ in range(r.multiplicity)]
+        roots = cl.singularity_scan(damped_eq, g, 26.5, 27.2, 4).roots
+        assert roots == pytest.approx(expected, rel=1e-12)
+        lengths_only = cl.bifurcation_table(damped_eq, g.lengths, 13)[-1]
+        assert (lengths_only.indices, lengths_only.multiplicity) == (
+            ((0, 5), (3, 4), (4, 3), (5, 0)), 4
+        )
+
     def test_pattern_intervals_pair_consecutive_rows(self, damped_eq):
         rows = cl.bifurcation_table(damped_eq, (math.pi,), 4)
         intervals = cl.pattern_intervals(rows)

@@ -182,6 +182,30 @@ class TestSingularPoint:
                 assert state.residual_norm < NEWTON_TOL
 
 
+class TestLineSearch:
+    def test_nan_trial_residuals_emit_no_warning(self):
+        # 2D 13^2, kappa = 1.9, seeded on mode 2: some line-search trials have
+        # u < 0, so u**1.9 is NaN there and the trial is rejected silently
+        a, b, kappa = 1.084592174890127, 0.6797338484583977, 1.9
+        p = cl.build_params(
+            {"chi": 1, "a": a, "b": b, "theta": kappa + 1, "kappa": kappa, "beta": 1,
+             "dim": 2, "L": math.pi}
+        )
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, 13)
+        eq = cl.equilibrium_info(k, (a / b) ** (1 / kappa))
+        chi = 2.8358778384769625
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            branch = cl.continuation(p, k, eq, 2, (chi, chi), 1, grid=g)
+        # the same state as the solve with warnings enabled
+        (state,) = branch.states
+        assert state.iterations == 5
+        assert state.residual_norm == pytest.approx(8.393713346703183e-10, rel=1e-6)
+        assert float(state.u.values.sum()) == pytest.approx(216.11787507700888, rel=1e-13)
+        assert float(state.v.values.sum()) == pytest.approx(269.658599447117, rel=1e-13)
+
+
 class TestSteadyEvolveConsistency:
     def test_steady_state_is_evolve_fixed_point(self, setup, pattern):
         p, k, g, eq = setup
