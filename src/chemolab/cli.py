@@ -129,7 +129,7 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
+def _simulate_inputs(cfg: Config, args) -> evolve.RunSpec:
     p = params_from_config(cfg)
     k = kinetics_from_config(cfg, p)
     grid = grid_from_config(cfg, p)
@@ -141,13 +141,21 @@ def _cmd_simulate(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
         target = p.equilibrium if raw == "equilibrium" else cfg.number("run.target")
     n_snaps = cfg.integer("run.snapshots", 0)
     snap_times = np.linspace(0.0, horizon, n_snaps) if n_snaps else ()
-    report = evolve.run(
+    return evolve.RunSpec(
         p, k, u0, horizon,
         target=target,
         eps=cfg.number("run.eps", evolve.MONITOR_EPS),
         rows=cfg.integer("run.rows", 500),
         snapshot_times=snap_times,
     )
+
+
+def _simulate_outputs(report, manifest: _Manifest) -> tuple[int, float]:
+    """Write one run's artifacts and print its status line; ``report`` is a
+    run_batch outcome, so a point's error is raised here."""
+    if isinstance(report, ChemolabError):
+        raise report
+    grid = report.final_u.grid
     footer = f"# status={report.status} final_time={report.final_time:.17g}"
     manifest.write_csv("series.csv", evolve.SERIES_COLUMNS, [*report.series, [footer]])
     for i, (t, u_vals, v_vals) in enumerate(report.snapshots):
@@ -159,6 +167,11 @@ def _cmd_simulate(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
           f"({report.steps} steps, max mass residual {report.max_mass_residual:.3e})")
     code = EXIT_BLOWUP if report.status in ("BlowUp", "StalledDt") else EXIT_OK
     return code, float(report.column("linf_u")[-1])
+
+
+def _cmd_simulate(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
+    (outcome,) = evolve.run_batch([_simulate_inputs(cfg, args)])
+    return _simulate_outputs(outcome, manifest)
 
 
 def _cmd_steady(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
@@ -326,39 +339,71 @@ def _sweep_points(cfg: Config) -> tuple[list[str], list[tuple[float, ...]]]:
     return names, points
 
 
-def _run_sweep_point(index, names, values, cfg: Config, args, out_root: Path, command):
+def _sweep_point(index, names, values, cfg: Config, args, out_root: Path, command):
+    """The config and manifest of one sweep point, in its own directory."""
     entries = dict(cfg.entries)
     for name, value in zip(names, values):
         entries[name] = f"{value!r}"
-    point_cfg = Config(entries)
     point_dir = out_root / f"point_{index:04d}"
     point_dir.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(point_dir, command, "<sweep point>", args.seed, config_sha="inherited")
+    return Config(entries), manifest
+
+
+_POINT_STATUS = {EXIT_OK: "ok", EXIT_BLOWUP: "blowup", EXIT_NOCONV: "no-convergence"}
+
+
+def _point_result(manifest: _Manifest, handler, *handler_args):
+    """Run one point's handler and write its manifest; a ChemolabError is a
+    parameter failure of that point and must not sink the sweep."""
     try:
-        code, scalar = _HANDLERS[command](point_cfg, args, manifest)
-        manifest.write()
-        status = {EXIT_OK: "ok", EXIT_BLOWUP: "blowup", EXIT_NOCONV: "no-convergence"}
-        return status.get(code, f"exit_{code}"), code, scalar
-    except ChemolabError as exc:  # a parameter failure must not sink the sweep
+        code, scalar = handler(*handler_args)
+    except ChemolabError as exc:
         manifest.write()
         return f"error: {exc}", EXIT_USAGE, math.nan
+    manifest.write()
+    return _POINT_STATUS.get(code, f"exit_{code}"), code, scalar
+
+
+def _sweep_simulate(points, args) -> list:
+    """simulate at every point: inputs first, then the runs as batches
+    (evolve.run_batch), then each point's artifacts in point order."""
+    outcomes = []
+    for point_cfg, _ in points:
+        try:
+            outcomes.append(_simulate_inputs(point_cfg, args))
+        except ChemolabError as exc:
+            outcomes.append(exc)
+    reports = iter(evolve.run_batch([x for x in outcomes if isinstance(x, evolve.RunSpec)]))
+    outcomes = [next(reports) if isinstance(x, evolve.RunSpec) else x for x in outcomes]
+    return [
+        _point_result(manifest, _simulate_outputs, outcome, manifest)
+        for outcome, (_, manifest) in zip(outcomes, points)
+    ]
 
 
 def _cmd_sweep(cfg: Config, args, manifest: _Manifest) -> int:
     command = cfg.raw("sweep.command")
     if command not in _HANDLERS:
         raise OutOfRange("sweep.command", f"must be one of {sorted(_HANDLERS)} (got {command})")
-    names, points = _sweep_points(cfg)
-    results = [
-        _run_sweep_point(i, names, values, cfg, args, manifest.out_dir, command)
-        for i, values in enumerate(points)
+    names, values = _sweep_points(cfg)
+    points = [
+        _sweep_point(i, names, v, cfg, args, manifest.out_dir, command)
+        for i, v in enumerate(values)
     ]
+    if command == "simulate":
+        results = _sweep_simulate(points, args)
+    else:
+        results = [
+            _point_result(point_manifest, _HANDLERS[command], point_cfg, args, point_manifest)
+            for point_cfg, point_manifest in points
+        ]
     manifest.write_csv(
         "sweep_summary.csv", ["index", *names, "status", "exit_code", "scalar"],
-        [(i, *values, *result) for i, (values, result) in enumerate(zip(points, results))],
+        [(i, *v, *result) for i, (v, result) in enumerate(zip(values, results))],
     )
     n_ok = sum(1 for status, code, _ in results if code == EXIT_OK)
-    print(f"sweep: {n_ok}/{len(points)} points succeeded")
+    print(f"sweep: {n_ok}/{len(values)} points succeeded")
     return EXIT_OK if n_ok >= 1 else EXIT_USAGE
 
 

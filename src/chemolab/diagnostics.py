@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveValues, OutOfRange
-from .grid import Field
+from .grid import Field, Grid, cell_sums
 
 
 def lp_norm(field: Field, p: float) -> float:
@@ -17,8 +17,18 @@ def lp_norm(field: Field, p: float) -> float:
         return float(np.max(np.abs(field.values)))
     if not p >= 1:
         raise OutOfRange("p", f"exponent must be >= 1 or inf (got {p})")
-    vol = field.grid.cell_volume
-    return float((np.sum(np.abs(field.values) ** p) * vol) ** (1.0 / p))
+    return lp_norms(field.values, field.grid, p)[0]
+
+
+def lp_norms(values: np.ndarray, grid: Grid, p: float) -> list[float]:
+    """lp_norm of each field along a leading batch axis, finite p >= 1.
+
+    The root is taken per field in float arithmetic: numpy's vectorised pow
+    can differ from the scalar pow in the last bit, and a field's norm must
+    not depend on its batch.
+    """
+    sums = np.ravel(cell_sums(np.abs(values) ** p, grid)).tolist()
+    return [(s * grid.cell_volume) ** (1.0 / p) for s in sums]
 
 
 def monitor_exponent(n: int, kappa: float, eps: float = 0.5) -> tuple[float, float]:

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from scipy.fftpack import dct, idct
 
 from .errors import NonpositiveV, OutOfRange
-from .grid import Field, Grid, cell_gradients, integrate
+from .grid import Field, Grid, cell_gradients, cell_sums, integrate
 
 
 def continuum_eigenvalues(
@@ -84,8 +84,9 @@ def _cosine_mode(grid: Grid, ks: tuple[int, ...]) -> np.ndarray:
 class EigenPair:
     """A distinct Neumann eigenvalue of -lap + I with its mode data.
 
-    ``indices`` lists every cosine index tuple sharing the continuum value;
-    the eigenfunction is the sampled cosine product of the first one.
+    ``indices`` lists every cosine index tuple sharing both the continuum
+    value and the discrete one; the eigenfunction is the sampled cosine
+    product of the first one.
     """
 
     indices: tuple[tuple[int, ...], ...]
@@ -110,22 +111,28 @@ class EigenPair:
 
 
 def neumann_eigenvalues(grid: Grid, count: int) -> list[EigenPair]:
-    """First ``count`` distinct eigenpairs, sorted by continuum eigenvalue."""
+    """Eigenpairs of the first ``count`` distinct continuum eigenvalues.
+
+    A continuum group whose members differ in the discrete eigenvalue
+    (sigma = 26 on a square: (0,5),(5,0) | (3,4),(4,3)) splits into one pair
+    per discrete eigenvalue, in ascending order, each with its own sigma_h
+    and multiplicity; so the list is sorted by continuum eigenvalue and may
+    hold more than ``count`` pairs.
+    """
     if count > grid.n_cells:
         raise OutOfRange("count", f"exceeds cell count {grid.n_cells}")
-    groups = continuum_eigenvalues(grid.lengths, count)
     pairs = []
-    for sigma, members in groups:
-        rep = members[0]
-        pairs.append(
-            EigenPair(
-                indices=tuple(members),
-                sigma=sigma,
-                sigma_h=discrete_sigma(grid, rep),
-                multiplicity=len(members),
-                eigenfunction=Field(_cosine_mode(grid, rep), grid),
+    for sigma, members in continuum_eigenvalues(grid.lengths, count):
+        for sigma_h, part in tie_groups([(discrete_sigma(grid, ks), ks) for ks in members]):
+            pairs.append(
+                EigenPair(
+                    indices=tuple(part),
+                    sigma=sigma,
+                    sigma_h=sigma_h,
+                    multiplicity=len(part),
+                    eigenfunction=Field(_cosine_mode(grid, part[0]), grid),
+                )
             )
-        )
     return pairs
 
 
@@ -135,42 +142,66 @@ def neumann_eigenvalues(grid: Grid, count: int) -> list[EigenPair]:
 
 
 def cosine_coefficients(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II per axis; entry k pairs with grid.laplacian_eigenvalues[k]."""
+    """Orthonormal DCT-II per axis; entry k pairs with grid.laplacian_eigenvalues[k].
+
+    The transforms run along the trailing grid axes, so a leading batch axis
+    passes through; pocketfft transforms each line alone, so every field of a
+    batch gets the bits it would get alone.
+    """
     # Per-axis transforms: dctn's n-d argument handling makes a round trip on
     # a 64-cell 1D grid about 40% slower.
-    for ax in range(grid.dim):
+    for ax in range(-grid.dim, 0):
         values = dct(values, type=2, norm="ortho", axis=ax)
     return values
 
 
 def cell_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Inverse of cosine_coefficients; overwrites ``coeffs``."""
-    for ax in range(grid.dim):
+    for ax in range(-grid.dim, 0):
         coeffs = idct(coeffs, type=2, norm="ortho", axis=ax, overwrite_x=True)
     return coeffs
 
 
-def solve_screened_array(grid: Grid, rhs: np.ndarray, c: float) -> np.ndarray:
+def screened_symbol(grid: Grid, c) -> np.ndarray:
+    """1 + c*grid.laplacian_eigenvalues: the DCT-II symbol of I - c*lap_h,
+    for a float c or one value per field shaped to broadcast, (B, 1, ...)."""
+    return 1.0 + c * grid.laplacian_eigenvalues
+
+
+def solve_screened_array(grid: Grid, rhs: np.ndarray, c) -> np.ndarray:
     """Solve (I - c*lap_h) x = rhs, mirror-ghost Neumann stencil, c >= 0.
 
     A forward DCT-II along each axis diagonalises the operator exactly, the
-    coefficients are divided by 1 + c*grid.laplacian_eigenvalues, and the
-    inverse DCT-II along each axis returns to cell values.
+    coefficients are divided by screened_symbol(grid, c), and the inverse
+    DCT-II along each axis returns to cell values.  rhs may carry a leading
+    batch axis, (B, *grid.shape), with c a float or one value per field
+    shaped to broadcast, (B, 1, ...); each field is solved bit for bit as it
+    would be alone.
     """
+    return solve_dct_diagonal(grid, rhs, screened_symbol(grid, c))
+
+
+def solve_dct_diagonal(grid: Grid, rhs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """solve_screened_array with its symbol given, for callers that reuse one."""
     x = cosine_coefficients(grid, rhs)
-    x /= 1.0 + c * grid.laplacian_eigenvalues
+    x /= symbol
     x = cell_values(grid, x)
     # Constants are eigenvectors with eigenvalue 1, so shifting by the mass
     # defect restores sum(x) = sum(rhs) exactly without degrading the residual.
-    x += (rhs.sum() - x.sum()) / grid.n_cells
+    x += (cell_sums(rhs, grid, keepdims=True) - cell_sums(x, grid, keepdims=True)) / grid.n_cells
     return x
 
 
 def solve_helmholtz_array(grid: Grid, source: np.ndarray) -> np.ndarray:
-    """Solve (-lap_h + I) v = s with zero-flux walls; see solve_helmholtz."""
-    if not np.all(np.isfinite(source)):
+    """Solve (-lap_h + I) v = s with zero-flux walls; see solve_helmholtz.
+
+    source may carry a leading batch axis, as in solve_screened_array.
+    """
+    if not np.isfinite(source).all():
         raise OutOfRange("source", "must be finite")
-    return solve_screened_array(grid, source, 1.0)
+    # solve_screened_array at c = 1: 1.0*eigenvalue is exact, so the cached
+    # symbol 1 + eigenvalue gives the same bits
+    return solve_dct_diagonal(grid, source, grid.helmholtz_symbol)
 
 
 def solve_helmholtz(grid: Grid, source: Field) -> Field:

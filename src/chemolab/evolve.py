@@ -10,32 +10,40 @@ and diffusion implicitly, then refreshes the chemical by an elliptic solve
     (I -    lap_h) v_new = g(u_new)
 
 Both linear systems go through the one exact DCT-II solve of
-elliptic.solve_screened_array.  Interior fluxes telescope and the implicit
+elliptic.solve_dct_diagonal.  Interior fluxes telescope and the implicit
 operator preserves cell sums, so the discrete mass law
 sum(u_new) = sum(u) + dt*sum(f(u))  holds to roundoff; each step records its
 relative mass residual.  Tiny negative densities are clamped and counted;
 overshoot beyond 1e-8 of the max is a hard error because it signals
 under-resolution.
 
-Thousands of steps per run make per-step Python overhead the cost, so a run
-advances plain u/v arrays through one private kernel, _Stepper, and the grid
-constants (spacings, cell volume and count, face slices) are cached on Grid.
-SimState and RunReport exist only at the boundary: the public step and
-adapt_dt wrap that same kernel around one SimState.
+Thousands of steps per run make per-step Python overhead the cost, so runs
+advance plain arrays through one private kernel, _Stepper, with a leading
+batch axis: u and v have shape (B, *grid.shape).  Every array operation acts
+on each point alone -- elementwise arithmetic, DCTs along the grid axes,
+reductions over one point's cells -- and each point's scalars go through the
+float arithmetic a lone point's would, so a point gets the same bits in any
+batch.  run_batch advances the points that share a grid, growth family and
+exponent, kappa and monitor exponent in one vectorised loop, and a point
+that finishes leaves the batch.  run is a batch of one, and the public step
+and adapt_dt wrap the same kernel around one SimState.  SimState and
+RunReport exist only at the boundary.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import lp_norm
-from .elliptic import solve_helmholtz_array, solve_screened_array
-from .errors import NegativeOvershoot, OutOfRange, StalledDt
-from .grid import Field, face_averages, face_divergence, face_gradients, integrate
-from .model import Kinetics, ModelParams
+from .diagnostics import lp_norms
+from .elliptic import screened_symbol, solve_dct_diagonal, solve_helmholtz_array
+from .errors import ChemolabError, NegativeOvershoot, OutOfRange, StalledDt
+from .grid import Field, Grid, cell_sums, face_averages, face_divergence, face_gradients, integrate
+from .model import Kinetics, ModelParams, growth, growth_prime
 
 DT_SAFETY = 0.4
 DT_MAX_FACTOR = 10.0       # dt_max = 10 * h**2
@@ -45,6 +53,7 @@ CLAMP_SOFT = 1e-12         # negatives below this fraction of max(u) are routine
 CLAMP_HARD = 1e-8          # beyond this fraction the step errors out
 MONITOR_EPS = 0.5          # epsilon in the monitor exponent kappa*n/2 + eps
 TARGET_TOL = 1e-6          # convergence threshold against a constant target
+BATCH_CELLS = 1 << 16      # cells advanced together: bounds a batch's working memory
 _TINY = np.finfo(float).tiny
 
 
@@ -65,84 +74,189 @@ class SimState:
         return cls(t=0.0, u=u0.copy(), v=v, dt=dt)
 
 
+def _column(values: Sequence[float], grid: Grid):
+    """Per-point values shaped to broadcast against (B, *grid.shape).
+
+    A single point's value stays a float: numpy's scalar operand fast path
+    is about 0.5 us faster per operation than a broadcast column.
+    """
+    if len(values) == 1:
+        return float(values[0])
+    return np.array(values, dtype=float).reshape((-1,) + (1,) * grid.dim)
+
+
+def _cell_max(values: np.ndarray, grid: Grid) -> list[float]:
+    """The largest entry of each point's cells in a (B, *grid.shape) array."""
+    return np.maximum.reduce(values, axis=grid.cell_axes).tolist()
+
+
 class _Stepper:
-    """The step kernel: one state's plain arrays and counters.
+    """The step kernel: a batch of states on one grid, advanced together.
+
+    u and v have shape (B, *grid.shape).  The per-point scalars -- t, dt,
+    step_count, clamp_count, clamped_mass, last_mass_residual, mass (the
+    cell sum of u, the next step's old mass), linf_u (max |u|), chi, the
+    growth coefficients and beta -- are lists, one entry per point, and go
+    through the same float arithmetic as a lone point would: numpy calls on
+    a few entries cost far more than that arithmetic.  chi, the growth
+    coefficients and beta also enter the array arithmetic as columns (see
+    _column).  The grid, f_kind, the growth exponent and kappa are shared,
+    because numpy's x**2.0 and x**0.5 take fast paths that an array of
+    exponents does not.
 
     grad_v holds the face gradients of v and grad_v_inf their largest
-    magnitude, both refreshed with v: the flux, the dt rule and the
-    diagnostics row of the same v share them.
+    magnitude per point, both refreshed with v: the flux, the dt rule and
+    the diagnostics row of the same v share them.  A point whose step raises
+    a ChemolabError keeps its old u through that step and lands in
+    failures as (row, error); the caller drops it with keep.
     """
 
-    def __init__(self, s: SimState, p: ModelParams, k: Kinetics):
-        self.grid, self.chi, self.k = s.u.grid, p.chi, k
-        self.h_min = min(self.grid.spacings)
-        self.t, self.u, self.dt = s.t, s.u.values, s.dt
-        self.step_count = s.step_count
-        self.clamp_count, self.clamped_mass = s.clamp_count, s.clamped_mass
-        self.last_mass_residual = s.last_mass_residual
-        self._set_v(s.v.values)
+    _LISTS = ("t", "dt", "step_count", "clamp_count", "clamped_mass", "last_mass_residual",
+              "mass", "linf_u", "grad_v_inf", "chi", "coeffs", "beta")
+
+    def __init__(self, states: Sequence[SimState], params: Sequence[ModelParams],
+                 kinetics: Sequence[Kinetics]):
+        grid = self.grid = states[0].u.grid
+        self.f_kind, self.exponent, self.kappa = (
+            kinetics[0].f_kind, kinetics[0].exponent, kinetics[0].kappa)
+        self.h_min = min(grid.spacings)
+        self.dt_cap = DT_MAX_FACTOR * self.h_min**2
+        self.chi = [p.chi for p in params]
+        self.coeffs = [k.coeffs for k in kinetics]
+        self.beta = [k.beta for k in kinetics]
+        self._set_columns()
+        self.t = [s.t for s in states]
+        self.dt = [s.dt for s in states]
+        self.step_count = [s.step_count for s in states]
+        self.clamp_count = [s.clamp_count for s in states]
+        self.clamped_mass = [s.clamped_mass for s in states]
+        self.last_mass_residual = [s.last_mass_residual for s in states]
+        self.u = np.stack([s.u.values for s in states])
+        self.mass = cell_sums(self.u, grid).tolist()
+        self.linf_u = _cell_max(np.abs(self.u), grid)
+        self.failures: list[tuple[int, ChemolabError]] = []
+        self._implicit: tuple = (None, None)   # (dt, screened_symbol at dt)
+        self._set_v(np.stack([s.v.values for s in states]))
+
+    def _set_columns(self) -> None:
+        self.chi_col = _column(self.chi, self.grid)
+        self.coeff_cols = tuple(_column(c, self.grid) for c in zip(*self.coeffs))
+        self.beta_col = _column(self.beta, self.grid)
 
     def _set_v(self, v: np.ndarray) -> None:
         self.v = v
         self.grad_v = face_gradients(v, self.grid)
-        self.grad_v_inf = max(float(np.abs(g).max()) for g in self.grad_v)
+        per_axis = [_cell_max(np.abs(g), self.grid) for g in self.grad_v]
+        self.grad_v_inf = [max(axes) for axes in zip(*per_axis)]
 
-    def state(self) -> SimState:
+    def keep(self, rows: list[int]) -> None:
+        """Keep only the given rows of the batch, in that order."""
+        for name in self._LISTS:
+            values = getattr(self, name)
+            setattr(self, name, [values[row] for row in rows])
+        self.u, self.v = self.u[rows], self.v[rows]
+        self.grad_v = [g[rows] for g in self.grad_v]
+        self.failures = []
+        self._implicit = (None, None)
+        if rows:
+            self._set_columns()
+
+    def state(self, row: int) -> SimState:
         return SimState(
-            t=self.t, u=Field(self.u, self.grid), v=Field(self.v, self.grid), dt=self.dt,
-            step_count=self.step_count, clamp_count=self.clamp_count,
-            clamped_mass=self.clamped_mass, last_mass_residual=self.last_mass_residual,
+            t=self.t[row], u=Field(self.u[row], self.grid), v=Field(self.v[row], self.grid),
+            dt=self.dt[row], step_count=self.step_count[row],
+            clamp_count=self.clamp_count[row], clamped_mass=self.clamped_mass[row],
+            last_mass_residual=self.last_mass_residual[row],
         )
 
-    def adapt_dt(self) -> float:
-        advective = self.h_min / (self.chi * self.grad_v_inf + _TINY)
-        reaction = 1.0 / (float(np.abs(self.k.f_prime(self.u)).max()) + _TINY)
-        dt = DT_SAFETY * min(advective, reaction)
-        dt = min(dt, DT_MAX_FACTOR * self.h_min**2)
-        if dt < DT_MIN:
-            raise StalledDt(f"dt = {dt:.3e} fell below {DT_MIN:.0e}")
-        return dt
+    def adapt_dt(self) -> list[float]:
+        """adapt_dt of every point, without the DT_MIN floor."""
+        f_prime = growth_prime(self.f_kind, self.coeff_cols, self.exponent, self.u)
+        reaction = _cell_max(np.abs(f_prime, out=f_prime), self.grid)
+        return [
+            min(DT_SAFETY * min(self.h_min / (chi * g + _TINY), 1.0 / (f + _TINY)), self.dt_cap)
+            for chi, g, f in zip(self.chi, self.grad_v_inf, reaction)
+        ]
 
-    def step(self, dt: float) -> None:
+    def step(self, dt: list[float]) -> None:
+        """One IMEX step of size dt[i] for every point i."""
         grid, u = self.grid, self.u
-        chemo = [self.chi * a * g for a, g in zip(face_averages(u, grid), self.grad_v)]
-        f_old = self.k.f(u)
-        u_star = u + dt * (-face_divergence(chemo, grid) + f_old)
-        u_new = solve_screened_array(grid, u_star, dt)
+        dt_col = _column(dt, grid)
+        chemo = [self.chi_col * a * g for a, g in zip(face_averages(u, grid), self.grad_v)]
+        f_old = growth(self.f_kind, self.coeff_cols, self.exponent, u)
+        # u + dt*(-div + f), in place: IEEE addition and multiplication commute
+        u_star = f_old - face_divergence(chemo, grid)
+        u_star *= dt_col
+        u_star += u
+        # dt repeats while it sits at its cap, and so does the implicit symbol
+        if dt != self._implicit[0]:
+            self._implicit = (dt, screened_symbol(grid, dt_col))
+        u_new = solve_dct_diagonal(grid, u_star, self._implicit[1])
 
-        mass_old = u.sum()
-        mass_residual = abs(u_new.sum() - mass_old - dt * f_old.sum()) / max(abs(mass_old), _TINY)
+        mass = cell_sums(u_new, grid).tolist()
+        self.last_mass_residual = [
+            abs(new - old - d * f) / max(abs(old), _TINY)
+            for new, old, d, f in zip(mass, self.mass, dt, cell_sums(f_old, grid).tolist())
+        ]
 
-        u_max = max(float(u_new.max()), 0.0)
-        u_min = float(u_new.min())
-        if u_min < 0.0:
-            if u_min < -CLAMP_HARD * u_max:
-                raise NegativeOvershoot(
-                    f"min(u) = {u_min:.3e} below -{CLAMP_HARD:.0e}*max(u) at t = {self.t + dt:.6g}"
-                )
-            negatives = u_new < 0.0
-            self.clamp_count += int(np.count_nonzero(u_new < -CLAMP_SOFT * u_max))
-            self.clamped_mass += float(-u_new[negatives].sum()) * grid.cell_volume
-            u_new = np.where(negatives, 0.0, u_new)
+        u_max = [max(m, 0.0) for m in _cell_max(u_new, grid)]
+        for row, u_min in enumerate(np.minimum.reduce(u_new, axis=grid.cell_axes).tolist()):
+            if u_min < 0.0:
+                self._clamp(row, u_new, u_min, u_max[row], mass, dt[row])
 
-        self._set_v(solve_helmholtz_array(grid, self.k.g(u_new)))
-        self.t, self.u, self.dt = self.t + dt, u_new, dt
-        self.step_count += 1
-        self.last_mass_residual = mass_residual
+        source = self.beta_col * u_new**self.kappa
+        try:
+            v = solve_helmholtz_array(grid, source)
+        except OutOfRange as error:
+            finite = np.logical_and.reduce(np.isfinite(source), axis=grid.cell_axes)
+            for row in np.flatnonzero(~finite).tolist():
+                self.failures.append((row, copy.copy(error)))
+                u_new[row], source[row] = u[row], 0.0
+            v = solve_helmholtz_array(grid, source)
+        self._set_v(v)
+        self.t = [t + d for t, d in zip(self.t, dt)]
+        self.step_count = [n + 1 for n in self.step_count]
+        # u >= 0 after the clamp, so its clamp bound max(u, 0) is max |u|
+        self.u, self.dt, self.mass, self.linf_u = u_new, dt, mass, u_max
+
+    def _clamp(self, row, u_new, u_min, u_max, mass, dt) -> None:
+        """Zero the routine negatives of one row, counting them, and refresh
+        its mass; a negative beyond CLAMP_HARD fails the point instead."""
+        if u_min < -CLAMP_HARD * u_max:
+            self.failures.append((row, NegativeOvershoot(
+                f"min(u) = {u_min:.3e} below -{CLAMP_HARD:.0e}*max(u) at t = {self.t[row] + dt:.6g}"
+            )))
+            u_new[row] = self.u[row]
+            return
+        cells = u_new[row]
+        negatives = cells < 0.0
+        self.clamp_count[row] += int(np.count_nonzero(cells < -CLAMP_SOFT * u_max))
+        self.clamped_mass[row] += float(-cells[negatives].sum()) * self.grid.cell_volume
+        cells[negatives] = 0.0
+        mass[row] = float(cells.sum())
+
+
+def _stalled(dt: float) -> StalledDt:
+    return StalledDt(f"dt = {dt:.3e} fell below {DT_MIN:.0e}")
 
 
 def adapt_dt(s: SimState, p: ModelParams, k: Kinetics) -> float:
     """Stable explicit step: advective CFL against chi*|grad v| plus a
     reaction bound from |f'| over the observed density range, with safety
     DT_SAFETY, cap 10*h**2 and hard floor DT_MIN (StalledDt below it)."""
-    return _Stepper(s, p, k).adapt_dt()
+    dt = _Stepper([s], [p], [k]).adapt_dt()[0]
+    if dt < DT_MIN:
+        raise _stalled(dt)
+    return dt
 
 
 def step(s: SimState, p: ModelParams, k: Kinetics) -> SimState:
     """One IMEX step of size s.dt; see the module docstring for the scheme."""
-    kernel = _Stepper(s, p, k)
-    kernel.step(s.dt)
-    return kernel.state()
+    kernel = _Stepper([s], [p], [k])
+    kernel.step([s.dt])
+    for _, error in kernel.failures:
+        raise error
+    return kernel.state(0)
 
 
 def detect_blowup(s: SimState) -> bool:
@@ -204,6 +318,43 @@ def _gronwall_constant(k: Kinetics) -> float:
     return a_env + s_star - b_env * s_star**th
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """The inputs of one run: run(p, k, u0, horizon, ...) takes the same fields."""
+
+    p: ModelParams
+    k: Kinetics
+    u0: Field
+    horizon: float
+    target: float | None = None
+    eps: float = MONITOR_EPS
+    rows: int = 500
+    snapshot_times: Sequence[float] = ()
+
+    @property
+    def p_star(self) -> float:
+        # monitored norm exponent; floored at 1 so sublinear secretion in 1D
+        # still logs a valid (stronger) norm
+        return max(1.0, self.p.kappa * self.p.dim / 2.0 + self.eps)
+
+    @property
+    def batch_key(self) -> tuple:
+        """What the points of one batch share (see _Stepper)."""
+        return (self.u0.grid, self.k.f_kind, self.k.exponent, self.k.kappa, self.p_star)
+
+    def initial_state(self) -> SimState:
+        u0 = self.u0
+        if not u0.is_finite():
+            raise OutOfRange("u0", "must be finite")
+        if float(u0.values.min()) < 0.0:
+            raise OutOfRange("u0", f"must be nonnegative (min = {u0.values.min():.3e})")
+        if float(u0.values.max()) == 0.0:
+            raise OutOfRange("u0", "must not be identically zero")
+        if not self.horizon > 0:
+            raise OutOfRange("horizon", f"must be > 0 (got {self.horizon})")
+        return SimState.initial(self.p, self.k, u0)
+
+
 def run(
     p: ModelParams,
     k: Kinetics,
@@ -218,102 +369,208 @@ def run(
 
     Diagnostics are appended roughly ``rows`` times over the horizon and
     always at the first and last step.  Snapshot fields are copied out the
-    first time t reaches each requested snapshot time.
+    first time t reaches each requested snapshot time.  This is run_batch of
+    one point, and raises the point's error.
     """
-    if not u0.is_finite():
-        raise OutOfRange("u0", "must be finite")
-    if float(u0.values.min()) < 0.0:
-        raise OutOfRange("u0", f"must be nonnegative (min = {u0.values.min():.3e})")
-    if float(u0.values.max()) == 0.0:
-        raise OutOfRange("u0", "must not be identically zero")
-    if not horizon > 0:
-        raise OutOfRange("horizon", f"must be > 0 (got {horizon})")
+    (outcome,) = run_batch([RunSpec(p, k, u0, horizon, target, eps, rows, snapshot_times)])
+    if isinstance(outcome, ChemolabError):
+        raise outcome
+    return outcome
 
-    grid = u0.grid
-    stop = horizon * (1.0 - 1e-12)
-    # monitored norm exponent; floored at 1 so sublinear secretion in 1D
-    # still logs a valid (stronger) norm
-    p_star = max(1.0, p.kappa * p.dim / 2.0 + eps)
-    kernel = _Stepper(SimState.initial(p, k, u0), p, k)
-    pending_snapshots = sorted(float(t) for t in snapshot_times)
-    snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
 
-    def take_snapshots():
-        while pending_snapshots and kernel.t >= pending_snapshots[0] - 1e-12:
-            pending_snapshots.pop(0)
-            snapshots.append((kernel.t, kernel.u.copy(), kernel.v.copy()))
+def run_batch(specs: Sequence[RunSpec]) -> list[RunReport | ChemolabError]:
+    """run of every point, in order, with a point's ChemolabError in place of
+    its report; any other exception propagates.
 
-    def lp_u() -> float:
-        return lp_norm(Field(kernel.u, grid), p_star)
-
-    def series_row(mass: float, linf_u: float):
-        v_sup = float(np.abs(kernel.v).max())
-        return (kernel.t, mass, linf_u, lp_u(), v_sup, kernel.grad_v_inf, kernel.dt)
-
-    l1_observed = integrate(kernel.u, grid)
-    series = [series_row(l1_observed, float(np.abs(kernel.u).max()))]
-    target_errors: list[tuple[float, float]] = []
-    take_snapshots()
-
-    status = "ReachedHorizon"
-    blowup_norms = None
-    max_mass_residual = 0.0
-    interval = 1
-
-    while kernel.t < stop:
+    Points with the same batch_key advance together in one vectorised loop,
+    at most BATCH_CELLS cells at a time, and each report is bit for bit the
+    one run gives the point alone.
+    """
+    outcomes: list = [None] * len(specs)
+    groups: dict[tuple, list[tuple[int, SimState]]] = {}
+    for i, spec in enumerate(specs):
         try:
+            state = spec.initial_state()
+        except ChemolabError as exc:
+            outcomes[i] = exc
+            continue
+        groups.setdefault(spec.batch_key, []).append((i, state))
+    for members in groups.values():
+        size = max(1, BATCH_CELLS // members[0][1].u.grid.n_cells)
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            batch = _BatchRun([specs[i] for i, _ in chunk], [s for _, s in chunk])
+            for (i, _), outcome in zip(chunk, batch.run()):
+                outcomes[i] = outcome
+    return outcomes
+
+
+class _BatchRun:
+    """run's loop over a batch of points that share a batch_key.
+
+    The kernel advances every row; this class keeps, per row, the run's own
+    scalars (the point's index in specs, horizon, stop, diagnostics-row
+    interval, target, next snapshot time, mass-residual and L1 maxima) and,
+    per point, what its report is built from.  The per-row logic is
+    run's, point by point; only the diagnostics rows are computed for the
+    whole batch at once.  A point that finishes leaves the batch.
+    """
+
+    _LISTS = ("point", "horizon", "stop", "interval", "target", "snap_at",
+              "max_mass_residual", "l1_observed")
+
+    def __init__(self, specs: Sequence[RunSpec], states: Sequence[SimState]):
+        self.specs = specs
+        self.kernel = kernel = _Stepper(states, [s.p for s in specs], [s.k for s in specs])
+        self.grid = kernel.grid
+        self.p_star = specs[0].p_star
+        self.point = list(range(len(specs)))
+        self.horizon = [s.horizon for s in specs]
+        self.stop = [h * (1.0 - 1e-12) for h in self.horizon]
+        self.interval = [1] * len(specs)
+        self.target = [s.target for s in specs]
+        self._set_offsets()
+        self.any_target = any(t is not None for t in self.target)
+        self.pending = [sorted(float(t) for t in s.snapshot_times) for s in specs]
+        self.snap_at = [math.inf] * len(specs)
+        self.max_mass_residual = [0.0] * len(specs)
+        self.l1_observed = [m * self.grid.cell_volume for m in kernel.mass]
+        # per point, its diagnostics rows so far: a buffer that doubles when
+        # full, and the count in use
+        self.series = [np.empty((64, len(SERIES_COLUMNS))) for _ in specs]
+        self.series_len = [0] * len(specs)
+        for row, values in enumerate(self._rows()):
+            self._log(row, values)
+        self.target_errors: list[list[tuple[float, float]]] = [[] for _ in specs]
+        self.snapshots: list[list[tuple[float, np.ndarray, np.ndarray]]] = [[] for _ in specs]
+        self.outcomes: list = [None] * len(specs)
+        for row in range(len(specs)):
+            self._take_snapshots(row)
+
+    def _keep(self, rows: list[int]) -> None:
+        self.kernel.keep(rows)
+        for name in self._LISTS:
+            values = getattr(self, name)
+            setattr(self, name, [values[row] for row in rows])
+        if rows:
+            self._set_offsets()
+
+    def _set_offsets(self) -> None:
+        # the targets as a column; a row without one never reads its error
+        self.offsets = _column([0.0 if t is None else t for t in self.target], self.grid)
+
+    def _log(self, row: int, values: np.ndarray) -> None:
+        point = self.point[row]
+        n = self.series_len[point]
+        if n == len(self.series[point]):
+            self.series[point] = np.concatenate([self.series[point], np.empty_like(self.series[point])])
+        self.series[point][n] = values
+        self.series_len[point] = n + 1
+
+    def _rows(self) -> np.ndarray:
+        """Every row's diagnostics row, in SERIES_COLUMNS order."""
+        k = self.kernel
+        columns = (k.t, [m * self.grid.cell_volume for m in k.mass], k.linf_u,
+                   lp_norms(k.u, self.grid, self.p_star), _cell_max(np.abs(k.v), self.grid),
+                   k.grad_v_inf, k.dt)
+        return np.array(columns, dtype=float).T
+
+    def _take_snapshots(self, row: int) -> None:
+        k = self.kernel
+        pending = self.pending[self.point[row]]
+        while pending and k.t[row] >= pending[0] - 1e-12:
+            pending.pop(0)
+            self.snapshots[self.point[row]].append((k.t[row], k.u[row].copy(), k.v[row].copy()))
+        self.snap_at[row] = pending[0] - 1e-12 if pending else math.inf
+
+    def _finish(self, row: int, status: str, blowup_norms=None) -> None:
+        k, grid = self.kernel, self.grid
+        point = self.point[row]
+        spec = self.specs[point]
+        self.outcomes[point] = RunReport(
+            status=status,
+            final_time=k.t[row],
+            series=self.series[point][: self.series_len[point]].copy(),
+            p_star=self.p_star,
+            params=spec.p,
+            f_kind=spec.k.f_kind,
+            u0_min=float(spec.u0.values.min()),
+            u0_max=float(spec.u0.values.max()),
+            final_u=Field(k.u[row].copy(), grid),
+            final_v=Field(k.v[row].copy(), grid),
+            snapshots=self.snapshots[point],
+            target_errors=self.target_errors[point],
+            clamp_count=k.clamp_count[row],
+            clamped_mass=k.clamped_mass[row],
+            max_mass_residual=self.max_mass_residual[row],
+            l1_bound=max(integrate(spec.u0.values, grid), _gronwall_constant(spec.k) * grid.volume),
+            l1_observed=self.l1_observed[row],
+            blowup_norms=blowup_norms,
+            steps=k.step_count[row],
+        )
+
+    def run(self) -> list[RunReport | ChemolabError]:
+        kernel, volume = self.kernel, self.grid.cell_volume
+        steps = 0
+        while self.point:
             dt = kernel.adapt_dt()
-        except StalledDt:
-            status = "StalledDt"
-            blowup_norms = (series[-1][2], series[-1][3])
-            break
-        if kernel.step_count == 0:
-            interval = max(1, math.floor(horizon / (rows * dt)))
-        kernel.step(min(dt, horizon - kernel.t))
-        max_mass_residual = max(max_mass_residual, kernel.last_mass_residual)
-        mass = integrate(kernel.u, grid)
-        l1_observed = max(l1_observed, mass)
-        take_snapshots()
+            if min(dt) < DT_MIN:
+                for row, d in enumerate(dt):
+                    if d < DT_MIN:
+                        point = self.point[row]
+                        last = self.series[point][self.series_len[point] - 1]
+                        self._finish(row, "StalledDt", (float(last[2]), float(last[3])))
+                live = [row for row, d in enumerate(dt) if not d < DT_MIN]
+                self._keep(live)
+                dt = [dt[row] for row in live]
+                if not dt:
+                    break
+            if steps == 0:
+                self.interval = [
+                    max(1, math.floor(self.specs[point].horizon / (self.specs[point].rows * d)))
+                    for point, d in zip(self.point, dt)
+                ]
+            kernel.step([min(d, h - t) for d, h, t in zip(dt, self.horizon, kernel.t)])
+            steps += 1
+            if kernel.failures:
+                for row, error in kernel.failures:
+                    self.outcomes[self.point[row]] = error
+                failed = {row for row, _ in kernel.failures}
+                self._keep([row for row in range(len(self.point)) if row not in failed])
+                if not self.point:
+                    break
+            self.max_mass_residual = list(map(max, self.max_mass_residual, kernel.last_mass_residual))
+            self.l1_observed = [max(l1, m * volume) for l1, m in zip(self.l1_observed, kernel.mass)]
+            errors = None
+            if self.any_target:
+                errors = _cell_max(np.abs(kernel.u - self.offsets), self.grid)
 
-        linf_u = float(np.abs(kernel.u).max())
-        record = kernel.step_count % interval == 0 or kernel.t >= stop
-        if record:
-            series.append(series_row(mass, linf_u))
-        if target is not None:
-            err = float(np.abs(kernel.u - target).max())
-            if record:
-                target_errors.append((kernel.t, err))
-            if err < TARGET_TOL:
-                status = "Converged"
-                if not record:
-                    series.append(series_row(mass, linf_u))
-                    target_errors.append((kernel.t, err))
-                break
-        if linf_u > BLOWUP_LINF:
-            status = "BlowUp"
-            blowup_norms = (linf_u, lp_u())
-            if not record:
-                series.append(series_row(mass, linf_u))
-            break
-
-    return RunReport(
-        status=status,
-        final_time=kernel.t,
-        series=np.array(series),
-        p_star=p_star,
-        params=p,
-        f_kind=k.f_kind,
-        u0_min=float(u0.values.min()),
-        u0_max=float(u0.values.max()),
-        final_u=Field(kernel.u, grid),
-        final_v=Field(kernel.v, grid),
-        snapshots=snapshots,
-        target_errors=target_errors,
-        clamp_count=kernel.clamp_count,
-        clamped_mass=kernel.clamped_mass,
-        max_mass_residual=max_mass_residual,
-        l1_bound=max(integrate(u0.values, grid), _gronwall_constant(k) * grid.volume),
-        l1_observed=l1_observed,
-        blowup_norms=blowup_norms,
-        steps=kernel.step_count,
-    )
+            # (row, record, status) of every row that logs a row or stops
+            events = []
+            for row, t in enumerate(kernel.t):
+                if t >= self.snap_at[row]:
+                    self._take_snapshots(row)
+                done = t >= self.stop[row]
+                record = steps % self.interval[row] == 0 or done
+                status = "ReachedHorizon" if done else None
+                if self.target[row] is not None and errors[row] < TARGET_TOL:
+                    status = "Converged"
+                elif kernel.linf_u[row] > BLOWUP_LINF:
+                    status = "BlowUp"
+                if record or status:
+                    events.append((row, record, status))
+            if not events:
+                continue
+            rows = self._rows()
+            for row, record, status in events:
+                point = self.point[row]
+                self._log(row, rows[row])
+                if self.target[row] is not None and (record or status == "Converged"):
+                    self.target_errors[point].append((kernel.t[row], errors[row]))
+                if status:
+                    norms = (float(rows[row, 2]), float(rows[row, 3])) if status == "BlowUp" else None
+                    self._finish(row, status, norms)
+            stopped = {row for row, _, status in events if status}
+            if stopped:
+                self._keep([row for row in range(len(self.point)) if row not in stopped])
+        return self.outcomes

@@ -37,9 +37,14 @@ class Grid:
                 "resolution", f"need >= {MIN_CELLS_PER_AXIS} cells per axis (got {self.shape})"
             )
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.shape)
+
+    @cached_property
+    def cell_axes(self) -> tuple[int, ...]:
+        """The trailing axes that hold a field's cells, (-dim, ..., -1)."""
+        return tuple(range(-self.dim, 0))
 
     @cached_property
     def spacings(self) -> tuple[float, ...]:
@@ -58,12 +63,16 @@ class Grid:
         return float(np.prod(self.lengths))
 
     @cached_property
-    def face_slices(self) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
+    def face_slices(self) -> tuple[tuple[tuple, tuple], ...]:
         """Per axis, index tuples (lo, hi) of the cells left and right of the
-        interior faces: all but the last and all but the first entry."""
+        interior faces: all but the last and all but the first entry.  They
+        index the trailing grid axes, so a leading batch axis passes through."""
         full = (slice(None),) * self.dim
         return tuple(
-            tuple(full[:ax] + (sl,) + full[ax + 1:] for sl in (slice(None, -1), slice(1, None)))
+            tuple(
+                (Ellipsis,) + full[:ax] + (sl,) + full[ax + 1:]
+                for sl in (slice(None, -1), slice(1, None))
+            )
             for ax in range(self.dim)
         )
 
@@ -90,6 +99,11 @@ class Grid:
         ix = sp.identity(self.shape[0], format="csr")
         iy = sp.identity(self.shape[1], format="csr")
         return (sp.kron(mats[0], iy) + sp.kron(ix, mats[1])).tocsr()
+
+    @cached_property
+    def helmholtz_symbol(self) -> np.ndarray:
+        """Eigenvalues of -lap_h + I on the sampled cosines, in DCT-II order."""
+        return 1.0 + self.laplacian_eigenvalues
 
     @cached_property
     def laplacian_eigenvalues(self) -> np.ndarray:
@@ -156,12 +170,25 @@ class Field:
 
 # ---------------------------------------------------------------------------
 # discrete calculus on plain arrays
+#
+# The stencils take arrays of grid shape or, with a leading batch axis, of
+# shape (B, *grid.shape); every field of a batch gets the bits it would get
+# alone.
 # ---------------------------------------------------------------------------
 
 
 def integrate(values: np.ndarray, grid: Grid) -> float:
     """Midpoint rule: sum of cell values times cell volume."""
     return float(values.sum()) * grid.cell_volume
+
+
+def cell_sums(values: np.ndarray, grid: Grid, keepdims: bool = False) -> np.ndarray:
+    """Cell sum of each field along the leading batch axes.
+
+    numpy sums a C-contiguous field's cells as one contiguous row, alone or
+    in a batch, so entry i equals values[i].sum() bit for bit.
+    """
+    return np.add.reduce(values, axis=grid.cell_axes, keepdims=keepdims)
 
 
 def face_gradients(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
@@ -183,10 +210,11 @@ def face_divergence(fluxes: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
     The cell sums of the result telescope to zero exactly, which is what makes
     the discrete mass law hold.
     """
-    out = np.zeros(grid.shape)
+    shape = fluxes[0].shape[: fluxes[0].ndim - grid.dim] + grid.shape
+    out = np.zeros(shape)
     for (lo, hi), flux, h in zip(grid.face_slices, fluxes, grid.spacings):
         # cell i gets F[i] - F[i-1], with F = 0 on the two walls
-        diff = np.zeros(grid.shape)
+        diff = np.zeros(shape)
         diff[lo] = flux
         diff[hi] -= flux
         out += diff / h

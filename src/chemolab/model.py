@@ -209,31 +209,10 @@ class Kinetics:
     # -- growth function ---------------------------------------------------
 
     def f(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.f_kind == "generalized-logistic":
-            a, b = self.coeffs
-            return a * u - b * u ** (self.exponent + 1.0)
-        if self.f_kind == "power-envelope":
-            a, b = self.coeffs
-            return a - b * u**self.exponent
-        if self.f_kind == "allee":
-            (c,) = self.coeffs
-            return u * (1.0 - u) * (u - c)
-        return np.polynomial.polynomial.polyval(u, self.coeffs)
+        return growth(self.f_kind, self.coeffs, self.exponent, np.asarray(u, dtype=float))
 
     def f_prime(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.f_kind == "generalized-logistic":
-            a, b = self.coeffs
-            return a - b * (self.exponent + 1.0) * u**self.exponent
-        if self.f_kind == "power-envelope":
-            a, b = self.coeffs
-            return -b * self.exponent * u ** (self.exponent - 1.0)
-        if self.f_kind == "allee":
-            (c,) = self.coeffs
-            return -3.0 * u**2 + 2.0 * (1.0 + c) * u - c
-        dcoef = np.polynomial.polynomial.polyder(self.coeffs)
-        return np.polynomial.polynomial.polyval(u, dcoef)
+        return growth_prime(self.f_kind, self.coeffs, self.exponent, np.asarray(u, dtype=float))
 
     # -- secretion ---------------------------------------------------------
 
@@ -278,6 +257,39 @@ class Kinetics:
         surplus = list(coeffs)
         surplus[-1] = surplus[-1] + b_env
         return (_poly_max(tuple(surplus)) + 1e-12, b_env, float(deg))
+
+
+def growth(f_kind: str, coeffs, exponent: float, u: np.ndarray) -> np.ndarray:
+    """The growth function f(u) of a Kinetics family (see Kinetics.coeffs).
+
+    Each coefficient may be a float or an array that broadcasts against u,
+    such as one column per field of a batch; the exponent is a float.
+    """
+    if f_kind == "generalized-logistic":
+        a, b = coeffs
+        return a * u - b * u ** (exponent + 1.0)
+    if f_kind == "power-envelope":
+        a, b = coeffs
+        return a - b * u**exponent
+    if f_kind == "allee":
+        (c,) = coeffs
+        return u * (1.0 - u) * (u - c)
+    return np.polynomial.polynomial.polyval(u, coeffs, tensor=False)
+
+
+def growth_prime(f_kind: str, coeffs, exponent: float, u: np.ndarray) -> np.ndarray:
+    """f'(u), with the coefficients and exponent of growth."""
+    if f_kind == "generalized-logistic":
+        a, b = coeffs
+        return a - b * (exponent + 1.0) * u**exponent
+    if f_kind == "power-envelope":
+        a, b = coeffs
+        return -b * exponent * u ** (exponent - 1.0)
+    if f_kind == "allee":
+        (c,) = coeffs
+        return -3.0 * u**2 + 2.0 * (1.0 + c) * u - c
+    dcoef = np.polynomial.polynomial.polyder(coeffs)
+    return np.polynomial.polynomial.polyval(u, dcoef, tensor=False)
 
 
 def _poly_max(coeffs: tuple[float, ...]) -> float:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from chemolab import cli, stability
+from chemolab import cli, evolve, stability
 from chemolab.cli import main
 from chemolab.config import Config, eval_number
 from chemolab.errors import OutOfRange, UnknownKey
@@ -371,6 +371,73 @@ sweep.count2 = 2
         lines = (out / "sweep_summary.csv").read_text().splitlines()
         assert lines[0] == "index,model.chi,model.b,status,exit_code,scalar"
         assert len(lines) == 5
+
+
+class TestSimulateSweep:
+    # chi = 0 fails at config time; nx in {16, 32} gives two grids, so the
+    # other points run as two batches
+    CONFIG = BASE + """
+sweep.command = simulate
+sweep.parameter = model.chi
+sweep.start = 0
+sweep.stop = 0.6
+sweep.count = 3
+sweep.parameter2 = grid.nx
+sweep.start2 = 16
+sweep.stop2 = 32
+sweep.count2 = 2
+kinetics.f_kind = generalized-logistic
+init.kind = random
+init.base = 1
+init.amplitude = 0.5
+run.horizon = 1.5
+run.target = equilibrium
+run.snapshots = 3
+"""
+
+    @staticmethod
+    def _files(folder):
+        """Every file under folder with the manifest's timestamp dropped; the
+        manifest's config lines name the config file, which differs by design."""
+        out = {}
+        for path in sorted(folder.iterdir()):
+            text = path.read_text(encoding="utf-8")
+            if path.name == "manifest.txt":
+                text = "\n".join(line for line in text.splitlines()
+                                 if not line.startswith(("timestamp:", "config:", "config_sha256:")))
+            out[path.name] = text
+        return out
+
+    def test_points_equal_standalone_runs(self, tmp_path, capsys):
+        cfg = _write(tmp_path, self.CONFIG)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+        sweep_lines = capsys.readouterr().out.splitlines()
+        with open(out / "sweep_summary.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"].split(":")[0] for r in rows] == ["error"] * 2 + ["ok"] * 4
+        assert rows[0]["status"] == "error: chi: must be > 0 (got 0.0)"
+        status_lines = []
+        for i, row in enumerate(rows):
+            text = self.CONFIG.replace("model.chi = 0.4", f"model.chi = {row['model.chi']}")
+            text += f"grid.nx = {row['grid.nx']}\n"
+            alone = tmp_path / f"alone_{i}"
+            code = main(["simulate", "--config", _write(tmp_path, text, f"point_{i}.cfg"),
+                         "--out", str(alone), "--seed", "5"])
+            assert code == int(row["exit_code"])
+            status_lines += capsys.readouterr().out.splitlines()
+            point = self._files(out / f"point_{i:04d}")
+            assert point == self._files(alone) if code == 0 else list(point) == ["manifest.txt"]
+        assert sweep_lines == status_lines + ["sweep: 4/6 points succeeded"]
+
+    def test_programming_error_in_the_batch_escapes(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise TypeError("bug in the kernel")
+
+        monkeypatch.setattr(evolve, "growth", broken)
+        cfg = _write(tmp_path, self.CONFIG)
+        with pytest.raises(TypeError, match="bug in the kernel"):
+            main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
 
 
 # one tiny run of each subcommand, with every optional artifact switched on

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -7,8 +8,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import chemolab as cl
-from chemolab.errors import NegativeOvershoot, OutOfRange, StalledDt
-from chemolab.evolve import DT_MAX_FACTOR, DT_MIN, SimState
+from chemolab import evolve
+from chemolab.errors import ChemolabError, NegativeOvershoot, OutOfRange, StalledDt
+from chemolab.evolve import DT_MAX_FACTOR, DT_MIN, RunReport, RunSpec, SimState, run_batch
 from chemolab.grid import Field, face_gradients, integrate
 
 
@@ -272,3 +274,138 @@ def _assert_run_equals_step_loop(p, k, u0, horizon):
     assert report.max_mass_residual == max(residuals)
     assert (report.clamp_count, report.clamped_mass) == (s.clamp_count, s.clamped_mass)
     return report
+
+
+# ---------------------------------------------------------------------------
+# batched runs
+# ---------------------------------------------------------------------------
+
+# u0 and chi of each kind of point; "clamp" leaves roundoff negatives far
+# from a tall plateau, "overshoot" pushes a true negative out of it
+SCENARIOS = ("horizon", "converge", "blowup", "stall", "clamp", "overshoot")
+
+
+def _scenario(kind, p, k, g, rng):
+    """(params, u0, target) of one point of the given kind."""
+    eq = (p.a / p.b) ** (1.0 / k.exponent)
+    x = g.coordinates[0]
+    if kind == "converge":
+        return p, Field(eq * (1.0 + 1e-5 * rng.uniform(-1.0, 1.0, g.shape)), g), eq
+    if kind == "blowup":
+        return p, Field.constant(g, 1.5e6), None
+    if kind == "stall":
+        u = np.ones(g.shape)
+        u.flat[g.n_cells // 2] = 1e13
+        return p, Field(u, g), None
+    if kind == "clamp":
+        return replace(p, chi=1e-3), Field(np.where(x < 0.3, 1e3, 0.0), g), None
+    if kind == "overshoot":
+        return replace(p, chi=0.05), Field(np.where(x < 0.3, 1e4, 0.0), g), None
+    return p, Field(eq * rng.uniform(0.5, 1.5, g.shape), g), eq
+
+
+def _bits(x):
+    if isinstance(x, Field):
+        return x.values.tobytes()
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
+    if isinstance(x, (list, tuple)):
+        return [_bits(y) for y in x]
+    if isinstance(x, float):
+        return np.float64(x).tobytes()
+    return x
+
+
+def _alone(spec):
+    try:
+        return cl.run(spec.p, spec.k, spec.u0, spec.horizon, target=spec.target,
+                      eps=spec.eps, rows=spec.rows, snapshot_times=spec.snapshot_times)
+    except ChemolabError as exc:
+        return exc
+
+
+def _assert_batch_equals_alone(specs):
+    outcomes = run_batch(specs)
+    assert len(outcomes) == len(specs)
+    for spec, batched in zip(specs, outcomes):
+        alone = _alone(spec)
+        if isinstance(alone, ChemolabError):
+            assert (type(batched), str(batched)) == (type(alone), str(alone))
+            continue
+        assert isinstance(batched, RunReport)
+        for f in dataclasses.fields(RunReport):
+            assert _bits(getattr(batched, f.name)) == _bits(getattr(alone, f.name)), f.name
+    return outcomes
+
+
+class TestRunBatch:
+    @seed(9)
+    @settings(max_examples=10, deadline=None)
+    @given(
+        f_kind=st.sampled_from(["generalized-logistic", "power-envelope", "allee"]),
+        kappa=st.floats(0.5, 2.0), theta=st.floats(1.5, 3.0),
+        shape=st.one_of(st.tuples(st.just(1), st.integers(16, 64)),
+                        st.tuples(st.just(2), st.integers(8, 16))),
+        points=st.lists(
+            st.tuples(
+                st.sampled_from(SCENARIOS), st.floats(0.05, 2.0), st.floats(0.5, 2.0),
+                st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.05, 1.0),
+                st.sampled_from([1, 7, 500, 10**9]), st.integers(0, 3), st.booleans(),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=2, max_size=6,
+        ),
+    )
+    def test_batch_equals_each_point_alone(self, f_kind, kappa, theta, shape, points):
+        dim, cells = shape
+        specs = []
+        for kind, chi, a, b, beta, horizon, rows, snaps, targeted, data_seed in points:
+            p = cl.build_params({"chi": chi, "a": a, "b": b, "theta": theta, "kappa": kappa,
+                                 "beta": beta, "dim": dim, "L": math.pi})
+            k = cl.make_kinetics(p, f_kind)
+            g = cl.make_grid(p, cells)
+            p, u0, target = _scenario(kind, p, k, g, np.random.default_rng(data_seed))
+            specs.append(RunSpec(
+                p, k, u0, horizon, target=target if targeted or kind == "converge" else None,
+                rows=rows, snapshot_times=np.linspace(0.0, horizon, snaps),
+            ))
+        assert len({spec.batch_key for spec in specs}) == 1  # one batch
+        _assert_batch_equals_alone(specs)
+
+    def test_every_ending_in_one_batch(self):
+        p, k, g = _setup(nx=32)
+        rng = np.random.default_rng(0)
+        specs = []
+        for kind in SCENARIOS:
+            p_i, u0, target = _scenario(kind, p, k, g, rng)
+            horizon = 5.0 if kind == "converge" else 0.3
+            specs.append(RunSpec(p_i, k, u0, horizon, target=target, snapshot_times=(0.0, 0.1)))
+        outcomes = _assert_batch_equals_alone(specs)
+        horizon, converge, blowup, stall, clamp, overshoot = outcomes
+        assert converge.status == "Converged" and 1 < converge.steps < clamp.steps
+        assert horizon.status == "ReachedHorizon" and horizon.target_errors
+        assert blowup.status == "BlowUp" and blowup.steps == 1
+        assert stall.status == "StalledDt" and stall.steps == 0
+        assert clamp.status == "ReachedHorizon" and clamp.clamped_mass > 0.0
+        assert isinstance(overshoot, NegativeOvershoot)
+
+    def test_batch_over_the_cell_budget_runs_in_chunks(self, monkeypatch):
+        p, k, g = _setup(nx=16)
+        monkeypatch.setattr(evolve, "BATCH_CELLS", 40)  # two 16-cell points a chunk
+        rng = np.random.default_rng(2)
+        specs = [RunSpec(replace(p, chi=0.1 * (i + 1)), k, Field(rng.uniform(0.5, 1.5, 16), g),
+                         0.2 * (i + 1), target=1.0) for i in range(5)]
+        _assert_batch_equals_alone(specs)
+
+    def test_points_with_different_keys_run_apart(self):
+        p, k, g = _setup(nx=16)
+        p2 = replace(p, kappa=2.0)
+        k2 = cl.make_kinetics(p2, "generalized-logistic")
+        u0 = Field(1.0 + 0.5 * np.cos(g.coordinates[0]), g)
+        specs = [RunSpec(p, k, u0, 0.5), RunSpec(p2, k2, u0, 0.5),
+                 RunSpec(p, k, Field(u0.values[:8], cl.make_grid(p, 8)), 0.5),
+                 RunSpec(p, k, u0, -1.0), RunSpec(p, k, u0, 0.5, eps=1.5)]
+        # kappa, the grid and the monitor exponent each split the batch
+        assert len({spec.batch_key for spec in specs}) == 4
+        outcomes = _assert_batch_equals_alone(specs)
+        assert isinstance(outcomes[3], OutOfRange)

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import chemolab as cl
-from chemolab.elliptic import discrete_sigma, helmholtz_matrix, solve_screened_array
+from chemolab.elliptic import (
+    discrete_sigma,
+    helmholtz_matrix,
+    solve_helmholtz_array,
+    solve_screened_array,
+)
 from chemolab.errors import NonpositiveV, OutOfRange
 from chemolab.evolve import DT_MAX_FACTOR
 from chemolab.grid import Field, Grid, integrate, laplacian_apply
@@ -61,6 +68,19 @@ class TestEigenpairs:
         assert pairs[1].sigma == pytest.approx(2.0)
         assert pairs[1].multiplicity == 2
         assert set(pairs[1].indices) == {(1, 0), (0, 1)}
+
+    def test_grid_splits_a_continuum_group(self):
+        # sigma = 26 on a square: (0,5),(5,0) and (3,4),(4,3) differ in sigma_h
+        g = _grid_2d(32)
+        pairs = [e for e in cl.neumann_eigenvalues(g, 14) if e.sigma == pytest.approx(26.0)]
+        assert [set(e.indices) for e in pairs] == [{(0, 5), (5, 0)}, {(3, 4), (4, 3)}]
+        assert [e.multiplicity for e in pairs] == [2, 2]
+        assert [e.sigma_h for e in pairs] == pytest.approx([25.5020, 25.7306], abs=1e-4)
+        for e in pairs:
+            assert {discrete_sigma(g, ks) for ks in e.indices} == {e.sigma_h}
+            x, y = g.coordinates
+            kx, ky = e.index
+            assert e.eigenfunction.values == pytest.approx(np.cos(kx * x) * np.cos(ky * y))
 
     def test_count_capped_by_cells(self):
         g = _grid_1d(8)
@@ -160,6 +180,37 @@ class TestHelmholtzSolve:
         A = helmholtz_matrix(g).toarray()
         assert A == pytest.approx(A.T)
         assert scipy.linalg.eigvalsh(A).min() >= 1.0 - 1e-12
+
+    @seed(9)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=st.one_of(st.tuples(st.integers(8, 256)),
+                        st.tuples(st.integers(8, 48), st.integers(8, 48))),
+        lengths=st.tuples(st.floats(0.5, 10.0), st.floats(0.5, 10.0)),
+        data_seed=st.integers(0, 2**32 - 1), sparsity=st.floats(0.0, 0.9),
+        scale=st.floats(1e-6, 1e6),
+    )
+    def test_chemical_mass_equals_source_mass(self, shape, lengths, data_seed, sparsity, scale):
+        g = Grid(lengths[: len(shape)], shape)
+        rng = np.random.default_rng(data_seed)
+        source = scale * rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) >= sparsity)
+        source.flat[0] = scale  # not identically zero
+        v = solve_helmholtz_array(g, source)
+        assert abs(v.sum() - source.sum()) <= 1e-13 * source.sum()
+
+    @pytest.mark.parametrize("shape", [(16,), (64,), (12, 20), (16, 16)])
+    def test_batched_solves_equal_row_by_row(self, shape):
+        g = Grid((math.pi, 2.0)[: len(shape)], shape)
+        rng = np.random.default_rng(4)
+        rhs = rng.uniform(0.0, 2.0, (5,) + shape)
+        c = rng.uniform(0.0, 0.5, 5)
+        screened = solve_screened_array(g, rhs, c.reshape((-1,) + (1,) * len(shape)))
+        helmholtz = solve_helmholtz_array(g, rhs)
+        for i in range(5):
+            assert screened[i].tobytes() == solve_screened_array(g, rhs[i], c[i]).tobytes()
+            assert helmholtz[i].tobytes() == solve_helmholtz_array(g, rhs[i]).tobytes()
+        assert (solve_helmholtz_array(g, rhs[0]).tobytes()
+                == solve_screened_array(g, rhs[0], 1.0).tobytes())
 
     def test_rejects_nonfinite_source(self):
         g = _grid_1d(16)
