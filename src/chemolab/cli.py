@@ -5,9 +5,10 @@ Exit codes: 0 success/converged, 1 usage or config error, 2 blow-up detected,
 --out directory together with a line-oriented manifest listing the inputs,
 the package version, and each produced file.  Every artifact is a CSV file
 written by the manifest itself: floats with 17 significant digits, booleans
-as true/false, and a cell quoted only where CSV needs it.  Reruns with
-identical config and seed are byte-identical apart from the manifest
-timestamp.
+as true/false, and a cell quoted only where CSV needs it.  A float table
+(a 2-D float64 array) is formatted in one call per file, with the same
+bytes the cell-by-cell path gives.  Reruns with identical config and seed
+are byte-identical apart from the manifest timestamp.
 """
 
 from __future__ import annotations
@@ -76,13 +77,22 @@ class _Manifest:
         ]
         self.artifacts: list[str] = []
 
-    def write_csv(self, name: str, header, rows) -> None:
-        """List ``name`` as an artifact and write it as a header plus rows."""
+    def write_csv(self, name: str, header, *blocks) -> None:
+        """List ``name`` as an artifact and write it as a header plus each
+        block of rows in turn.  A 2-D float64 array block is formatted by one
+        ``%`` call; any other block cell by cell through ``_cell``."""
         self.artifacts.append(name)
         with open(self.out_dir / name, "w", encoding="utf-8", newline="") as fh:
             out = csv.writer(fh, lineterminator="\n")
             out.writerow(header)
-            out.writerows([_cell(x) for x in row] for row in rows)
+            for rows in blocks:
+                # float64 only: "%.17g" turns a large int into 1e+18, and
+                # _cell formats narrower floats through str
+                if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+                    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+                    fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+                else:
+                    out.writerows([_cell(x) for x in row] for row in rows)
 
     def write(self):
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -108,7 +118,7 @@ def write_snapshot_csv(manifest: _Manifest, name: str, u: Field, v: Field) -> No
     """Snapshot file: rows x,u,v (1D) or x,y,u,v (2D) at the cell centres."""
     grid = u.grid
     columns = [c.ravel() for c in grid.coordinates] + [u.values.ravel(), v.values.ravel()]
-    manifest.write_csv(name, ("x", "y")[: grid.dim] + ("u", "v"), zip(*columns))
+    manifest.write_csv(name, ("x", "y")[: grid.dim] + ("u", "v"), np.column_stack(columns))
 
 
 def _sha256(path: str) -> str:
@@ -140,6 +150,8 @@ def _simulate_inputs(cfg: Config, args) -> evolve.RunSpec:
         raw = cfg.raw("run.target")
         target = p.equilibrium if raw == "equilibrium" else cfg.number("run.target")
     n_snaps = cfg.integer("run.snapshots", 0)
+    if n_snaps < 0:
+        raise OutOfRange("run.snapshots", f"must be >= 0 (got {n_snaps})")
     snap_times = np.linspace(0.0, horizon, n_snaps) if n_snaps else ()
     return evolve.RunSpec(
         p, k, u0, horizon,
@@ -157,7 +169,7 @@ def _simulate_outputs(report, manifest: _Manifest) -> tuple[int, float]:
         raise report
     grid = report.final_u.grid
     footer = f"# status={report.status} final_time={report.final_time:.17g}"
-    manifest.write_csv("series.csv", evolve.SERIES_COLUMNS, [*report.series, [footer]])
+    manifest.write_csv("series.csv", evolve.SERIES_COLUMNS, report.series, [[footer]])
     for i, (t, u_vals, v_vals) in enumerate(report.snapshots):
         write_snapshot_csv(
             manifest, f"snapshot_{i:03d}.csv", Field(u_vals, grid), Field(v_vals, grid)
@@ -243,7 +255,7 @@ def _cmd_stability(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
         rep = stability.stability_report(eq, p.lengths, chis, count)
         manifest.write_csv(
             "lambda.csv", ("chi", "lambda_minus", "lambda_plus"),
-            [(chi, *lams) for chi, lams in zip(rep.chis, rep.lambdas)],
+            np.column_stack([rep.chis, rep.lambdas]),
         )
     if cfg.flag("stability.scan"):
         grid = grid_from_config(cfg, p)
@@ -255,7 +267,7 @@ def _cmd_stability(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
         )
         manifest.write_csv(
             "scan.csv", ("chi", "smallest_singular_value"),
-            zip(scan.chis, scan.smallest_singular_values),
+            np.column_stack([scan.chis, scan.smallest_singular_values]),
         )
         manifest.write_csv("scan_roots.csv", ("chi_singular",), [(r,) for r in scan.roots])
         print(f"scan roots: {[f'{r:.8g}' for r in scan.roots]}")
@@ -279,13 +291,15 @@ def _cmd_compare_ode(cfg: Config, args, manifest: _Manifest) -> tuple[int, float
     traj = cmp_ode.solve_sandwich(p, u0_min, u0_max, horizon)
     manifest.write_csv(
         "trajectory.csv", ("t", "ubar", "ulow", "log_ratio"),
-        zip(traj.times, traj.ubar, traj.ulow, traj.log_ratio),
+        np.column_stack([traj.times, traj.ubar, traj.ulow, traj.log_ratio]),
     )
     if traj.eps0 is not None:
         print(f"contraction rate eps0 = {traj.eps0:.8g}")
     if cfg.flag("compare.envelopes"):
         env = cmp_ode.envelope_odes(p, k, u0_min, u0_max, horizon)
-        manifest.write_csv("envelopes.csv", ("t", "z", "y"), zip(env.times_z, env.z, env.y))
+        manifest.write_csv(
+            "envelopes.csv", ("t", "z", "y"), np.column_stack([env.times_z, env.z, env.y])
+        )
         print(f"z_inf = {env.z_inf:.8g}, y_inf = {env.y_inf:.8g}")
     return EXIT_OK, traj.eps0 if traj.eps0 is not None else math.nan
 
@@ -320,18 +334,20 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
+def _sweep_axis(cfg: Config, suffix: str = "") -> np.ndarray:
+    count = cfg.integer(f"sweep.count{suffix}")
+    if count < 1:
+        raise OutOfRange(f"sweep.count{suffix}", f"grid is empty (got {count})")
+    start, stop = cfg.number(f"sweep.start{suffix}"), cfg.number(f"sweep.stop{suffix}")
+    return np.linspace(start, stop, count)
+
+
 def _sweep_points(cfg: Config) -> tuple[list[str], list[tuple[float, ...]]]:
     names = [cfg.raw("sweep.parameter")]
-    counts = [cfg.integer("sweep.count")]
-    axes = [np.linspace(cfg.number("sweep.start"), cfg.number("sweep.stop"), counts[0])]
+    axes = [_sweep_axis(cfg)]
     if cfg.has("sweep.parameter2"):
         names.append(cfg.raw("sweep.parameter2"))
-        counts.append(cfg.integer("sweep.count2"))
-        axes.append(
-            np.linspace(cfg.number("sweep.start2"), cfg.number("sweep.stop2"), counts[-1])
-        )
-    if any(c < 1 for c in counts):
-        raise OutOfRange("sweep.count", "grid is empty")
+        axes.append(_sweep_axis(cfg, "2"))
     if len(axes) == 1:
         points = [(float(x),) for x in axes[0]]
     else:

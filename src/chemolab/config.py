@@ -67,9 +67,18 @@ def eval_number(text: str) -> float:
         raise ValueError(f"unsupported expression: {text!r}")
 
     try:
-        return walk(ast.parse(text.strip(), mode="eval"))
-    except (SyntaxError, ValueError) as exc:
+        value = walk(ast.parse(text.strip(), mode="eval"))
+    except (SyntaxError, ValueError, ArithmeticError) as exc:
         raise OutOfRange("value", f"cannot parse number {text!r}: {exc}") from exc
+    if isinstance(value, complex):  # a negative base to a fractional power
+        raise OutOfRange("value", f"{text!r} is not a real number")
+    return value
+
+
+def _whole(key: str, val: float) -> int:
+    if not math.isfinite(val) or val != int(val):
+        raise OutOfRange(key, f"expected an integer (got {val})")
+    return int(val)
 
 
 class Config:
@@ -118,13 +127,13 @@ class Config:
         return eval_number(self.entries[key])
 
     def integer(self, key: str, default: int | None = None) -> int:
-        val = self.number(key, default=None if default is None else float(default))
-        if val != int(val):
-            raise OutOfRange(key, f"expected an integer (got {val})")
-        return int(val)
+        return _whole(key, self.number(key, default=None if default is None else float(default)))
 
     def numbers(self, key: str) -> list[float]:
         return [eval_number(part) for part in self.raw(key).split(",")]
+
+    def integers(self, key: str) -> list[int]:
+        return [_whole(key, val) for val in self.numbers(key)]
 
     def flag(self, key: str, default: bool = False) -> bool:
         if key not in self.entries:
@@ -181,7 +190,7 @@ def initial_field(cfg: Config, grid: Grid, seed: int = 0) -> Field:
         return Field.constant(grid, base)
     if kind == "cosine":
         if cfg.has("init.mode"):
-            modes = [int(m) for m in cfg.numbers("init.mode")]
+            modes = cfg.integers("init.mode")
         else:
             modes = [1] * grid.dim
         if len(modes) == 1 and grid.dim == 2:

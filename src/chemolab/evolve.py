@@ -352,6 +352,8 @@ class RunSpec:
             raise OutOfRange("u0", "must not be identically zero")
         if not self.horizon > 0:
             raise OutOfRange("horizon", f"must be > 0 (got {self.horizon})")
+        if self.rows < 1:
+            raise OutOfRange("rows", f"must be >= 1 (got {self.rows})")
         return SimState.initial(self.p, self.k, u0)
 
 

@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from chemolab import cli, evolve, stability
@@ -71,6 +74,34 @@ class TestExitCodes:
     def test_missing_required_key(self, tmp_path):
         cfg = _write(tmp_path, BASE + "run.target = 1\n")  # no run.horizon
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("command, extra, reason", [
+        ("simulate", "run.snapshots = 1/0", "cannot parse number '1/0'"),
+        ("simulate", "model.chi = 2.0**10000", "cannot parse number '2.0**10000'"),
+        ("simulate", "model.a = (-1)**0.5", "is not a real number"),
+        ("simulate", "grid.nx = 1e400", "grid.nx: expected an integer (got inf)"),
+        ("simulate", "grid.nx = 1e400 - 1e400", "grid.nx: expected an integer (got nan)"),
+        ("simulate", "init.kind = cosine\ninit.mode = 1e400", "init.mode: expected an integer (got inf)"),
+        ("simulate", "init.kind = cosine\ninit.mode = 1, 1.5", "init.mode: expected an integer (got 1.5)"),
+        ("simulate", "run.rows = 0", "rows: must be >= 1 (got 0)"),
+        ("simulate", "run.rows = -3", "rows: must be >= 1 (got -3)"),
+        ("simulate", "run.snapshots = -1", "run.snapshots: must be >= 0 (got -1)"),
+        ("sweep", "sweep.count = -1", "sweep.count: grid is empty (got -1)"),
+        ("sweep", "sweep.count = 2\nsweep.parameter2 = model.b\nsweep.start2 = 1\n"
+         "sweep.stop2 = 2\nsweep.count2 = -1", "sweep.count2: grid is empty (got -1)"),
+    ])
+    def test_bad_value_exits_with_reason(self, tmp_path, capsys, command, extra, reason):
+        # main runs in this process, so a traceback would fail the test here
+        # as the exception itself
+        text = BASE + "grid.nx = 16\nrun.horizon = 0.5\n"
+        if command == "sweep":
+            text += "sweep.command = simulate\nsweep.parameter = model.chi\n"
+            text += "sweep.start = 0.1\nsweep.stop = 0.2\n"
+        cfg = _write(tmp_path, text + extra + "\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(("config error: ", "error: ")) and err.count("\n") == 1, err
+        assert reason in err
 
 
 class TestClassifyCommand:
@@ -159,6 +190,70 @@ run.horizon = 0.2
         lines = (out / "series.csv").read_text().splitlines()
         assert lines[0] == "t,mass,linf_u,lp_u,linf_v,linf_gradv,dt"
         assert lines[-1].startswith("# status=ReachedHorizon final_time=0.2")
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_float_artifacts_round_trip(self, tmp_path, monkeypatch, dim):
+        """series.csv and final.csv hold every float to 17 significant digits,
+        so float() reads back the run's own values bit for bit."""
+        reports = []
+        run_batch = evolve.run_batch
+
+        def keep_reports(specs):
+            reports.extend(run_batch(specs))
+            return reports[-len(specs):]
+
+        monkeypatch.setattr(evolve, "run_batch", keep_reports)
+        text = BASE.replace("model.dim = 1", f"model.dim = {dim}") + """
+grid.nx = 12
+init.kind = random
+init.base = 1
+init.amplitude = 0.5
+run.horizon = 0.5
+"""
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+        (report,) = reports
+
+        def read(name):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                return [[float(x) for x in row] for row in list(csv.reader(fh))[1:]
+                        if not row[0].startswith("#")]
+
+        series = np.array(read("series.csv"))
+        final = np.array(read("final.csv"))
+        assert series.tobytes() == report.series.tobytes()
+        assert final[:, dim].tobytes() == report.final_u.values.ravel().tobytes()
+        assert final[:, dim + 1].tobytes() == report.final_v.values.ravel().tobytes()
+
+
+class TestArtifactWriter:
+    FLOATS = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+    )
+
+    @seed(10)
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ncols=st.integers(1, 6), cells=st.lists(FLOATS, max_size=48))
+    def test_float_block_equals_cell_path(self, tmp_path, ncols, cells):
+        block = np.array(cells[: len(cells) - len(cells) % ncols], dtype=float).reshape(-1, ncols)
+        manifest = cli._Manifest(tmp_path, "simulate", "<test>", 0, config_sha="none")
+        header = [f"c{i}" for i in range(ncols)]
+        footer = [["# footer"]]
+        manifest.write_csv("block.csv", header, block, footer)
+        manifest.write_csv("scalars.csv", header, [list(row) for row in block], footer)
+        manifest.write_csv("floats.csv", header, block.tolist(), footer)
+        data = (tmp_path / "block.csv").read_bytes()
+        assert data == (tmp_path / "scalars.csv").read_bytes()
+        assert data == (tmp_path / "floats.csv").read_bytes()
+
+    def test_int_and_bool_arrays_keep_cell_format(self, tmp_path):
+        manifest = cli._Manifest(tmp_path, "simulate", "<test>", 0, config_sha="none")
+        manifest.write_csv("ints.csv", ["n"], np.array([[10**18], [-3]]))
+        manifest.write_csv("bools.csv", ["b"], np.array([[True], [False]]))
+        assert (tmp_path / "ints.csv").read_text() == "n\n1000000000000000000\n-3\n"
+        assert (tmp_path / "bools.csv").read_text() == "b\ntrue\nfalse\n"
 
 
 class TestStabilityCommand:
@@ -286,6 +381,26 @@ sweep.count = 0
 """,
         )
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    def test_zero_rows_is_a_point_failure(self, tmp_path):
+        cfg = _write(
+            tmp_path,
+            BASE
+            + """
+sweep.command = simulate
+sweep.parameter = run.rows
+sweep.start = 0
+sweep.stop = 2
+sweep.count = 2
+grid.nx = 16
+run.horizon = 0.5
+""",
+        )
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "sweep_summary.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["error: rows: must be >= 1 (got 0)", "ok"]
 
     def test_programming_error_is_not_a_point_failure(self, tmp_path, monkeypatch):
         def broken(cfg, args, manifest):
