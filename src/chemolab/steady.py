@@ -13,15 +13,18 @@ the Newton tolerance).  Each Newton step is Jacobian-free Newton-Krylov
 derivative of that residual, written with the same face stencils, so the
 operator is encoded once.  It is right-preconditioned by the exact inverse of
 the Jacobian about the mean state, which the DCT-II splits into one 2x2 block
-per cosine mode, the algebra of ``stability``.
+per cosine mode, the algebra of ``stability``.  The linearization is computed
+once per Newton step, u and v are transformed and differenced as one stacked
+array, and GMRES is this module's own loop (CGS2 Arnoldi, Givens rotations on
+Python floats), not scipy.sparse.linalg.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .elliptic import (
     cell_values,
@@ -33,6 +36,7 @@ from .elliptic import (
 from .errors import NoConvergence, NonpositiveV, OutOfRange
 from .grid import (
     Field,
+    Grid,
     face_averages,
     face_divergence,
     face_gradients,
@@ -45,9 +49,12 @@ from .stability import EquilibriumInfo
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 20
-# GMRES iterations per Newton step, one restart cycle: the 2D 64^2 and 128^2
-# onset branch needs at most 16, the worst of 5467 solves over 48 1D/2D
-# continuation windows 48.
+# GMRES iterations per Newton step, one cycle: the 2D 64^2 and 128^2 onset
+# branch needs at most 16.  Over 48 continuation windows (1D n=64, 256 and 2D
+# 24^2, 48^2; logistic kappa 0.5, 1, 2; modes 1, 2; chi from 1.02 to 2.5 and
+# from 2.5 to 6 times onset) the median of 5981 solves is 16 and the worst
+# below 2.5 times onset 26; four mode-2 windows beyond it reach the budget on
+# some points, as they did under scipy's gmres.
 KRYLOV_BUDGET = 60
 SEED_FRACTION = 0.05        # first-point perturbation, as a fraction of u0
 CONSTANT_AMPLITUDE = 1e-6   # below this a branch point counts as constant
@@ -77,44 +84,152 @@ def stationary_residual(
     return ru, rv
 
 
-def _jvp(u, v, du, dv, p: ModelParams, k: Kinetics, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Directional derivative of stationary_residual at (u, v) along (du, dv)."""
-    avgs, grads = face_averages(u, grid), face_gradients(v, grid)
-    d_avgs, d_grads = face_averages(du, grid), face_gradients(dv, grid)
-    chemo = [p.chi * (da * g + a * dg) for a, da, g, dg in zip(avgs, d_avgs, grads, d_grads)]
-    ju = laplacian_apply(du, grid) - face_divergence(chemo, grid) + k.f_prime(u) * du
-    jv = laplacian_apply(dv, grid) - dv + k.g_prime(u) * du
-    return ju, jv
+@dataclass(frozen=True)
+class _Linearization:
+    """The Jacobian of stationary_residual at one state, and its preconditioner.
+
+    Everything that stays fixed while GMRES runs is computed once per Newton
+    step: chi*avg(u) and chi*grad(v) on the faces, f'(u) and g'(u) in the
+    cells, and the entries of the inverse 2x2 block per cosine mode about the
+    mean state.
+    """
+
+    grid: Grid
+    chi_avg_u: list[np.ndarray]
+    chi_grad_v: list[np.ndarray]
+    f_prime: np.ndarray
+    g_prime: np.ndarray
+    inverse_block: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _linearize(u, v, p: ModelParams, k: Kinetics, grid) -> _Linearization:
+    """Linearize about (u, v); the preconditioner is about the mean state.
+
+    About (mean u, mean f'(u), mean g'(u)) the cosine mode with eigenvalue
+    lam of -lap_h sees the block [[a, b], [c, d]] = [[f' - lam, chi*u*lam],
+    [g', -lam - 1]], inverted in closed form.  At an onset chi the critical
+    mode's determinant ad - bc vanishes up to roundoff, so its magnitude is
+    floored at 64 eps (|ad| + |bc|), keeping its sign: that mode's inverse is
+    then large but finite, and GMRES corrects it.
+    """
+    f_prime, g_prime = k.f_prime(u), k.g_prime(u)
+    lam = grid.laplacian_eigenvalues
+    a, b = float(np.mean(f_prime)) - lam, p.chi * float(np.mean(u)) * lam
+    c, d = float(np.mean(g_prime)), -lam - 1.0
+    det = a * d - b * c
+    floor = 64.0 * np.finfo(float).eps * (np.abs(a * d) + np.abs(b * c))
+    det = np.where(np.abs(det) < floor, np.copysign(floor, det), det)
+    return _Linearization(
+        grid=grid,
+        chi_avg_u=[p.chi * avg for avg in face_averages(u, grid)],
+        chi_grad_v=[p.chi * grad for grad in face_gradients(v, grid)],
+        f_prime=f_prime,
+        g_prime=g_prime,
+        inverse_block=(d / det, -b / det, -c / det, a / det),
+    )
+
+
+def _jvp(lin: _Linearization, d: np.ndarray) -> np.ndarray:
+    """Directional derivative of stationary_residual along d = (du, dv), shape
+    (2, *grid.shape); both Laplacians come from one stacked stencil call."""
+    grid = lin.grid
+    du, dv = d
+    fluxes = face_gradients(d, grid)
+    for flux, chemo, ca, cg in zip(fluxes, face_averages(du, grid), lin.chi_avg_u, lin.chi_grad_v):
+        # grad du - chi*(avg(du)*grad v + avg(u)*grad dv), built in place
+        chemo *= cg
+        chemo += ca * flux[1]
+        flux[0] -= chemo
+    out = face_divergence(fluxes, grid)
+    out[0] += lin.f_prime * du
+    out[1] += lin.g_prime * du
+    out[1] -= dv
+    return out
+
+
+def _precondition(lin: _Linearization, x: np.ndarray) -> np.ndarray:
+    """Apply the mean-state inverse to x = (xu, xv), shape (2, *grid.shape),
+    with one stacked forward and one stacked inverse DCT."""
+    p00, p01, p10, p11 = lin.inverse_block
+    coeffs = cosine_coefficients(lin.grid, x)
+    xu, xv = coeffs
+    from_v, from_u = p01 * xv, p10 * xu
+    xu *= p00
+    xu += from_v
+    xv *= p11
+    xv += from_u
+    return cell_values(lin.grid, coeffs)
+
+
+def _gmres(matvec, b: np.ndarray, budget: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """One GMRES cycle from zero for matvec(x) = b; returns (x, Krylov basis).
+
+    At most ``budget`` iterations, stopping once the least-squares residual
+    is <= tol or the Krylov space is invariant.  Arnoldi orthogonalises each
+    new vector by classical Gram-Schmidt applied twice (CGS2): as stable as
+    modified Gram-Schmidt, in four matrix-vector products instead of a Python
+    loop over the basis.  The Givens rotations run on Python floats.  x is
+    the least-squares iterate over the returned orthonormal basis, so a
+    stalled solve still returns its best iterate.
+    """
+    beta = float(np.linalg.norm(b))
+    if beta <= tol:
+        return np.zeros_like(b), np.empty((0, b.size))
+    basis = np.empty((budget, b.size))
+    basis[0] = b / beta
+    r = np.zeros((budget, budget))
+    rotations: list[tuple[float, float]] = []
+    g = [beta]
+    for j in range(budget):
+        w = matvec(basis[j])
+        w_norm = float(np.linalg.norm(w))
+        vj = basis[: j + 1]
+        h = vj @ w
+        w -= h @ vj
+        h2 = vj @ w
+        w -= h2 @ vj
+        col = (h + h2).tolist()
+        col.append(float(np.linalg.norm(w)))
+        for i, (cs, sn) in enumerate(rotations):
+            col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+        rho = math.hypot(col[j], col[j + 1])
+        if rho == 0.0:  # singular: keep the iterate over the first j vectors
+            break
+        cs, sn = col[j] / rho, col[j + 1] / rho
+        rotations.append((cs, sn))
+        col[j] = rho
+        r[: j + 1, j] = col[: j + 1]
+        g[j], g_next = cs * g[j], -sn * g[j]
+        g.append(g_next)
+        invariant = col[j + 1] <= np.finfo(float).eps * w_norm
+        if abs(g_next) <= tol or invariant or j + 1 == budget:
+            break
+        np.divide(w, col[j + 1], out=basis[j + 1])
+    m = len(rotations)
+    # r is upper triangular with a nonzero diagonal, so LU needs no pivoting
+    # and this is back substitution
+    y = np.linalg.solve(r[:m, :m], g[:m])
+    return y @ basis[:m], basis[:m]
 
 
 def _newton_direction(u, v, ru, rv, p: ModelParams, k: Kinetics, grid):
-    """GMRES for J (du, dv) = -(ru, rv), right-preconditioned about the mean state.
+    """GMRES for J (du, dv) = -(ru, rv), right-preconditioned about the mean
+    state; stops at a residual of max(0.01 NEWTON_TOL, 1e-10 |rhs|_2).
 
-    About the state (mean u, mean f'(u), mean g'(u)) the cosine mode with
-    eigenvalue lam of -lap_h sees the block [[f' - lam, chi*u*lam],
-    [g', -lam - 1]], inverted in closed form.  A stalled GMRES still returns its last iterate;
-    the line search decides whether that descends.
+    A stalled GMRES still returns its least-squares iterate; the line search
+    decides whether that descends.
     """
-    n = grid.n_cells
-    lam = grid.laplacian_eigenvalues
-    a, b = float(np.mean(k.f_prime(u))) - lam, p.chi * float(np.mean(u)) * lam
-    c, d = float(np.mean(k.g_prime(u))), -lam - 1.0
-    det = a * d - b * c
-
-    def precondition(x):
-        xu = cosine_coefficients(grid, x[:n].reshape(grid.shape))
-        xv = cosine_coefficients(grid, x[n:].reshape(grid.shape))
-        pu, pv = (d * xu - b * xv) / det, (a * xv - c * xu) / det
-        return cell_values(grid, pu), cell_values(grid, pv)
+    lin = _linearize(u, v, p, k, grid)
+    shape = (2,) + grid.shape
+    rhs = -np.stack([ru, rv]).ravel()
 
     def matvec(x):
-        return np.concatenate([r.ravel() for r in _jvp(u, v, *precondition(x), p, k, grid)])
+        return _jvp(lin, _precondition(lin, x.reshape(shape))).ravel()
 
-    op = spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=float)
-    rhs = -np.concatenate([ru.ravel(), rv.ravel()])
-    y, _ = spla.gmres(op, rhs, rtol=1e-10, atol=0.01 * NEWTON_TOL, restart=KRYLOV_BUDGET,
-                      maxiter=1)
-    return precondition(y)
+    tol = max(0.01 * NEWTON_TOL, 1e-10 * float(np.linalg.norm(rhs)))
+    y, _ = _gmres(matvec, rhs, KRYLOV_BUDGET, tol)
+    du, dv = _precondition(lin, y.reshape(shape))
+    return du, dv
 
 
 def solve_stationary(

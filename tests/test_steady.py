@@ -13,7 +13,16 @@ from chemolab.errors import NoConvergence, OutOfRange
 from chemolab.evolve import SimState
 from chemolab.grid import Field
 from chemolab.stability import characteristic_chi
-from chemolab.steady import NEWTON_TOL, _jvp, _newton_direction, stationary_residual
+from chemolab.steady import (
+    KRYLOV_BUDGET,
+    NEWTON_TOL,
+    _gmres,
+    _jvp,
+    _linearize,
+    _newton_direction,
+    _precondition,
+    stationary_residual,
+)
 
 
 def _params(chi=4.2):
@@ -141,18 +150,15 @@ class TestJacobian:
             rp = _stacked(stationary_residual(u + eps * du, v + eps * dv, p, k, g))
             rm = _stacked(stationary_residual(u - eps * du, v - eps * dv, p, k, g))
             fd = (rp - rm) / (2 * eps)
-            assert fd == pytest.approx(_stacked(_jvp(u, v, du, dv, p, k, g)), rel=1e-6, abs=1e-6)
+            jd = _jvp(_linearize(u, v, p, k, g), np.stack([du, dv]))
+            assert fd == pytest.approx(_stacked(jd), rel=1e-6, abs=1e-6)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_newton_direction_matches_dense_solve(self, dim):
         p, k, g, u, v, _ = _random_state(dim)
         n = g.n_cells
-        columns = []
-        for j in range(2 * n):
-            e = np.zeros(2 * n)
-            e[j] = 1.0
-            du, dv = e[:n].reshape(g.shape), e[n:].reshape(g.shape)
-            columns.append(_stacked(_jvp(u, v, du, dv, p, k, g)))
+        lin = _linearize(u, v, p, k, g)
+        columns = [_jvp(lin, e.reshape((2,) + g.shape)).ravel() for e in np.eye(2 * n)]
         ru, rv = stationary_residual(u, v, p, k, g)
         dense = np.linalg.solve(np.column_stack(columns), -_stacked((ru, rv)))
         krylov = _stacked(_newton_direction(u, v, ru, rv, p, k, g))
@@ -180,6 +186,133 @@ class TestSingularPoint:
                 assert exc.history
             else:
                 assert state.residual_norm < NEWTON_TOL
+
+    @pytest.mark.parametrize("j", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("dim, cells", [(1, 64), (2, 16)])
+    def test_newton_converges_within_eps_of_onset(self, dim, cells, j):
+        # the preconditioner's critical-mode determinant is zero up to
+        # roundoff here; its floor keeps the inverse finite
+        p = cl.build_params(
+            {"chi": 1, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1, "dim": dim, "L": math.pi}
+        )
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, cells)
+        eq = cl.equilibrium_info(k, 1.0)
+        mode = neumann_eigenvalues(g, 2)[1]
+        chi = characteristic_chi(eq, mode.sigma_h) * (1.0 + j * np.finfo(float).eps)
+        p = replace(p, chi=chi)
+        u = 1.0 + 1e-3 * mode.eigenfunction.values
+        guess = (Field(u, g), Field(solve_helmholtz_array(g, k.g(u)), g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = cl.solve_stationary(p, k, guess)
+        assert state.residual_norm < NEWTON_TOL
+
+
+class TestGmres:
+    @staticmethod
+    def _system(size, seed):
+        # nonsymmetric and strictly diagonally dominant by rows
+        rng = np.random.default_rng(seed)
+        off = rng.uniform(-1.0, 1.0, (size, size))
+        return off + np.diag(np.abs(off).sum(axis=1) + 1.0), rng.normal(size=size)
+
+    def test_matches_dense_solve(self):
+        a, b = self._system(200, 0)
+        x, _ = _gmres(lambda y: a @ y, b, KRYLOV_BUDGET, 1e-13 * np.linalg.norm(b))
+        exact = np.linalg.solve(a, b)
+        assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    def test_zero_rhs_returns_zeros_without_matvec(self):
+        def matvec(y):
+            raise AssertionError("mat-vec called")
+
+        x, basis = _gmres(matvec, np.zeros(7), KRYLOV_BUDGET, 1e-11)
+        assert np.array_equal(x, np.zeros(7))
+        assert basis.shape == (0, 7)
+
+    @pytest.mark.parametrize("budget", [1, 3, 6])
+    def test_small_budget_returns_least_squares_iterate(self, budget):
+        a, b = self._system(200, 1)
+        x, basis = _gmres(lambda y: a @ y, b, budget, 0.0)
+        assert basis.shape == (budget, 200)
+        # the Krylov space of a is that of a - c*I; the shift keeps its
+        # power basis well conditioned
+        shifted = a - np.mean(np.diag(a)) * np.eye(200)
+        krylov = np.column_stack([np.linalg.matrix_power(shifted, i) @ b for i in range(budget)])
+        q, _ = np.linalg.qr(krylov)
+        coeffs = np.linalg.lstsq(a @ q, b, rcond=None)[0]
+        assert np.linalg.norm(x - q @ coeffs) <= 1e-10 * np.linalg.norm(x)
+        assert np.linalg.norm(b - a @ x) <= np.linalg.norm(b)
+
+    def test_basis_is_orthonormal(self):
+        a, b = self._system(200, 2)
+        _, basis = _gmres(lambda y: a @ y, b, 40, 0.0)
+        assert basis.shape == (40, 200)
+        assert np.max(np.abs(basis @ basis.T - np.eye(40))) <= 1e-12
+
+
+class TestPreconditioner:
+    @seed(11)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0), chi=st.floats(0.1, 20.0),
+        shape=st.one_of(st.tuples(st.integers(8, 40)),
+                        st.tuples(st.integers(8, 16), st.integers(8, 16))),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inverts_jacobian_at_constant_state(self, a, b, chi, shape, data_seed):
+        dim = len(shape)
+        p = cl.build_params(
+            {"chi": chi, "a": a, "b": b, "theta": 2, "kappa": 1, "beta": 1,
+             "dim": dim, "lengths": (math.pi, 2.0)[:dim]}
+        )
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, shape)
+        eq = cl.equilibrium_info(k, a / b)
+        # away from onset: no mode's 2x2 block is close to singular
+        lam = g.laplacian_eigenvalues
+        block_det = (lam - eq.fprime) * (lam + 1.0) - chi * eq.u0 * lam * eq.gprime
+        assume(np.min(np.abs(block_det) / (lam + 1.0) ** 2) > 1e-3)
+        u = np.full(g.shape, eq.u0)
+        lin = _linearize(u, np.full(g.shape, eq.v0), p, k, g)
+        x = np.random.default_rng(data_seed).normal(size=(2,) + g.shape)
+        assert np.max(np.abs(_jvp(lin, _precondition(lin, x)) - x)) <= 1e-10 * np.max(np.abs(x))
+
+
+class TestBranchRegression:
+    """Accepted Newton counts and amplitudes along two mode-1 logistic
+    branches, as computed with scipy.sparse.linalg.gmres before the Newton
+    step got its own GMRES loop: the solver change must not move them."""
+
+    RAW = {"chi": 0.4, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1, "L": math.pi}
+    BRANCHES = {
+        # the onset-analysis benchmark branch
+        "2d-64": (2, 64, (4.2, 6.0), 10, [4, 5, 4, 4, 4, 3, 3, 3, 3, 3], [
+            0.3377740302790724, 0.4781053706619298, 0.5795478448401938, 0.6587056349998326,
+            0.7225828725971908, 0.7750735413671868, 0.8186616574331012, 0.8550653441856051,
+            0.8855366451674358, 0.91102134402493,
+        ]),
+        "1d-256": (1, 256, (4.2, 8.0), 20, [4, 5, 4, 4, 4] + [3] * 15, [
+            0.33788652006317954, 0.47835251917159405, 0.579946568661406, 0.6592653861527968,
+            0.7233078464948617, 0.7759640489508848, 0.8197150595809097, 0.8562767316875168,
+            0.8868993618826428, 0.9125274119048135, 0.933893279610442, 0.9515764872620773,
+            0.966043208555531, 0.977673887725756, 0.9867832673817187, 0.9936353609655904,
+            0.9984549210670528, 1.0014363800819863, 1.0027508899092035, 1.002551869164746,
+        ]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BRANCHES))
+    def test_counts_and_amplitudes_unchanged(self, name):
+        dim, cells, chi_range, points, iterations, amplitudes = self.BRANCHES[name]
+        p = cl.build_params({**self.RAW, "dim": dim})
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, cells)
+        branch = cl.continuation(p, k, cl.equilibrium_info(k, 1.0), 1, chi_range, points, grid=g)
+        assert branch.terminated_reason is None
+        assert [s.iterations for s in branch.states] == iterations
+        assert np.max(np.abs(branch.amplitudes - amplitudes)) <= 1e-12
+        assert max(s.residual_norm for s in branch.states) < NEWTON_TOL
 
 
 class TestLineSearch:
