@@ -115,10 +115,10 @@ def _cell(x) -> str:
 
 
 def write_snapshot_csv(manifest: _Manifest, name: str, u: Field, v: Field) -> None:
-    """Snapshot file: rows x,u,v (1D) or x,y,u,v (2D) at the cell centres."""
+    """Snapshot file: one row x[,y[,z]],u,v per cell centre."""
     grid = u.grid
     columns = [c.ravel() for c in grid.coordinates] + [u.values.ravel(), v.values.ravel()]
-    manifest.write_csv(name, ("x", "y")[: grid.dim] + ("u", "v"), np.column_stack(columns))
+    manifest.write_csv(name, grid.axis_names + ("u", "v"), np.column_stack(columns))
 
 
 def _sha256(path: str) -> str:

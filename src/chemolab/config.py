@@ -171,16 +171,16 @@ def kinetics_from_config(cfg: Config, p: ModelParams) -> Kinetics:
 
 
 def grid_from_config(cfg: Config, p: ModelParams) -> Grid:
+    """grid.nx cells along axis 0 and grid.ny (default nx) along every later axis."""
     nx = cfg.integer("grid.nx")
-    if p.dim == 1:
-        return make_grid(p, nx)
-    return make_grid(p, (nx, cfg.integer("grid.ny", nx)))
+    return make_grid(p, [nx] + [cfg.integer("grid.ny", nx) for _ in range(1, p.dim)])
 
 
 def initial_field(cfg: Config, grid: Grid, seed: int = 0) -> Field:
     """Initial density: constant, cosine bump, or seeded uniform noise.
 
-    cosine:  base + amplitude * prod(cos(mode_i*pi*x_i/L_i))
+    cosine:  base + amplitude * prod(cos(mode_i*pi*x_i/L_i)), init.mode = 1 per
+             axis by default, a missing trailing mode_i is 0
     random:  base * (1 + amplitude * uniform(-1, 1)), seeded
     """
     kind = cfg.raw("init.kind", "constant")
@@ -189,20 +189,12 @@ def initial_field(cfg: Config, grid: Grid, seed: int = 0) -> Field:
     if kind == "constant":
         return Field.constant(grid, base)
     if kind == "cosine":
-        if cfg.has("init.mode"):
-            modes = cfg.integers("init.mode")
-        else:
-            modes = [1] * grid.dim
-        if len(modes) == 1 and grid.dim == 2:
-            modes = [modes[0], 0]
-        vals = np.full(grid.shape, base)
-        bump = np.ones(grid.shape)
-        for ax, m in enumerate(modes):
-            x = grid.axis_centers(ax)
-            shape = [1] * grid.dim
-            shape[ax] = -1
-            bump = bump * np.cos(m * np.pi * x / grid.lengths[ax]).reshape(shape)
-        return Field(vals + amplitude * bump, grid)
+        modes = cfg.integers("init.mode") if cfg.has("init.mode") else [1] * grid.dim
+        if len(modes) > grid.dim:
+            raise OutOfRange(
+                "init.mode", f"more entries ({len(modes)}) than grid axes ({grid.dim})"
+            )
+        return Field(np.full(grid.shape, base) + amplitude * grid.cosine_product(modes), grid)
     if kind == "random":
         rng = np.random.default_rng(seed)
         noise = rng.uniform(-1.0, 1.0, size=grid.shape)

@@ -69,17 +69,6 @@ def discrete_sigma(grid: Grid, ks: tuple[int, ...]) -> float:
     return out
 
 
-def _cosine_mode(grid: Grid, ks: tuple[int, ...]) -> np.ndarray:
-    vals = np.ones(grid.shape)
-    for ax, k in enumerate(ks):
-        x = grid.axis_centers(ax)
-        mode = np.cos(k * math.pi * x / grid.lengths[ax])
-        shape = [1] * grid.dim
-        shape[ax] = -1
-        vals = vals * mode.reshape(shape)
-    return vals
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """A distinct Neumann eigenvalue of -lap + I with its mode data.
@@ -101,10 +90,10 @@ class EigenPair:
 
     @property
     def descriptor(self) -> str:
-        names = "xy"
+        grid = self.eigenfunction.grid
         factors = [
-            f"cos({k}*pi*{names[ax]}/{L:g})"
-            for ax, (k, L) in enumerate(zip(self.index, self.eigenfunction.grid.lengths))
+            f"cos({k}*pi*{name}/{L:g})"
+            for k, name, L in zip(self.index, grid.axis_names, grid.lengths)
             if k > 0
         ]
         return " * ".join(factors) if factors else "1"
@@ -130,7 +119,7 @@ def neumann_eigenvalues(grid: Grid, count: int) -> list[EigenPair]:
                     sigma=sigma,
                     sigma_h=sigma_h,
                     multiplicity=len(part),
-                    eigenfunction=Field(_cosine_mode(grid, part[0]), grid),
+                    eigenfunction=Field(grid.cosine_product(part[0]), grid),
                 )
             )
     return pairs
@@ -208,7 +197,7 @@ def solve_helmholtz(grid: Grid, source: Field) -> Field:
     """v with (-lap_h + I) v = source, mirror-ghost Neumann stencil.
 
     Direct: the DCT-II diagonalisation of solve_screened_array, exact up to
-    roundoff in 1D and 2D.  Nonnegative sources give nonnegative v (M-matrix).
+    roundoff in any dimension.  Nonnegative sources give nonnegative v (M-matrix).
     """
     return Field(solve_helmholtz_array(grid, source.values), grid)
 

@@ -9,15 +9,16 @@ matrix and eigenvalues), centered cell gradients, and midpoint-rule integrals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from functools import cached_property, reduce
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import OutOfRange
-from .model import ModelParams
+from .model import AXIS_NAMES, MAX_DIM, ModelParams
 
 MIN_CELLS_PER_AXIS = 8
 
@@ -30,8 +31,8 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
-        if len(self.lengths) != len(self.shape) or len(self.shape) not in (1, 2):
-            raise OutOfRange("grid", "need 1 or 2 axes with matching lengths")
+        if len(self.lengths) != len(self.shape) or not 1 <= len(self.shape) <= MAX_DIM:
+            raise OutOfRange("grid", f"need 1 to {MAX_DIM} axes with matching lengths")
         if any(n < MIN_CELLS_PER_AXIS for n in self.shape):
             raise OutOfRange(
                 "resolution", f"need >= {MIN_CELLS_PER_AXIS} cells per axis (got {self.shape})"
@@ -40,6 +41,10 @@ class Grid:
     @cached_property
     def dim(self) -> int:
         return len(self.shape)
+
+    @cached_property
+    def axis_names(self) -> tuple[str, ...]:
+        return AXIS_NAMES[: self.dim]
 
     @cached_property
     def cell_axes(self) -> tuple[int, ...]:
@@ -80,25 +85,30 @@ class Grid:
         h = self.spacings[axis]
         return (np.arange(self.shape[axis]) + 0.5) * h
 
+    def _along_axis(self, axis: int, values: np.ndarray) -> np.ndarray:
+        """One value per cell of ``axis``, shaped to broadcast over the grid."""
+        return values.reshape((-1,) + (1,) * (self.dim - 1 - axis))
+
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinate arrays, each of full grid shape."""
-        axes = [self.axis_centers(ax) for ax in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.meshgrid(*map(self.axis_centers, range(self.dim)), indexing="ij"))
+
+    def cosine_product(self, ks: Sequence[int]) -> np.ndarray:
+        """prod_i cos(k_i*pi*x_i/L_i) at the cell centres; missing trailing
+        indices count as 0."""
+        vals = np.ones(self.shape)
+        for ax, k in enumerate(ks):
+            mode = np.cos(k * math.pi * self.axis_centers(ax) / self.lengths[ax])
+            vals = vals * self._along_axis(ax, mode)
+        return vals
 
     @cached_property
     def laplacian_matrix(self) -> sp.csr_matrix:
-        """Sparse mirror-ghost Neumann Laplacian on flattened fields."""
-        mats = [
-            _neumann_laplacian_1d(n, h) for n, h in zip(self.shape, self.spacings)
-        ]
-        if self.dim == 1:
-            return mats[0].tocsr()
-        ix = sp.identity(self.shape[0], format="csr")
-        iy = sp.identity(self.shape[1], format="csr")
-        return (sp.kron(mats[0], iy) + sp.kron(ix, mats[1])).tocsr()
+        """Sparse mirror-ghost Neumann Laplacian on flattened (C-order) fields:
+        the Kronecker sum of the 1D operators, the last axis fastest."""
+        mats = [_neumann_laplacian_1d(n, h) for n, h in zip(self.shape, self.spacings)]
+        return reduce(lambda lap, m: sp.kronsum(m, lap), mats).tocsr()
 
     @cached_property
     def helmholtz_symbol(self) -> np.ndarray:
@@ -114,10 +124,8 @@ class Grid:
         """
         total = np.zeros(self.shape)
         for ax, (n, h) in enumerate(zip(self.shape, self.spacings)):
-            shape = [1] * self.dim
-            shape[ax] = n
             lam = 4.0 / h**2 * np.sin(np.arange(n) * np.pi / (2 * n)) ** 2
-            total = total + lam.reshape(shape)
+            total = total + self._along_axis(ax, lam)
         return total
 
 
@@ -156,10 +164,6 @@ class Field:
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "Field":
         return cls(np.full(grid.shape, float(value)), grid)
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable[..., np.ndarray]) -> "Field":
-        return cls(np.asarray(fn(*grid.coordinates), dtype=float), grid)
 
     def copy(self) -> "Field":
         return Field(self.values.copy(), self.grid)

@@ -38,6 +38,10 @@ ZERO_ATOL = 1e-12          # |f(z)| at reported zeros whose bracket did not clos
 ZERO_SCAN_SAMPLES = 4096   # uniform pre-scan before bisection
 DISSIPATIVITY_GRID = 256   # log-spaced sample pairs per side of the equilibrium
 
+# Axis names of a simulated domain; their count bounds ModelParams.dim and Grid.
+AXIS_NAMES = ("x", "y", "z")
+MAX_DIM = len(AXIS_NAMES)
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -49,7 +53,7 @@ class ModelParams:
     theta   damping exponent, > 1 strictly
     kappa   secretion exponent, > 0
     beta    secretion coefficient, > 0
-    dim     spatial dimension, 1 or 2
+    dim     spatial dimension, 1 to MAX_DIM (3)
     lengths domain side lengths, one per axis, > 0
     """
 
@@ -75,8 +79,8 @@ class ModelParams:
             raise OutOfRange("kappa", f"must be > 0 (got {self.kappa})")
         if not self.beta > 0:
             raise OutOfRange("beta", f"must be > 0 (got {self.beta})")
-        if self.dim not in (1, 2):
-            raise OutOfRange("dim", f"must be 1 or 2 (got {self.dim})")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise OutOfRange("dim", f"must be 1 to {MAX_DIM} (got {self.dim})")
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
         if len(self.lengths) != self.dim:
             raise OutOfRange(

@@ -13,7 +13,7 @@ inverts in closed form to the onset threshold
     chi_hat(sigma) = sigma*(sigma - f'(u0) - 1) / (g'(u0)*u0*(sigma - 1)).
 
 ``singularity_scan`` cross-validates those thresholds against the assembled
-sparse operator on stacked (u, v) perturbations, in 1D and 2D: its roots,
+sparse operator on stacked (u, v) perturbations, in 1D, 2D and 3D: its roots,
 with multiplicity, are the eigenvalues of a sparse pencil affine in chi, found
 without the closed form or the DCT.
 """

@@ -83,6 +83,7 @@ class TestExitCodes:
         ("simulate", "grid.nx = 1e400 - 1e400", "grid.nx: expected an integer (got nan)"),
         ("simulate", "init.kind = cosine\ninit.mode = 1e400", "init.mode: expected an integer (got inf)"),
         ("simulate", "init.kind = cosine\ninit.mode = 1, 1.5", "init.mode: expected an integer (got 1.5)"),
+        ("simulate", "init.kind = cosine\ninit.mode = 1, 2", "init.mode: more entries (2) than grid axes (1)"),
         ("simulate", "run.rows = 0", "rows: must be >= 1 (got 0)"),
         ("simulate", "run.rows = -3", "rows: must be >= 1 (got -3)"),
         ("simulate", "run.snapshots = -1", "run.snapshots: must be >= 0 (got -1)"),
@@ -367,6 +368,33 @@ steady.steps = 3
         assert len(lines) == 4
 
 
+class TestThreeDimensions:
+    CONFIG = BASE.replace("model.dim = 1", "model.dim = 3") + """
+grid.nx = 8
+init.kind = random
+init.amplitude = 0.1
+run.horizon = 1
+run.snapshots = 2
+steady.chi = 4.6
+stability.scan = true
+stability.scan_lo = 3.5
+stability.scan_hi = 7
+stability.scan_points = 3
+"""
+
+    @pytest.mark.parametrize("command, table", [
+        ("simulate", "final.csv"), ("steady", "steady_state.csv"),
+        ("stability", "scan_roots.csv"), ("classify", "regimes.csv"),
+    ])
+    def test_cube_runs_every_grid_command(self, tmp_path, command, table):
+        out = tmp_path / "o"
+        assert main([command, "--config", _write(tmp_path, self.CONFIG), "--out", str(out)]) == 0
+        lines = (out / table).read_text().splitlines()
+        if table.endswith("state.csv") or table == "final.csv":
+            assert lines[0] == "x,y,z,u,v" and len(lines) == 1 + 8**3
+        assert len(lines) > 1
+
+
 class TestSweepCommand:
     def test_empty_grid_is_usage_error(self, tmp_path):
         cfg = _write(
@@ -420,6 +448,31 @@ sweep.count = 2
         )
         with pytest.raises(TypeError, match="bug in a handler"):
             main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    def test_mode_beyond_the_grid_axes_is_a_point_failure(self, tmp_path):
+        cfg = _write(
+            tmp_path,
+            BASE
+            + """
+sweep.command = simulate
+sweep.parameter = model.dim
+sweep.start = 1
+sweep.stop = 2
+sweep.count = 2
+grid.nx = 8
+init.kind = cosine
+init.mode = 1, 2
+init.amplitude = 0.5
+run.horizon = 0.1
+""",
+        )
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "sweep_summary.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == [
+            "error: init.mode: more entries (2) than grid axes (1)", "ok"]
+        assert [r["exit_code"] for r in rows] == ["1", "0"]
 
     def test_classify_sweep_summary(self, tmp_path):
         cfg = _write(

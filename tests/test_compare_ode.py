@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import chemolab as cl
@@ -34,6 +36,30 @@ class TestSolveSandwich:
         assert np.all(traj.w <= eq + 1e-9)
         assert np.all(traj.ubar >= eq - 1e-9)
         assert np.all(traj.w > 0)
+
+    @seed(12)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0),
+        chi_fraction=st.floats(0.05, 0.95),
+        low=st.floats(0.3, 1.0), high=st.floats(1.0, 2.0),
+    )
+    def test_ordering_and_contraction_property(self, a, b, kappa, chi_fraction, low, high):
+        # chi < b/2; the extremes bracket eq, u0 = mid + half*cos(x) between them
+        p = _params(a=a, b=b, kappa=kappa, theta=kappa + 1, chi=chi_fraction * b / 2)
+        eq = (a / b) ** (1 / kappa)
+        g = cl.make_grid(p, 64)
+        x = g.coordinates[0]
+        u0 = 0.5 * (low + high) * eq + 0.5 * (high - low) * eq * np.cos(x)
+        horizon = 1.0
+        report = cl.run(p, cl.make_kinetics(p, "generalized-logistic"), Field(u0, g), horizon,
+                        snapshot_times=np.linspace(0.0, horizon, 11))
+        traj = cl.solve_sandwich(p, report.u0_min, report.u0_max, horizon)
+        assert np.all(traj.w > 0)
+        assert np.all(traj.w <= eq + 1e-9)
+        assert np.all(traj.ubar >= eq - 1e-9)
+        assert np.all(np.diff(traj.log_ratio) <= 1e-12)
+        assert cl.check_sandwich(traj, report) <= 10.0 * g.spacings[0] ** 2
 
     def test_rejects_weak_damping(self):
         with pytest.raises(OutOfRange):

@@ -220,7 +220,8 @@ class TestRun:
         chi=st.floats(0.05, 2.0), a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0),
         kappa=st.floats(0.5, 2.0), theta=st.floats(1.5, 3.0),
         shape=st.one_of(st.tuples(st.just(1), st.integers(16, 64)),
-                        st.tuples(st.just(2), st.integers(8, 16))),
+                        st.tuples(st.just(2), st.integers(8, 16)),
+                        st.tuples(st.just(3), st.just(8))),
         data_seed=st.integers(0, 2**32 - 1), horizon=st.floats(0.5, 2.0),
     )
     def test_run_equals_loop_of_public_step(
@@ -345,7 +346,8 @@ class TestRunBatch:
         f_kind=st.sampled_from(["generalized-logistic", "power-envelope", "allee"]),
         kappa=st.floats(0.5, 2.0), theta=st.floats(1.5, 3.0),
         shape=st.one_of(st.tuples(st.just(1), st.integers(16, 64)),
-                        st.tuples(st.just(2), st.integers(8, 16))),
+                        st.tuples(st.just(2), st.integers(8, 16)),
+                        st.tuples(st.just(3), st.just(8))),
         points=st.lists(
             st.tuples(
                 st.sampled_from(SCENARIOS), st.floats(0.05, 2.0), st.floats(0.5, 2.0),

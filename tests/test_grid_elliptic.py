@@ -49,6 +49,16 @@ class TestMakeGrid:
         fresh = _grid_2d(16, lengths=(1.0, 1.0))
         assert g == fresh and hash(g) == hash(fresh)
 
+    def test_3d_coordinates_and_cosine_product(self):
+        g = Grid((1.0, 2.0, 3.0), (8, 9, 10))
+        x, y, z = g.coordinates
+        assert x.shape == y.shape == z.shape == (8, 9, 10)
+        assert z[0, 0, :] == pytest.approx(g.axis_centers(2))
+        expected = np.cos(math.pi * x) * np.cos(2 * math.pi * y / 2.0)
+        assert g.cosine_product((1, 2)) == pytest.approx(expected, abs=1e-15)
+        # missing trailing indices count as 0, to the bit
+        assert g.cosine_product((1, 2)).tobytes() == g.cosine_product((1, 2, 0)).tobytes()
+
     def test_resolution_floor(self):
         with pytest.raises(OutOfRange):
             _grid_1d(4)
@@ -94,11 +104,11 @@ class TestEigenpairs:
         assert ours == pytest.approx(list(dense[:10]), abs=1e-9)
 
     def test_discrete_eigen_residual(self):
-        g = _grid_1d(128)
-        A = helmholtz_matrix(g)
-        for pair in cl.neumann_eigenvalues(g, 6):
-            e = pair.eigenfunction.values
-            assert np.max(np.abs(A @ e - pair.sigma_h * e)) < 1e-10
+        for g in (_grid_1d(128), Grid((1.0, 2.0, 1.5), (8, 9, 10))):
+            A = helmholtz_matrix(g)
+            for pair in cl.neumann_eigenvalues(g, 6):
+                e = pair.eigenfunction.values.ravel()
+                assert np.max(np.abs(A @ e - pair.sigma_h * e)) < 1e-10
 
     def test_descriptor(self):
         g = _grid_2d(16)
@@ -185,8 +195,9 @@ class TestHelmholtzSolve:
     @settings(max_examples=25, deadline=None)
     @given(
         shape=st.one_of(st.tuples(st.integers(8, 256)),
-                        st.tuples(st.integers(8, 48), st.integers(8, 48))),
-        lengths=st.tuples(st.floats(0.5, 10.0), st.floats(0.5, 10.0)),
+                        st.tuples(st.integers(8, 48), st.integers(8, 48)),
+                        st.tuples(st.integers(8, 12), st.integers(8, 12), st.integers(8, 12))),
+        lengths=st.tuples(st.floats(0.5, 10.0), st.floats(0.5, 10.0), st.floats(0.5, 10.0)),
         data_seed=st.integers(0, 2**32 - 1), sparsity=st.floats(0.0, 0.9),
         scale=st.floats(1e-6, 1e6),
     )
@@ -250,7 +261,8 @@ class TestEllipticIdentity:
 
 class TestDiscreteCalculus:
     def test_laplacian_matrix_matches_apply(self):
-        for g in (_grid_1d(16), _grid_2d(8, 12, lengths=(1.0, 2.0))):
+        for g in (_grid_1d(16), _grid_2d(8, 12, lengths=(1.0, 2.0)),
+                  Grid((1.0, 2.0, 1.5), (8, 9, 10))):
             rng = np.random.default_rng(5)
             u = rng.normal(size=g.shape)
             via_matrix = (g.laplacian_matrix @ u.ravel()).reshape(g.shape)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import chemolab as cl
 from chemolab.errors import DissipativityFail, MissingKey, OutOfRange, UnknownKey
+from chemolab.grid import Grid
 
 
 def _params(**overrides):
@@ -43,10 +44,18 @@ class TestBuildParams:
         )
         assert p.volume == pytest.approx(2.0)
 
-    def test_simulation_dimension_capped_at_two(self):
-        # higher dimensions stay classifier-only (see classify_regime dim=)
-        with pytest.raises(OutOfRange, match="dim"):
-            _params(dim=3, L=(1.0, 1.0, 1.0))
+    def test_dimension_bounded_one_to_three(self):
+        # params and grids share one bound; n >= 4 stays classifier-only
+        # (see classify_regime dim=)
+        for dim in (0, 4):
+            with pytest.raises(OutOfRange, match="dim"):
+                _params(dim=dim, L=(1.0,) * dim)
+            with pytest.raises(OutOfRange, match="axes"):
+                Grid((1.0,) * dim, (8,) * dim)
+        p = _params(dim=3, L=(1.0, 2.0, 3.0))
+        g = cl.make_grid(p, 8)
+        assert p.volume == pytest.approx(6.0)
+        assert g.shape == (8, 8, 8) and g.axis_names == ("x", "y", "z")
 
 
 def _bisect_zeros(f, upper, n=200_000, atol=1e-12):

@@ -294,6 +294,15 @@ class TestSingularityScan:
         assert sum(repeats) == len(scan.roots)
         assert repeats.count(2) == 5  # modes (j, k) and (k, j) share sigma_h on a square
 
+    def test_3d_cube_roots_repeat_per_multiplicity(self, damped_eq):
+        # 8^3 keeps the sparse LU of size 2*n**3 cheap; 12^3 costs about 5x
+        g = cl.make_grid(_params(dim=3), 8)
+        scan = cl.singularity_scan(damped_eq, g, 3.5, 7.0, 2)
+        # modes (1,0,0) and (1,1,0) with their permutations, each threefold
+        expected = [characteristic_chi(damped_eq, discrete_sigma(g, ks))
+                    for ks in ((1, 0, 0), (1, 1, 0)) for _ in range(3)]
+        assert scan.roots[:6] == pytest.approx(expected, rel=1e-10)
+
     def test_repeated_scan_is_bit_identical(self, damped_eq):
         g = cl.make_grid(_params(dim=2), 12)
         first, second = (cl.singularity_scan(damped_eq, g, 3.5, 8.0, 6) for _ in range(2))
@@ -334,7 +343,8 @@ class TestSingularityScan:
     @given(
         a=st.floats(0.1, 10), b=st.floats(0.1, 10), kappa=st.floats(0.25, 3),
         shape=st.one_of(st.tuples(st.just(1), st.integers(8, 64)),
-                        st.tuples(st.just(2), st.integers(8, 16))),
+                        st.tuples(st.just(2), st.integers(8, 16)),
+                        st.tuples(st.just(3), st.just(8))),
         lo_factor=st.floats(0.5, 2.0), width=st.floats(1.1, 4.0),
     )
     def test_roots_equal_characteristic_chi_at_sigma_h(self, a, b, kappa, shape, lo_factor, width):

@@ -354,7 +354,8 @@ class TestSteadyEvolveConsistency:
     @given(
         a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0), kappa=st.floats(0.5, 2.0),
         shape=st.one_of(st.tuples(st.just(1), st.integers(16, 64)),
-                        st.tuples(st.just(2), st.integers(8, 16))),
+                        st.tuples(st.just(2), st.integers(8, 16)),
+                        st.tuples(st.just(3), st.just(8))),
         factor=st.floats(1.05, 1.5),
     )
     def test_random_steady_state_is_step_fixed_point(self, a, b, kappa, shape, factor):
@@ -378,6 +379,20 @@ class TestSteadyEvolveConsistency:
         dt = cl.adapt_dt(s, p_chi, k)
         moved = cl.step(replace(s, dt=dt), p_chi, k).u.values - state.u.values
         assert np.max(np.abs(moved)) <= 10.0 * dt * max(state.residual_norm, 1e-12)
+
+
+    def test_3d_steady_state_is_step_fixed_point(self):
+        p = cl.build_params(
+            {"chi": 4.6, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1, "dim": 3, "L": math.pi}
+        )
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, 8)
+        branch = cl.continuation(p, k, cl.equilibrium_info(k, 1.0), 1, (4.6, 4.6), 1, grid=g)
+        state = branch.states[0]
+        assert state.amplitude(1.0) > 0.1
+        s = SimState(t=0.0, u=state.u.copy(), v=state.v.copy(), dt=0.0)
+        moved = cl.step(replace(s, dt=cl.adapt_dt(s, p, k)), p, k).u.values - state.u.values
+        assert np.max(np.abs(moved)) <= 1e-12
 
 
 class TestValidateSteady:
