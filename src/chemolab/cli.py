@@ -204,10 +204,16 @@ def _cmd_steady(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
         seed_fraction=cfg.number("steady.seed_fraction", steady.SEED_FRACTION),
     )
     manifest.write_csv(
-        "branch.csv", ("chi", "amplitude", "residual", "seed_mode"),
-        [(s.chi, s.amplitude(branch.reference), s.residual_norm, branch.seed_mode)
-         for s in branch.states],
+        "branch.csv",
+        ("chi", "amplitude", "residual", "seed_mode", "newton_iterations", "krylov_iterations"),
+        [(s.chi, s.amplitude(branch.reference), s.residual_norm, branch.seed_mode,
+          s.iterations, s.krylov_iterations) for s in branch.states],
     )
+    if branch.terminated_history:
+        manifest.write_csv(
+            "newton_history.csv", ("iteration", "residual"),
+            enumerate(branch.terminated_history),
+        )
     if branch.states:
         last = branch.states[-1]
         write_snapshot_csv(manifest, "steady_state.csv", last.u, last.v)

@@ -19,13 +19,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fftpack import dct, idct
 
 from .errors import NonpositiveV, OutOfRange
 from .grid import Field, Grid, cell_gradients, cell_sums, integrate
+
+if TYPE_CHECKING:  # imported where used, as in grid
+    import scipy.sparse as sp
 
 
 def continuum_eigenvalues(
@@ -204,6 +207,8 @@ def solve_helmholtz(grid: Grid, source: Field) -> Field:
 
 def helmholtz_matrix(grid: Grid) -> sp.csr_matrix:
     """Assembled (-lap_h + I), symmetric positive definite."""
+    import scipy.sparse as sp
+
     return (sp.identity(grid.n_cells, format="csr") - grid.laplacian_matrix).tocsr()
 
 

@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import OutOfRange
 from .model import AXIS_NAMES, MAX_DIM, ModelParams
+
+if TYPE_CHECKING:  # imported where used: scipy.sparse adds ~0.1 s to an import
+    import scipy.sparse as sp
 
 MIN_CELLS_PER_AXIS = 8
 
@@ -107,6 +109,8 @@ class Grid:
     def laplacian_matrix(self) -> sp.csr_matrix:
         """Sparse mirror-ghost Neumann Laplacian on flattened (C-order) fields:
         the Kronecker sum of the 1D operators, the last axis fastest."""
+        import scipy.sparse as sp
+
         mats = [_neumann_laplacian_1d(n, h) for n, h in zip(self.shape, self.spacings)]
         return reduce(lambda lap, m: sp.kronsum(m, lap), mats).tocsr()
 
@@ -130,6 +134,8 @@ class Grid:
 
 
 def _neumann_laplacian_1d(n: int, h: float) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     main = np.full(n, -2.0)
     main[0] = main[-1] = -1.0
     off = np.ones(n - 1)

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .elliptic import continuum_eigenvalues, discrete_sigma, helmholtz_matrix, tie_groups
 from .errors import NoConvergence, NotOnPlusBranch, OutOfRange, UndefinedForThisChi
@@ -244,8 +242,20 @@ class ScanResult:
     roots: tuple[float, ...]
 
 
+def __getattr__(name: str):
+    # scipy.sparse.linalg loads on first use, not with this module; the
+    # attribute keeps it reachable (and patchable) as ``stability.spla``
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _arpack(solver, *args, **kwargs):
     """Call an ARPACK driver; its non-convergence becomes NoConvergence."""
+    import scipy.sparse.linalg as spla
+
     try:
         return solver(*args, **kwargs)
     except spla.ArpackNoConvergence as exc:
@@ -276,6 +286,9 @@ def singularity_scan(
         raise OutOfRange("n_points", f"must be >= 2 (got {n_points})")
     if not chi_hi > chi_lo:
         raise OutOfRange("chi_hi", f"must be > chi_lo = {chi_lo} (got {chi_hi})")
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = grid.n_cells
     K = helmholtz_matrix(grid)
     eye, zero = sp.identity(n), sp.csr_matrix((n, n))

@@ -17,12 +17,21 @@ per cosine mode, the algebra of ``stability``.  The linearization is computed
 once per Newton step, u and v are transformed and differenced as one stacked
 array, and GMRES is this module's own loop (CGS2 Arnoldi, Givens rotations on
 Python floats), not scipy.sparse.linalg.
+
+Newton is inexact (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996): step k
+stops GMRES at the forcing term min(FORCING_MAX, |r_k|_2) relative to |r_k|_2,
+floored at FORCING_FLOOR, so far from the root the linear solves are loose and
+near it they are as tight as an exact step; convergence stays quadratic.  A
+line search that fails on a loose direction retries once on a direction
+solved at the floor.  ``continuation`` starts each point after the second
+from the secant predictor through the previous two, and redoes a point whose
+solve fails from there with exact steps from the previous state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
@@ -56,6 +65,11 @@ NEWTON_MAX_HALVINGS = 20
 # below 2.5 times onset 26; four mode-2 windows beyond it reach the budget on
 # some points, as they did under scipy's gmres.
 KRYLOV_BUDGET = 60
+# Forcing terms of the inexact Newton step.  0.01 keeps the accepted Newton
+# count on the 2D 64^2 onset branch at 36 while halving its GMRES iterations;
+# 0.1 raises that count to 44.  The floor is the exact step's tolerance.
+FORCING_MAX = 0.01
+FORCING_FLOOR = 1e-10
 SEED_FRACTION = 0.05        # first-point perturbation, as a fraction of u0
 CONSTANT_AMPLITUDE = 1e-6   # below this a branch point counts as constant
 
@@ -69,6 +83,7 @@ class SteadyState:
     iterations: int
     seed_mode: int | None = None
     continuation_step: int | None = None
+    krylov_iterations: int = 0  # GMRES iterations summed over the Newton steps
 
     def amplitude(self, reference: float) -> float:
         return float(np.max(np.abs(self.u.values - reference)))
@@ -212,23 +227,29 @@ def _gmres(matvec, b: np.ndarray, budget: int, tol: float) -> tuple[np.ndarray, 
     return y @ basis[:m], basis[:m]
 
 
-def _newton_direction(u, v, ru, rv, p: ModelParams, k: Kinetics, grid):
-    """GMRES for J (du, dv) = -(ru, rv), right-preconditioned about the mean
-    state; stops at a residual of max(0.01 NEWTON_TOL, 1e-10 |rhs|_2).
+def _krylov_direction(lin: _Linearization, rhs: np.ndarray, forcing: float):
+    """GMRES for J d = rhs, rhs of shape (2, *grid.shape), right-preconditioned
+    about the mean state; stops at a residual of max(0.01 NEWTON_TOL,
+    forcing |rhs|_2).  Returns (d, GMRES iterations).
 
     A stalled GMRES still returns its least-squares iterate; the line search
     decides whether that descends.
     """
-    lin = _linearize(u, v, p, k, grid)
-    shape = (2,) + grid.shape
-    rhs = -np.stack([ru, rv]).ravel()
+    shape = rhs.shape
 
     def matvec(x):
         return _jvp(lin, _precondition(lin, x.reshape(shape))).ravel()
 
-    tol = max(0.01 * NEWTON_TOL, 1e-10 * float(np.linalg.norm(rhs)))
-    y, _ = _gmres(matvec, rhs, KRYLOV_BUDGET, tol)
-    du, dv = _precondition(lin, y.reshape(shape))
+    tol = max(0.01 * NEWTON_TOL, forcing * float(np.linalg.norm(rhs)))
+    y, basis = _gmres(matvec, rhs.ravel(), KRYLOV_BUDGET, tol)
+    return _precondition(lin, y.reshape(shape)), len(basis)
+
+
+def _newton_direction(u, v, ru, rv, p: ModelParams, k: Kinetics, grid,
+                      forcing: float = FORCING_FLOOR):
+    """The Newton direction (du, dv) at (u, v), solved to the forcing term."""
+    lin = _linearize(u, v, p, k, grid)
+    du, dv = _krylov_direction(lin, -np.stack([ru, rv]), forcing)[0]
     return du, dv
 
 
@@ -238,11 +259,17 @@ def solve_stationary(
     guess: tuple[Field, Field],
     seed_mode: int | None = None,
     continuation_step: int | None = None,
+    forcing_max: float = FORCING_MAX,
 ) -> SteadyState:
-    """Damped Newton on the stacked residual; converged at sup-norm < 1e-9.
+    """Inexact damped Newton on the stacked residual; converged at sup-norm
+    < NEWTON_TOL.
 
     At most NEWTON_MAX_ITER iterations, each with a step-halving line search
-    of at most NEWTON_MAX_HALVINGS.  NoConvergence carries the best iterate
+    of at most NEWTON_MAX_HALVINGS.  Step k solves its linear system to the
+    forcing term min(forcing_max, |r_k|_2), floored at FORCING_FLOOR (so
+    forcing_max = FORCING_FLOOR gives exact Newton steps); if no step length
+    descends along that direction, the direction is solved again at the
+    floor before the solve gives up.  NoConvergence carries the best iterate
     and the residual-norm history.
     """
     u_field, v_field = guess
@@ -257,15 +284,8 @@ def solve_stationary(
     def norm(ru, rv):
         return max(float(np.max(np.abs(ru))), float(np.max(np.abs(rv))))
 
-    ru, rv = stationary_residual(u, v, p, k, grid)
-    res = norm(ru, rv)
-    history = [res]
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        if res < NEWTON_TOL:
-            break
-        du, dv = _newton_direction(u, v, ru, rv, p, k, grid)
+    def line_search(du, dv):
         s = 1.0
-        accepted = False
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             u_try = u + s * du
             v_try = v + s * dv
@@ -274,17 +294,36 @@ def solve_stationary(
                 ru_try, rv_try = stationary_residual(u_try, v_try, p, k, grid)
                 res_try = norm(ru_try, rv_try)
             if np.isfinite(res_try) and res_try < res:
-                u, v, ru, rv, res = u_try, v_try, ru_try, rv_try, res_try
-                accepted = True
-                break
+                return u_try, v_try, ru_try, rv_try, res_try
             s *= 0.5
-        history.append(res)
-        if not accepted:
+        return None
+
+    ru, rv = stationary_residual(u, v, p, k, grid)
+    res = norm(ru, rv)
+    history = [res]
+    krylov = 0
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        if res < NEWTON_TOL:
+            break
+        lin = _linearize(u, v, p, k, grid)
+        rhs = -np.stack([ru, rv])
+        forcing = max(FORCING_FLOOR, min(forcing_max, float(np.linalg.norm(rhs))))
+        d, used = _krylov_direction(lin, rhs, forcing)
+        krylov += used
+        step = line_search(*d)
+        if step is None and forcing > FORCING_FLOOR:
+            d, used = _krylov_direction(lin, rhs, FORCING_FLOOR)
+            krylov += used
+            step = line_search(*d)
+        if step is None:
+            history.append(res)
             raise NoConvergence(
                 f"Newton stagnated at residual {res:.3e} after {it} iterations",
                 best=(Field(u, grid), Field(v, grid)),
                 history=history,
             )
+        u, v, ru, rv, res = step
+        history.append(res)
     if res >= NEWTON_TOL:
         raise NoConvergence(
             f"Newton residual {res:.3e} after {NEWTON_MAX_ITER} iterations",
@@ -305,6 +344,7 @@ def solve_stationary(
         iterations=len(history) - 1,
         seed_mode=seed_mode,
         continuation_step=continuation_step,
+        krylov_iterations=krylov,
     )
 
 
@@ -319,6 +359,8 @@ class Branch:
     reference: float
     seed_mode: int
     terminated_reason: str | None = None
+    # residual-norm history of the Newton solve that ended the branch early
+    terminated_history: list[float] = field(default_factory=list)
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -342,10 +384,16 @@ def continuation(
     """Trace the steady branch seeded from the given Neumann mode.
 
     The first point starts from constant + seed_fraction*u0 times the mode
-    eigenfunction; later points reuse the previous solution.  NoConvergence
-    terminates the branch early, returning the partial list with the reason.
-    A range that never leaves the constant basin comes back with every
-    amplitude below CONSTANT_AMPLITUDE and reports itself empty.
+    eigenfunction, the second from the first solution, and each later one
+    from the secant predictor 2 s_(i-1) - s_(i-2); where that guess has u < 0
+    or either state is constant, from the last nonconstant solution instead.
+    A point whose solve from the predictor fails is solved again with exact
+    Newton steps from the last nonconstant solution, as a continuation
+    without predictor or forcing would.  NoConvergence there terminates the
+    branch early, returning the partial list with the reason and that
+    solve's residual history.  A range that never leaves the constant basin
+    comes back with every amplitude below CONSTANT_AMPLITUDE and reports
+    itself empty.
 
     Near onset the constant root's Newton basin swallows small seeds (its
     radius shrinks like the branch amplitude), so whenever a fresh seed
@@ -362,27 +410,47 @@ def continuation(
     mode_fn = pairs[mode].eigenfunction.values
     chis = np.linspace(chi_range[0], chi_range[1], steps)
     states: list[SteadyState] = []
-    reason = None
+    reason, history = None, []
     guess = None
     for i, chi in enumerate(chis):
         p_i = dc_replace(p, chi=float(chi))
-        if guess is not None:
-            try:
-                state = solve_stationary(p_i, k, guess, seed_mode=mode, continuation_step=i)
-            except NoConvergence as exc:
-                reason = str(exc)
-                break
-        else:
-            state = _solve_from_mode_seed(
-                p_i, k, e, mode, mode_fn, grid, seed_fraction, step_index=i
-            )
-            if state is None:
-                reason = f"no converged state from mode-{mode} seeds at chi = {chi:g}"
-                break
+        try:
+            if guess is None:
+                state = _solve_from_mode_seed(
+                    p_i, k, e, mode, mode_fn, grid, seed_fraction, step_index=i
+                )
+            else:
+                state = _solve_next(p_i, k, states, guess, e.u0, seed_mode=mode,
+                                    continuation_step=i)
+        except NoConvergence as exc:
+            reason, history = str(exc), exc.history
+            break
         states.append(state)
         if state.amplitude(e.u0) >= CONSTANT_AMPLITUDE:
             guess = (state.u.copy(), state.v.copy())
-    return Branch(states=states, reference=e.u0, seed_mode=mode, terminated_reason=reason)
+    return Branch(states=states, reference=e.u0, seed_mode=mode,
+                  terminated_reason=reason, terminated_history=history)
+
+
+def _solve_next(p, k, states, guess, reference, **labels) -> SteadyState:
+    """Inexact Newton from the secant predictor; where that fails, exact
+    Newton steps from ``guess``, the last nonconstant state."""
+    try:
+        return solve_stationary(p, k, _predict(states, guess, reference), **labels)
+    except NoConvergence:
+        return solve_stationary(p, k, guess, forcing_max=FORCING_FLOOR, **labels)
+
+
+def _predict(states: list[SteadyState], guess: tuple[Field, Field], reference: float):
+    """The secant guess 2 s_(i-1) - s_(i-2) when both states are nonconstant
+    and it keeps u >= 0; otherwise ``guess``, the last nonconstant state."""
+    if len(states) < 2 or min(s.amplitude(reference) for s in states[-2:]) < CONSTANT_AMPLITUDE:
+        return guess
+    last, before = states[-1], states[-2]
+    u = 2.0 * last.u.values - before.u.values
+    if float(u.min()) < 0.0:
+        return guess
+    return Field(u, last.u.grid), Field(2.0 * last.v.values - before.v.values, last.v.grid)
 
 
 def _solve_from_mode_seed(
@@ -394,14 +462,15 @@ def _solve_from_mode_seed(
     grid,
     seed_fraction: float,
     step_index: int,
-) -> SteadyState | None:
-    """Escalating-amplitude seeding along one mode; None if nothing converged.
+) -> SteadyState:
+    """Escalating-amplitude seeding along one mode.
 
     Returns the first nonconstant solve, or the constant one when every rung
     (including amplitudes up to 16x the requested fraction, capped where the
-    seed would go negative) falls back to it.
+    seed would go negative) falls back to it.  Raises NoConvergence, with the
+    last failed rung's history, if no rung converged.
     """
-    best = None
+    best, history = None, []
     for rung in range(5):
         amp = seed_fraction * e.u0 * 2.0**rung
         u_seed = e.u0 + amp * mode_fn
@@ -413,12 +482,17 @@ def _solve_from_mode_seed(
                 p, k, (Field(u_seed, grid), Field(v_seed, grid)),
                 seed_mode=mode, continuation_step=step_index,
             )
-        except NoConvergence:
+        except NoConvergence as exc:
+            history = exc.history
             continue
         if best is None or attempt.amplitude(e.u0) > best.amplitude(e.u0):
             best = attempt
         if attempt.amplitude(e.u0) >= CONSTANT_AMPLITUDE:
             break
+    if best is None:
+        raise NoConvergence(
+            f"no converged state from mode-{mode} seeds at chi = {p.chi:g}", history=history
+        )
     return best
 
 

@@ -17,6 +17,7 @@ from chemolab import cli, evolve, stability
 from chemolab.cli import main
 from chemolab.config import Config, eval_number
 from chemolab.errors import OutOfRange, UnknownKey
+from chemolab.steady import NEWTON_TOL
 
 BASE = """
 model.chi = 0.4
@@ -364,8 +365,46 @@ steady.steps = 3
         out = tmp_path / "o"
         assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "branch.csv").read_text().splitlines()
-        assert lines[0] == "chi,amplitude,residual,seed_mode"
+        assert lines[0] == "chi,amplitude,residual,seed_mode,newton_iterations,krylov_iterations"
         assert len(lines) == 4
+
+    def test_branch_ended_early_writes_newton_history(self, tmp_path, capsys):
+        # a chi step of about 0.95 from onset leaves the Newton basin at the
+        # second point
+        cfg = _write(
+            tmp_path,
+            BASE.replace("model.chi = 0.4", "model.chi = 4.2")
+            + """
+grid.nx = 64
+steady.chi_start = 4.2
+steady.chi_stop = 60
+steady.steps = 60
+""",
+        )
+        out = tmp_path / "o"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+        assert "branch terminated early: Newton stagnated" in capsys.readouterr().err
+        with open(out / "branch.csv", newline="") as fh:
+            (point,) = list(csv.DictReader(fh))
+        assert int(point["newton_iterations"]) >= 1
+        assert int(point["krylov_iterations"]) >= int(point["newton_iterations"])
+        with open(out / "newton_history.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["iteration", "residual"]
+        assert [int(r[0]) for r in rows] == list(range(len(rows)))
+        residuals = [float(r[1]) for r in rows]
+        assert len(residuals) >= 2 and residuals[-1] >= NEWTON_TOL
+        assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+        assert "artifact: newton_history.csv" in (out / "manifest.txt").read_text()
+
+    def test_complete_branch_writes_no_newton_history(self, tmp_path):
+        cfg = _write(
+            tmp_path,
+            BASE.replace("model.chi = 0.4", "model.chi = 4.2") + "grid.nx = 32\nsteady.chi = 4.2\n",
+        )
+        out = tmp_path / "o"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+        assert not (out / "newton_history.csv").exists()
 
 
 class TestThreeDimensions:
@@ -708,3 +747,18 @@ def test_import_does_not_load_scipy_integrate():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_does_not_load_scipy_sparse():
+    # scipy.sparse is imported by the functions that assemble matrices (the
+    # singularity scan), so a simulate never pays for it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, chemolab, chemolab.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from dataclasses import replace
@@ -12,8 +13,11 @@ from chemolab.elliptic import neumann_eigenvalues, solve_helmholtz_array
 from chemolab.errors import NoConvergence, OutOfRange
 from chemolab.evolve import SimState
 from chemolab.grid import Field
+from chemolab import steady
 from chemolab.stability import characteristic_chi
 from chemolab.steady import (
+    FORCING_FLOOR,
+    FORCING_MAX,
     KRYLOV_BUDGET,
     NEWTON_TOL,
     _gmres,
@@ -68,6 +72,38 @@ class TestSolveStationary:
         assert state.amplitude(1.0) > 0.1
         assert state.residual_norm < 1e-9
 
+    def test_failed_line_search_retries_at_the_floor(self, setup, monkeypatch):
+        # a loose direction that does not descend (zero) must be replaced by
+        # one solved at FORCING_FLOOR before the solve gives up
+        p, k, g, eq = setup
+        forcings = []
+        real = steady._krylov_direction
+
+        def loose_fails(lin, rhs, forcing):
+            forcings.append(forcing)
+            d, used = real(lin, rhs, forcing)
+            return (d if forcing == FORCING_FLOOR else np.zeros_like(d)), used
+
+        monkeypatch.setattr(steady, "_krylov_direction", loose_fails)
+        state = cl.solve_stationary(p, k, _mode_seed(g, k, 0.4))
+        assert state.residual_norm < NEWTON_TOL
+        assert forcings[0] == FORCING_MAX and forcings[1] == FORCING_FLOOR
+        assert all(f == FORCING_FLOOR for f in forcings[1::2])
+
+    def test_failed_retry_raises_no_convergence(self, setup, monkeypatch):
+        p, k, g, eq = setup
+        forcings = []
+
+        def never_descends(lin, rhs, forcing):
+            forcings.append(forcing)
+            return np.zeros_like(rhs), 1
+
+        monkeypatch.setattr(steady, "_krylov_direction", never_descends)
+        with pytest.raises(NoConvergence, match="stagnated") as exc:
+            cl.solve_stationary(p, k, _mode_seed(g, k, 0.4))
+        assert forcings == [FORCING_MAX, FORCING_FLOOR]
+        assert len(exc.value.history) == 2
+
     def test_nan_guess_rejected(self, setup):
         p, k, g, eq = setup
         u = np.ones(g.shape)
@@ -98,6 +134,73 @@ class TestContinuation:
         branch = cl.continuation(p, k, eq, 1, (3.0, 3.5), 4, grid=g)
         assert branch.is_empty
         assert np.all(branch.amplitudes < 1e-6)
+
+    def test_negative_secant_guess_continues_from_previous_state(self, monkeypatch):
+        # 1D n=32, chi from 4.2 to 30 in 15 points: the secant through the
+        # first two states dips to u = -0.11, so the third point starts from
+        # the second state; later points start from the secant
+        p = _params()
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, 32)
+        guesses = []
+        real = steady.solve_stationary
+
+        def recording(p_i, k_i, guess, **kwargs):
+            guesses.append(np.stack([guess[0].values, guess[1].values]))
+            return real(p_i, k_i, guess, **kwargs)
+
+        monkeypatch.setattr(steady, "solve_stationary", recording)
+        branch = cl.continuation(p, k, cl.equilibrium_info(k, 1.0), 1, (4.2, 30.0), 15, grid=g)
+        assert branch.terminated_reason is None and len(branch.states) == 15
+        states = [np.stack([s.u.values, s.v.values]) for s in branch.states]
+        guesses = guesses[-14:]  # the seed-ladder rungs come first
+        assert np.array_equal(guesses[0], states[0])
+        assert float((2 * states[1] - states[0])[0].min()) < 0.0
+        assert np.array_equal(guesses[1], states[1])
+        secants = 0
+        for i in range(3, 15):
+            secant = 2 * states[i - 1] - states[i - 2]
+            expected = secant if secant[0].min() >= 0.0 else states[i - 1]
+            assert np.array_equal(guesses[i - 1], expected)
+            secants += expected is secant
+        assert secants >= 10
+
+    def test_failed_predicted_solve_redone_exactly_from_previous_state(self, setup, monkeypatch):
+        p, k, g, eq = setup
+        calls = []
+        real = steady.solve_stationary
+
+        def third_point_fails_once(p_i, k_i, guess, forcing_max=FORCING_MAX, **kwargs):
+            calls.append((kwargs["continuation_step"], forcing_max, guess[0].values.copy()))
+            if kwargs["continuation_step"] == 3 and forcing_max == FORCING_MAX:
+                raise NoConvergence("stalled")
+            return real(p_i, k_i, guess, forcing_max=forcing_max, **kwargs)
+
+        monkeypatch.setattr(steady, "solve_stationary", third_point_fails_once)
+        branch = cl.continuation(p, k, eq, 1, (4.2, 5.0), 5, grid=g)
+        assert branch.terminated_reason is None and len(branch.states) == 5
+        redo = [(f, u) for step, f, u in calls if step == 3]
+        assert [f for f, _ in redo] == [FORCING_MAX, FORCING_FLOOR]
+        assert np.array_equal(redo[1][1], branch.states[2].u.values)
+
+    # 12-point windows that a secant guess or loose solves alone leave: the
+    # redo from the previous state completes them, as exact steps did
+    @pytest.mark.parametrize("cells, kappa, mode, window", [
+        (24, 1.0, 2, (2.5, 6.0)), (48, 2.0, 1, (1.02, 2.5)),
+    ])
+    def test_far_windows_complete(self, cells, kappa, mode, window):
+        p = cl.build_params(
+            {"chi": 1, "a": 1, "b": 1, "theta": kappa + 1, "kappa": kappa, "beta": 1,
+             "dim": 2, "L": math.pi}
+        )
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, cells)
+        eq = cl.equilibrium_info(k, 1.0)
+        onset = characteristic_chi(eq, neumann_eigenvalues(g, mode + 1)[mode].sigma_h)
+        chi_range = (window[0] * onset, window[1] * onset)
+        branch = cl.continuation(p, k, eq, mode, chi_range, 12, grid=g)
+        assert branch.terminated_reason is None and len(branch.states) == 12
+        assert max(s.residual_norm for s in branch.states) < NEWTON_TOL
 
     def test_zero_steps_rejected(self, setup):
         p, k, g, eq = setup
@@ -223,6 +326,20 @@ class TestGmres:
         exact = np.linalg.solve(a, b)
         assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
 
+    @pytest.mark.parametrize("relative", [1e-2, 1e-10])
+    def test_true_residual_within_tol(self, relative):
+        a, b = self._system(200, 3)
+        tol = relative * np.linalg.norm(b)
+        x, basis = _gmres(lambda y: a @ y, b, KRYLOV_BUDGET, tol)
+        assert len(basis) < KRYLOV_BUDGET
+        assert np.linalg.norm(b - a @ x) <= tol
+
+    def test_loose_tol_stops_earlier(self):
+        a, b = self._system(200, 3)
+        loose = _gmres(lambda y: a @ y, b, KRYLOV_BUDGET, 1e-2 * np.linalg.norm(b))[1]
+        tight = _gmres(lambda y: a @ y, b, KRYLOV_BUDGET, 1e-10 * np.linalg.norm(b))[1]
+        assert len(loose) < len(tight)
+
     def test_zero_rhs_returns_zeros_without_matvec(self):
         def matvec(y):
             raise AssertionError("mat-vec called")
@@ -281,38 +398,71 @@ class TestPreconditioner:
 
 
 class TestBranchRegression:
-    """Accepted Newton counts and amplitudes along two mode-1 logistic
-    branches, as computed with scipy.sparse.linalg.gmres before the Newton
-    step got its own GMRES loop: the solver change must not move them."""
+    """Accepted Newton and GMRES counts and amplitudes along two mode-1
+    logistic branches under the inexact Newton step and the secant predictor.
+
+    EXACT_STEP_AMPLITUDES are the same branches under exact Newton steps
+    (GMRES to 1e-10 relative) started from the previous point; both are
+    converged to NEWTON_TOL, so they agree within 10 NEWTON_TOL."""
 
     RAW = {"chi": 0.4, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1, "L": math.pi}
     BRANCHES = {
         # the onset-analysis benchmark branch
-        "2d-64": (2, 64, (4.2, 6.0), 10, [4, 5, 4, 4, 4, 3, 3, 3, 3, 3], [
+        "2d-64": (2, 64, (4.2, 6.0), 10, [5, 5, 4, 4, 3, 3, 3, 3, 3, 3], [
+            0.33777402950265967, 0.4781053714758685, 0.5795478448354807, 0.6587056349998084,
+            0.722582872724177, 0.7750735411582772, 0.8186616574136407, 0.8550653441950429,
+            0.8855366451533433, 0.9110213440127881,
+        ]),
+        "1d-256": (1, 256, (4.2, 8.0), 20, [5, 5, 4] + [3] * 17, [
+            0.33788651928737234, 0.4783525191841327, 0.5799465686564704, 0.6592653861049071,
+            0.7233078466183109, 0.7759640487418724, 0.8197150595343261, 0.8562767316659841,
+            0.8868993618675842, 0.9125274118928246, 0.9338932795990431, 0.9515764872517722,
+            0.9660432085456807, 0.9776738877165427, 0.9867832673729444, 0.9936353609546045,
+            0.9984549210582874, 1.0014363800730717, 1.0027508899020545, 1.0025518691578754,
+        ]),
+    }
+    EXACT_STEP_AMPLITUDES = {
+        "2d-64": [
             0.3377740302790724, 0.4781053706619298, 0.5795478448401938, 0.6587056349998326,
             0.7225828725971908, 0.7750735413671868, 0.8186616574331012, 0.8550653441856051,
             0.8855366451674358, 0.91102134402493,
-        ]),
-        "1d-256": (1, 256, (4.2, 8.0), 20, [4, 5, 4, 4, 4] + [3] * 15, [
+        ],
+        "1d-256": [
             0.33788652006317954, 0.47835251917159405, 0.579946568661406, 0.6592653861527968,
             0.7233078464948617, 0.7759640489508848, 0.8197150595809097, 0.8562767316875168,
             0.8868993618826428, 0.9125274119048135, 0.933893279610442, 0.9515764872620773,
             0.966043208555531, 0.977673887725756, 0.9867832673817187, 0.9936353609655904,
             0.9984549210670528, 1.0014363800819863, 1.0027508899092035, 1.002551869164746,
-        ]),
+        ],
     }
+    # GMRES iterations summed over the accepted states; exact Newton steps
+    # from the previous point took 36 Newton steps on 2d-64 as well
+    KRYLOV_ITERATIONS = {"2d-64": 240, "1d-256": 542}
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _branch(name):
+        dim, cells, chi_range, points, _, _ = TestBranchRegression.BRANCHES[name]
+        p = cl.build_params({**TestBranchRegression.RAW, "dim": dim})
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, cells)
+        return cl.continuation(p, k, cl.equilibrium_info(k, 1.0), 1, chi_range, points, grid=g)
 
     @pytest.mark.parametrize("name", sorted(BRANCHES))
     def test_counts_and_amplitudes_unchanged(self, name):
-        dim, cells, chi_range, points, iterations, amplitudes = self.BRANCHES[name]
-        p = cl.build_params({**self.RAW, "dim": dim})
-        k = cl.make_kinetics(p, "generalized-logistic")
-        g = cl.make_grid(p, cells)
-        branch = cl.continuation(p, k, cl.equilibrium_info(k, 1.0), 1, chi_range, points, grid=g)
+        _, _, _, _, iterations, amplitudes = self.BRANCHES[name]
+        branch = self._branch(name)
         assert branch.terminated_reason is None
         assert [s.iterations for s in branch.states] == iterations
         assert np.max(np.abs(branch.amplitudes - amplitudes)) <= 1e-12
         assert max(s.residual_norm for s in branch.states) < NEWTON_TOL
+        assert np.max(np.abs(branch.amplitudes - self.EXACT_STEP_AMPLITUDES[name])) <= 10 * NEWTON_TOL
+
+    @pytest.mark.parametrize("name", sorted(BRANCHES))
+    def test_krylov_iterations_pinned(self, name):
+        branch = self._branch(name)
+        assert sum(s.krylov_iterations for s in branch.states) == self.KRYLOV_ITERATIONS[name]
+        assert all(s.krylov_iterations >= s.iterations for s in branch.states)
 
 
 class TestLineSearch:
@@ -334,9 +484,9 @@ class TestLineSearch:
         # the same state as the solve with warnings enabled
         (state,) = branch.states
         assert state.iterations == 5
-        assert state.residual_norm == pytest.approx(8.393713346703183e-10, rel=1e-6)
-        assert float(state.u.values.sum()) == pytest.approx(216.11787507700888, rel=1e-13)
-        assert float(state.v.values.sum()) == pytest.approx(269.658599447117, rel=1e-13)
+        assert state.residual_norm == pytest.approx(1.3620271770374827e-10, rel=1e-6)
+        assert float(state.u.values.sum()) == pytest.approx(216.11787506337316, rel=1e-13)
+        assert float(state.v.values.sum()) == pytest.approx(269.65859942481677, rel=1e-13)
 
 
 class TestSteadyEvolveConsistency:
