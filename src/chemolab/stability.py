@@ -242,16 +242,6 @@ class ScanResult:
     roots: tuple[float, ...]
 
 
-def __getattr__(name: str):
-    # scipy.sparse.linalg loads on first use, not with this module; the
-    # attribute keeps it reachable (and patchable) as ``stability.spla``
-    if name == "spla":
-        import scipy.sparse.linalg
-
-        return scipy.sparse.linalg
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _arpack(solver, *args, **kwargs):
     """Call an ARPACK driver; its non-convergence becomes NoConvergence."""
     import scipy.sparse.linalg as spla

@@ -67,7 +67,9 @@ NEWTON_MAX_HALVINGS = 20
 KRYLOV_BUDGET = 60
 # Forcing terms of the inexact Newton step.  0.01 keeps the accepted Newton
 # count on the 2D 64^2 onset branch at 36 while halving its GMRES iterations;
-# 0.1 raises that count to 44.  The floor is the exact step's tolerance.
+# 0.1 raises that count to 44, and exact steps (with the secant predictor)
+# take 33 but 400 GMRES iterations against 240.  The floor is the exact
+# step's tolerance.
 FORCING_MAX = 0.01
 FORCING_FLOOR = 1e-10
 SEED_FRACTION = 0.05        # first-point perturbation, as a fraction of u0
@@ -243,14 +245,6 @@ def _krylov_direction(lin: _Linearization, rhs: np.ndarray, forcing: float):
     tol = max(0.01 * NEWTON_TOL, forcing * float(np.linalg.norm(rhs)))
     y, basis = _gmres(matvec, rhs.ravel(), KRYLOV_BUDGET, tol)
     return _precondition(lin, y.reshape(shape)), len(basis)
-
-
-def _newton_direction(u, v, ru, rv, p: ModelParams, k: Kinetics, grid,
-                      forcing: float = FORCING_FLOOR):
-    """The Newton direction (du, dv) at (u, v), solved to the forcing term."""
-    lin = _linearize(u, v, p, k, grid)
-    du, dv = _krylov_direction(lin, -np.stack([ru, rv]), forcing)[0]
-    return du, dv
 
 
 def solve_stationary(

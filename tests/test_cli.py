@@ -9,11 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from chemolab import cli, evolve, stability
+from chemolab import cli, evolve
 from chemolab.cli import main
 from chemolab.config import Config, eval_number
 from chemolab.errors import OutOfRange, UnknownKey
@@ -302,7 +303,7 @@ stability.scan_points = 4
         def stalled(*args, **kwargs):
             raise ArpackNoConvergence("No convergence (0/6 eigenvectors converged)", [], [])
 
-        monkeypatch.setattr(stability.spla, "eigs", stalled)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalled)
         cfg = _write(tmp_path, self.SCAN_2D)
         code = main(["stability", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_NOCONV
@@ -396,6 +397,20 @@ steady.steps = 60
         assert len(residuals) >= 2 and residuals[-1] >= NEWTON_TOL
         assert all(b <= a for a, b in zip(residuals, residuals[1:]))
         assert "artifact: newton_history.csv" in (out / "manifest.txt").read_text()
+
+    def test_branch_without_a_newton_solve_writes_no_newton_history(self, tmp_path, capsys):
+        # a seed fraction of 2 puts the first rung's seed below zero, so the
+        # branch ends before any Newton solve ran
+        cfg = _write(
+            tmp_path,
+            BASE.replace("model.chi = 0.4", "model.chi = 4.2")
+            + "grid.nx = 32\nsteady.chi = 4.2\nsteady.seed_fraction = 2\n",
+        )
+        out = tmp_path / "o"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == cli.EXIT_NOCONV
+        assert "no converged state from mode-1 seeds" in capsys.readouterr().err
+        assert (out / "branch.csv").read_text().count("\n") == 1
+        assert not (out / "newton_history.csv").exists()
 
     def test_complete_branch_writes_no_newton_history(self, tmp_path):
         cfg = _write(
