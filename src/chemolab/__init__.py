@@ -12,9 +12,9 @@ from .evolve import RunReport, SimState, adapt_dt, detect_blowup, run, step
 from .grid import Field, Grid, make_grid
 from .model import (Kinetics, ModelParams, RegimeReport, build_params, check_strong_dissipativity,
                     classify_regime, growth_zeros, make_kinetics, verify_growth_envelope)
-from .stability import (BifurcationRow, EquilibriumInfo, StabilityReport, bifurcation_table,
-                        critical_chi, equilibrium_info, linearization_eigenvalues,
-                        mode_eigenvalues, pattern_intervals, singularity_scan)
+from .stability import (BifurcationRow, EquilibriumInfo, bifurcation_table, critical_chi,
+                        equilibrium_info, linearization_eigenvalues, mode_eigenvalues,
+                        pattern_intervals, singularity_scan)
 from .steady import (Branch, SteadyState, ValidationReport, continuation, solve_stationary,
                      validate_steady)
 
@@ -29,9 +29,9 @@ __all__ = [
     "Field", "Grid", "make_grid",
     "Kinetics", "ModelParams", "RegimeReport", "build_params", "check_strong_dissipativity",
     "classify_regime", "growth_zeros", "make_kinetics", "verify_growth_envelope",
-    "BifurcationRow", "EquilibriumInfo", "StabilityReport", "bifurcation_table",
-    "critical_chi", "equilibrium_info", "linearization_eigenvalues", "mode_eigenvalues",
-    "pattern_intervals", "singularity_scan",
+    "BifurcationRow", "EquilibriumInfo", "bifurcation_table", "critical_chi",
+    "equilibrium_info", "linearization_eigenvalues", "mode_eigenvalues", "pattern_intervals",
+    "singularity_scan",
     "Branch", "SteadyState", "ValidationReport", "continuation", "solve_stationary",
     "validate_steady",
 ]

@@ -34,7 +34,7 @@ from .config import (
     kinetics_from_config,
     params_from_config,
 )
-from .errors import ChemolabError, ConfigError, NoConvergence, OutOfRange
+from .errors import ChemolabError, ConfigError, NoConvergence, OutOfRange, UndefinedForThisChi
 from .grid import Field
 from .model import classify_regime, growth_zeros
 
@@ -258,10 +258,14 @@ def _cmd_stability(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
             cfg.number("stability.chi_hi"),
             cfg.integer("stability.chi_samples", 100),
         )
-        rep = stability.stability_report(eq, p.lengths, chis, count)
+        lambdas = np.full((len(chis), 2), np.nan)  # NaN below chi_floor
+        for i, chi in enumerate(chis):
+            try:
+                lambdas[i] = stability.linearization_eigenvalues(eq, float(chi))
+            except UndefinedForThisChi:
+                pass
         manifest.write_csv(
-            "lambda.csv", ("chi", "lambda_minus", "lambda_plus"),
-            np.column_stack([rep.chis, rep.lambdas]),
+            "lambda.csv", ("chi", "lambda_minus", "lambda_plus"), np.column_stack([chis, lambdas])
         )
     if cfg.flag("stability.scan"):
         grid = grid_from_config(cfg, p)

@@ -3,9 +3,9 @@
 The file format is UTF-8 text, one ``section.key = value`` per line, with
 ``#`` comments and blank lines allowed.  Keys are namespaced and closed:
 anything outside the registry below is an error, so a typo never silently
-falls back to a default.  Values are numbers (a tiny arithmetic grammar with
-``pi`` and ``e`` is accepted, e.g. ``model.L = pi``), comma lists of numbers,
-or bare words.
+falls back to a default.  Values are finite numbers (a tiny arithmetic
+grammar with ``pi`` and ``e`` is accepted, e.g. ``model.L = pi``), comma lists
+of numbers, bare words, or switches (1/true/yes/on or 0/false/no/off).
 """
 
 from __future__ import annotations
@@ -75,10 +75,19 @@ def eval_number(text: str) -> float:
     return value
 
 
+def _finite(key: str, val: float) -> float:
+    if not math.isfinite(val):  # 1e400 parses to inf, 1e400 - 1e400 to nan
+        raise OutOfRange(key, f"must be finite (got {val})")
+    return val
+
+
 def _whole(key: str, val: float) -> int:
     if not math.isfinite(val) or val != int(val):
         raise OutOfRange(key, f"expected an integer (got {val})")
     return int(val)
+
+
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 class Config:
@@ -124,21 +133,26 @@ class Config:
             if default is not None:
                 return default
             raise MissingKey(key)
-        return eval_number(self.entries[key])
+        return _finite(key, eval_number(self.entries[key]))
 
     def integer(self, key: str, default: int | None = None) -> int:
-        return _whole(key, self.number(key, default=None if default is None else float(default)))
+        if key not in self.entries and default is not None:
+            return default
+        return _whole(key, eval_number(self.raw(key)))
 
     def numbers(self, key: str) -> list[float]:
-        return [eval_number(part) for part in self.raw(key).split(",")]
+        return [_finite(key, eval_number(part)) for part in self.raw(key).split(",")]
 
     def integers(self, key: str) -> list[int]:
-        return [_whole(key, val) for val in self.numbers(key)]
+        return [_whole(key, eval_number(part)) for part in self.raw(key).split(",")]
 
     def flag(self, key: str, default: bool = False) -> bool:
         if key not in self.entries:
             return default
-        return self.raw(key).lower() in ("1", "true", "yes", "on")
+        word = self.raw(key).lower()
+        if word not in _TRUE + _FALSE:
+            raise OutOfRange(key, f"expected one of {', '.join(_TRUE + _FALSE)} (got {word!r})")
+        return word in _TRUE
 
 
 # ---------------------------------------------------------------------------

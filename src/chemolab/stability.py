@@ -15,7 +15,8 @@ inverts in closed form to the onset threshold
 ``singularity_scan`` cross-validates those thresholds against the assembled
 sparse operator on stacked (u, v) perturbations, in 1D, 2D and 3D: its roots,
 with multiplicity, are the eigenvalues of a sparse pencil affine in chi, found
-without the closed form or the DCT.
+without the closed form or the DCT.  Its smallest singular value per sample
+comes from the exact 2x2 block of each DCT mode.
 """
 
 from __future__ import annotations
@@ -201,35 +202,6 @@ def pattern_intervals(rows: list[BifurcationRow]) -> list[tuple[float, float]]:
     return out
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    equilibrium: EquilibriumInfo
-    chis: np.ndarray
-    lambdas: np.ndarray  # rows (lam-, lam+), NaN where undefined
-    rows: tuple[BifurcationRow, ...]
-    intervals: tuple[tuple[float, float], ...]
-
-
-def stability_report(
-    e: EquilibriumInfo, domain, chis, count: int = 6
-) -> StabilityReport:
-    chis = np.asarray(chis, dtype=float)
-    lams = np.full((len(chis), 2), np.nan)
-    for i, chi in enumerate(chis):
-        try:
-            lams[i] = linearization_eigenvalues(e, float(chi))
-        except UndefinedForThisChi:
-            pass
-    rows = bifurcation_table(e, domain, count)
-    return StabilityReport(
-        equilibrium=e,
-        chis=chis,
-        lambdas=lams,
-        rows=tuple(rows),
-        intervals=tuple(pattern_intervals(rows)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # discrete singularity scan
 # ---------------------------------------------------------------------------
@@ -240,16 +212,6 @@ class ScanResult:
     chis: np.ndarray
     smallest_singular_values: np.ndarray
     roots: tuple[float, ...]
-
-
-def _arpack(solver, *args, **kwargs):
-    """Call an ARPACK driver; its non-convergence becomes NoConvergence."""
-    import scipy.sparse.linalg as spla
-
-    try:
-        return solver(*args, **kwargs)
-    except spla.ArpackNoConvergence as exc:
-        raise NoConvergence(f"singularity scan: {exc}") from exc
 
 
 def singularity_scan(
@@ -268,9 +230,16 @@ def singularity_scan(
     other mode's determinant is linear in chi, so every root is real and the
     complex shift is never singular; a small imaginary part keeps the roots'
     |theta| apart.  ``roots`` is ascending and repeats each root once per
-    multiplicity, in any dimension.  ``smallest_singular_values`` is
-    1/sigma_max(M(chi)^-1 D) from one sparse LU per point, 0 where that
-    factor is exactly singular.  ARPACK non-convergence raises NoConvergence.
+    multiplicity, in any dimension.  ARPACK non-convergence raises
+    NoConvergence.
+
+    ``smallest_singular_values`` is sigma_min(L(chi)) in closed form.  The
+    orthonormal DCT-II diagonalises K with symbol sigma_h, so L is
+    orthogonally similar to the block diagonal of B = I - A(chi)/sigma_h, one
+    2x2 block per mode, and sigma_min(L) = min over modes of
+    |det B| / sigma_max(B).  det B = (sigma_h*(sigma_h - f'(u0) - 1)
+    - g'(u0)*u0*chi*(sigma_h - 1)) / sigma_h**2 is the characteristic
+    quadratic, exactly 0 on the constant mode when f'(u0) = 0.
     """
     if n_points < 2:
         raise OutOfRange("n_points", f"must be >= 2 (got {n_points})")
@@ -284,7 +253,6 @@ def singularity_scan(
     eye, zero = sp.identity(n), sp.csr_matrix((n, n))
     m0 = sp.bmat([[K - (e.fprime + 1.0) * eye, zero], [-e.gprime * eye, K]], format="csc")
     m1 = sp.bmat([[-e.slope * eye, e.u0 * eye], [zero, zero]], format="csc")
-    rng = np.random.default_rng(0)  # fixed ARPACK start vectors
 
     means = sp.block_diag([np.ones((1, n))] * 2)
     bordered0 = sp.bmat([[m0, means.T], [means, None]], format="csc")
@@ -294,33 +262,28 @@ def singularity_scan(
     op = spla.LinearOperator(
         bordered0.shape, lambda x: shifted.solve(bordered1 @ x), dtype=complex
     )
-    v0 = rng.standard_normal(2 * n + 2).astype(complex)
+    v0 = np.random.default_rng(0).standard_normal(2 * n + 2).astype(complex)  # fixed start
     k = 6
     while True:
         k = min(k, 2 * n)
-        found = (shift - 1.0 / _arpack(spla.eigs, op, k, v0=v0, return_eigenvectors=False)).real
+        try:
+            theta = spla.eigs(op, k, v0=v0, return_eigenvectors=False)
+        except spla.ArpackNoConvergence as exc:
+            raise NoConvergence(f"singularity scan: {exc}") from exc
+        found = (shift - 1.0 / theta).real
         inside = (found >= chi_lo) & (found <= chi_hi)
         if not inside.all() or k == 2 * n:
             break
         k *= 2
     roots = tuple(sorted(float(chi) for chi in found[inside]))
 
+    sigma = grid.helmholtz_symbol.ravel()
     chis = np.linspace(chi_lo, chi_hi, n_points)
-    smallest = np.zeros(n_points)
-    d = sp.block_diag((K, K), format="csc")
-    v0 = rng.standard_normal(2 * n)
+    smallest = np.empty(n_points)
     for i, chi in enumerate(chis):
-        try:
-            lu = spla.splu(m0 + chi * m1)
-        except RuntimeError:  # exactly singular factor: sigma_min = 0
-            continue
-        inverse = spla.LinearOperator(
-            m0.shape, lambda x: lu.solve(d @ x), lambda x: d @ lu.solve(x, trans="T"),
-            dtype=float,
-        )
-        # Far below onset sigma_max is a cluster of top modes 1e-8 apart that
-        # ARPACK cannot split at machine precision; tol=1e-3 bounds the error
-        # there by about 5e-7 and leaves isolated values near roundoff.
-        top = _arpack(spla.svds, inverse, 1, tol=1e-3, v0=v0, return_singular_vectors=False)[0]
-        smallest[i] = 1.0 / top
+        det = (sigma * (sigma - e.fprime - 1.0) - e.slope * chi * (sigma - 1.0)) / sigma**2
+        p = 1.0 - (e.slope * chi + e.fprime + 1.0) / sigma  # B = [[p, q], [r, 1]]
+        q, r = chi * e.u0 / sigma, -e.gprime / sigma
+        top = 0.5 * (np.hypot(p + 1.0, q - r) + np.hypot(p - 1.0, q + r))
+        smallest[i] = np.min(np.abs(det) / top)
     return ScanResult(chis=chis, smallest_singular_values=smallest, roots=roots)

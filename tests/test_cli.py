@@ -89,6 +89,9 @@ class TestExitCodes:
         ("simulate", "run.rows = 0", "rows: must be >= 1 (got 0)"),
         ("simulate", "run.rows = -3", "rows: must be >= 1 (got -3)"),
         ("simulate", "run.snapshots = -1", "run.snapshots: must be >= 0 (got -1)"),
+        ("simulate", "run.horizon = 1e400", "run.horizon: must be finite (got inf)"),
+        ("simulate", "model.chi = 1e400", "model.chi: must be finite (got inf)"),
+        ("simulate", "model.L = 1e400", "model.L: must be finite (got inf)"),
         ("sweep", "sweep.count = -1", "sweep.count: grid is empty (got -1)"),
         ("sweep", "sweep.count = 2\nsweep.parameter2 = model.b\nsweep.start2 = 1\n"
          "sweep.stop2 = 2\nsweep.count2 = -1", "sweep.count2: grid is empty (got -1)"),
@@ -298,6 +301,38 @@ stability.scan_points = 4
         assert len(roots) == 3
         assert roots[0] == pytest.approx(roots[1], rel=1e-12)
         assert 4.0 < roots[0] < 4.1 and 4.4 < roots[2] < 4.5
+
+    def test_lambda_table_is_nan_below_the_floor(self, tmp_path):
+        # f = u*(1 - u) about u0 = 1 has f'(u0) = -1, so chi_floor = 4
+        cfg = _write(tmp_path, BASE + "stability.chi_lo = 3.5\nstability.chi_hi = 8\n"
+                     "stability.chi_samples = 10\n")
+        out = tmp_path / "o"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "lambda.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["chi", "lambda_minus", "lambda_plus"] and len(rows) == 10
+        table = np.array(rows, dtype=float)
+        assert table[0, 0] == 3.5 and np.isnan(table[0, 1:]).all()
+        assert not np.isnan(table[1:, 1:]).any()
+        assert table[-1, 1:] == pytest.approx([4 - 8**0.5, 4 + 8**0.5])  # at chi = 8
+
+    @pytest.mark.parametrize("word, scanned", [("TRUE", True), ("on", True), ("No", False)])
+    def test_scan_flag_words(self, tmp_path, word, scanned):
+        cfg = _write(tmp_path, self.SCAN_2D.replace("stability.scan = true",
+                                                    f"stability.scan = {word}"))
+        out = tmp_path / "o"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "scan.csv").exists() == scanned
+
+    def test_misspelt_flag_exits_with_reason(self, tmp_path, capsys):
+        cfg = _write(tmp_path, self.SCAN_2D.replace("stability.scan = true",
+                                                    "stability.scan = ture"))
+        out = tmp_path / "o"
+        assert main(["stability", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stability.scan: expected one of" in err, err
+        assert "(got 'ture')" in err
+        assert not (out / "scan.csv").exists()
 
     def test_arpack_failure_exits_no_convergence(self, tmp_path, monkeypatch, capsys):
         def stalled(*args, **kwargs):

@@ -251,6 +251,10 @@ class TestSingularityScan:
         target = discrete_sigma(g, (1,)) / e.slope
         scan = cl.singularity_scan(e, g, target - 0.2, target + 0.2, 9)
         assert scan.roots[0] == pytest.approx(target, abs=1e-6)
+        # the constant mode's block I - A is singular for every chi, and its
+        # determinant sigma_h*(sigma_h - f'(u0) - 1) - slope*chi*(sigma_h - 1)
+        # is exactly 0 at sigma_h = 1
+        assert (scan.smallest_singular_values == 0.0).all()
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_zero_fprime_window_centred_on_a_root(self, dim):
@@ -311,17 +315,16 @@ class TestSingularityScan:
         assert first.roots == second.roots
 
     @pytest.mark.parametrize(
-        "raw, cells, window, rel",
+        "raw, cells, window",
         [
-            ({}, 24, (3.5, 12.0), 1e-9),
-            ({"dim": 2}, 8, (3.5, 8.0), 1e-9),
-            # Far below onset sigma_min(L) is approached by a cluster of top modes
-            # 1e-8 apart; svds(tol=1e-3) then bounds the error by about 5e-7.
+            ({}, 24, (3.5, 12.0)),
+            ({"dim": 2}, 8, (3.5, 8.0)),
             ({"a": 9.998049980023461, "b": 1.522005768842087, "kappa": 1.7275687421751194,
-              "theta": 2.7275687421751194}, 58, (1.357945824303739, 3.810464086670553), 5e-7),
+              "theta": 2.7275687421751194}, 58, (1.357945824303739, 3.810464086670553)),
+            ({"dim": 3}, 8, (3.5, 7.0)),
         ],
     )
-    def test_smallest_singular_values_match_dense_svd(self, raw, cells, window, rel):
+    def test_smallest_singular_values_match_dense_svd(self, raw, cells, window):
         p = _params(**raw)
         k = cl.make_kinetics(p, "generalized-logistic")
         e = cl.equilibrium_info(k, (p.a / p.b) ** (1.0 / p.kappa))
@@ -331,7 +334,24 @@ class TestSingularityScan:
         for chi, got in zip(scan.chis, scan.smallest_singular_values):
             a = [[e.slope * chi + e.fprime + 1.0, -chi * e.u0], [e.gprime, 0.0]]
             dense = np.eye(2 * g.n_cells) - np.kron(a, kinv)
-            assert got == pytest.approx(np.linalg.svd(dense, compute_uv=False)[-1], rel=rel)
+            assert got == pytest.approx(np.linalg.svd(dense, compute_uv=False)[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("n_points", [2, 40])
+    def test_one_sparse_lu_per_scan(self, damped_eq, monkeypatch, n_points):
+        import scipy.sparse.linalg as spla
+
+        calls = []
+        splu = spla.splu
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        g = cl.make_grid(_params(dim=2), 12)
+        scan = cl.singularity_scan(damped_eq, g, 3.5, 8.0, n_points)
+        assert len(scan.smallest_singular_values) == n_points
+        assert calls == [(2 * g.n_cells + 2,) * 2]  # the bordered pencil only
 
     def test_window_must_be_increasing(self, damped_eq):
         g = cl.make_grid(_params(), 16)
@@ -361,13 +381,3 @@ class TestSingularityScan:
         roots = cl.singularity_scan(e, g, lo, hi, 2).roots
         assert len(roots) == len(expected)
         assert roots == pytest.approx(expected.tolist(), rel=1e-10)
-
-
-class TestStabilityReport:
-    def test_bundles_rows_and_lambdas(self, damped_eq):
-        from chemolab.stability import stability_report
-
-        rep = stability_report(damped_eq, (math.pi,), np.linspace(3.5, 8.0, 10), count=4)
-        assert np.isnan(rep.lambdas[0]).all()  # chi = 3.5 below the floor
-        assert len(rep.rows) == 4
-        assert rep.intervals[0] == pytest.approx((4.0, 6.25))
