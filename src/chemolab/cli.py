@@ -253,11 +253,10 @@ def _cmd_stability(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
         print(f"pattern interval: ({lo:.6g}, {hi:.6g})")
     print("outside the listed intervals the existence of patterns is unknown")
     if cfg.has("stability.chi_lo"):
-        chis = np.linspace(
-            cfg.number("stability.chi_lo"),
-            cfg.number("stability.chi_hi"),
-            cfg.integer("stability.chi_samples", 100),
-        )
+        samples = cfg.integer("stability.chi_samples", 100)
+        if samples < 1:
+            raise OutOfRange("stability.chi_samples", f"must be >= 1 (got {samples})")
+        chis = np.linspace(cfg.number("stability.chi_lo"), cfg.number("stability.chi_hi"), samples)
         lambdas = np.full((len(chis), 2), np.nan)  # NaN below chi_floor
         for i, chi in enumerate(chis):
             try:

@@ -141,6 +141,8 @@ def solve_sandwich(
     """
     if not p.b > p.chi:
         raise OutOfRange("b", f"need b > chi for boundedness (got b = {p.b}, chi = {p.chi})")
+    if not horizon > 0:
+        raise OutOfRange("horizon", f"must be > 0 (got {horizon})")
     if not u0_min > 0:
         raise OutOfRange("u0_min", f"must be > 0 (got {u0_min})")
     if u0_max < u0_min:
@@ -242,6 +244,8 @@ def envelope_odes(
     escape beyond Z_CAP raises ZUnbounded.  y_inf is the infimum over the
     trailing half of the y trajectory.
     """
+    if not horizon > 0:
+        raise OutOfRange("horizon", f"must be > 0 (got {horizon})")
     if not u0_min > 0:
         raise OutOfRange("u0_min", f"must be > 0 (got {u0_min})")
     from scipy.integrate import solve_ivp

@@ -12,11 +12,12 @@ inverts in closed form to the onset threshold
 
     chi_hat(sigma) = sigma*(sigma - f'(u0) - 1) / (g'(u0)*u0*(sigma - 1)).
 
-``singularity_scan`` cross-validates those thresholds against the assembled
-sparse operator on stacked (u, v) perturbations, in 1D, 2D and 3D: its roots,
-with multiplicity, are the eigenvalues of a sparse pencil affine in chi, found
-without the closed form or the DCT.  Its smallest singular value per sample
-comes from the exact 2x2 block of each DCT mode.
+``singularity_scan`` finds where the discrete operator on stacked (u, v)
+perturbations goes singular, in 1D, 2D and 3D.  The DCT-II splits it into
+one exact 2x2 block per grid mode, with -lap_h + I in place of -lap + I; its
+roots, with multiplicity, are the inversion above at each block's discrete
+eigenvalue, and its smallest singular value per sample is the smallest over
+the blocks.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import continuum_eigenvalues, discrete_sigma, helmholtz_matrix, tie_groups
-from .errors import NoConvergence, NotOnPlusBranch, OutOfRange, UndefinedForThisChi
+from .elliptic import continuum_eigenvalues, discrete_sigma, tie_groups
+from .errors import NotOnPlusBranch, OutOfRange, UndefinedForThisChi
 from .grid import Grid
 from .model import Kinetics
 
@@ -96,10 +97,10 @@ def characteristic_chi(e: EquilibriumInfo, sigma: float) -> float:
     """The sensitivity where sigma solves the characteristic quadratic.
 
     Raw inversion without a branch check: the crossing may sit on either
-    eigenvalue branch.  This is what the discrete singularity scan sees, so
-    scan roots are validated against this form evaluated at the discrete
-    mode eigenvalues (which can fall marginally below the branch point even
-    when their continuum values sit exactly on it).
+    eigenvalue branch.  This is what the discrete singularity scan sees: its
+    roots are this form evaluated at the discrete mode eigenvalues (which can
+    fall marginally below the branch point even when their continuum values
+    sit exactly on it).
     """
     if not sigma > 1:
         raise OutOfRange("sigma", f"must be > 1 (got {sigma})")
@@ -219,65 +220,33 @@ def singularity_scan(
 ) -> ScanResult:
     """Locate sensitivities where the discrete linearized operator is singular.
 
-    L(chi) = I - (-lap_h + I)^-1 A(chi) on stacked (u, v) is D^-1 M(chi) with
-    K = -lap_h + I, D = diag(K, K) and M(chi) = [[K - a11*I, -a12*I],
-    [-a21*I, K]] = M0 + chi*M1 sparse, so the roots are the eigenvalues of the
-    pencil M0 x = -chi*M1 x.  Shift-invert Arnoldi about s = mid + i*half/16
-    of the window maps each eigenvalue theta of (M0 + s*M1)^-1 M1 to a root
-    chi = s - 1/theta, nearest first; the count doubles until a root falls
-    outside [chi_lo, chi_hi].  M0 is bordered with the means of u and v, which
-    removes the constant mode (singular for every chi when f'(u0) = 0).  Every
-    other mode's determinant is linear in chi, so every root is real and the
-    complex shift is never singular; a small imaginary part keeps the roots'
-    |theta| apart.  ``roots`` is ascending and repeats each root once per
-    multiplicity, in any dimension.  ARPACK non-convergence raises
-    NoConvergence.
+    L(chi) = I - (-lap_h + I)^-1 A(chi) acts on stacked (u, v).  The
+    orthonormal DCT-II diagonalises K = -lap_h + I with symbol sigma_h, so L
+    is orthogonally similar to the block diagonal of B = I - A(chi)/sigma_h,
+    one 2x2 block per mode, with
 
-    ``smallest_singular_values`` is sigma_min(L(chi)) in closed form.  The
-    orthonormal DCT-II diagonalises K with symbol sigma_h, so L is
-    orthogonally similar to the block diagonal of B = I - A(chi)/sigma_h, one
-    2x2 block per mode, and sigma_min(L) = min over modes of
-    |det B| / sigma_max(B).  det B = (sigma_h*(sigma_h - f'(u0) - 1)
-    - g'(u0)*u0*chi*(sigma_h - 1)) / sigma_h**2 is the characteristic
-    quadratic, exactly 0 on the constant mode when f'(u0) = 0.
+        det B = (sigma_h*(sigma_h - f'(u0) - 1)
+                 - g'(u0)*u0*chi*(sigma_h - 1)) / sigma_h**2,
+
+    the characteristic quadratic.  It is linear in chi, so each nonconstant
+    mode is singular at exactly one sensitivity, characteristic_chi(e,
+    sigma_h).  ``roots`` lists those inside [chi_lo, chi_hi], ascending, once
+    per mode, so a root repeats once per multiplicity in any dimension.  The
+    constant mode (sigma_h = 1) is left out: its determinant is -f'(u0) for
+    every chi, identically 0 when f'(u0) = 0.
+
+    ``smallest_singular_values`` is sigma_min(L(chi)) at each of the n_points
+    samples, the minimum over modes of |det B| / sigma_max(B), so it is 0 at
+    every sample when f'(u0) = 0.
     """
     if n_points < 2:
         raise OutOfRange("n_points", f"must be >= 2 (got {n_points})")
     if not chi_hi > chi_lo:
         raise OutOfRange("chi_hi", f"must be > chi_lo = {chi_lo} (got {chi_hi})")
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+    sigma = grid.helmholtz_symbol.ravel()  # entry 0 is the constant mode
+    chi_modes = (float(characteristic_chi(e, s)) for s in sigma[1:])
+    roots = tuple(sorted(chi for chi in chi_modes if chi_lo <= chi <= chi_hi))
 
-    n = grid.n_cells
-    K = helmholtz_matrix(grid)
-    eye, zero = sp.identity(n), sp.csr_matrix((n, n))
-    m0 = sp.bmat([[K - (e.fprime + 1.0) * eye, zero], [-e.gprime * eye, K]], format="csc")
-    m1 = sp.bmat([[-e.slope * eye, e.u0 * eye], [zero, zero]], format="csc")
-
-    means = sp.block_diag([np.ones((1, n))] * 2)
-    bordered0 = sp.bmat([[m0, means.T], [means, None]], format="csc")
-    bordered1 = sp.block_diag((m1, sp.csc_matrix((2, 2))), format="csc")
-    shift = complex(0.5 * (chi_lo + chi_hi), (chi_hi - chi_lo) / 32.0)
-    shifted = spla.splu(bordered0 + shift * bordered1)
-    op = spla.LinearOperator(
-        bordered0.shape, lambda x: shifted.solve(bordered1 @ x), dtype=complex
-    )
-    v0 = np.random.default_rng(0).standard_normal(2 * n + 2).astype(complex)  # fixed start
-    k = 6
-    while True:
-        k = min(k, 2 * n)
-        try:
-            theta = spla.eigs(op, k, v0=v0, return_eigenvectors=False)
-        except spla.ArpackNoConvergence as exc:
-            raise NoConvergence(f"singularity scan: {exc}") from exc
-        found = (shift - 1.0 / theta).real
-        inside = (found >= chi_lo) & (found <= chi_hi)
-        if not inside.all() or k == 2 * n:
-            break
-        k *= 2
-    roots = tuple(sorted(float(chi) for chi in found[inside]))
-
-    sigma = grid.helmholtz_symbol.ravel()
     chis = np.linspace(chi_lo, chi_hi, n_points)
     smallest = np.empty(n_points)
     for i, chi in enumerate(chis):

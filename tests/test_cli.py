@@ -9,10 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from chemolab import cli, evolve
 from chemolab.cli import main
@@ -92,6 +90,12 @@ class TestExitCodes:
         ("simulate", "run.horizon = 1e400", "run.horizon: must be finite (got inf)"),
         ("simulate", "model.chi = 1e400", "model.chi: must be finite (got inf)"),
         ("simulate", "model.L = 1e400", "model.L: must be finite (got inf)"),
+        ("stability", "stability.chi_lo = 3\nstability.chi_hi = 5\nstability.chi_samples = 0",
+         "stability.chi_samples: must be >= 1 (got 0)"),
+        ("stability", "stability.chi_lo = 3\nstability.chi_hi = 5\nstability.chi_samples = -1",
+         "stability.chi_samples: must be >= 1 (got -1)"),
+        ("compare-ode", "compare.horizon = 0\ncompare.u0_min = 0.5\ncompare.u0_max = 1.5",
+         "horizon: must be > 0 (got 0.0)"),
         ("sweep", "sweep.count = -1", "sweep.count: grid is empty (got -1)"),
         ("sweep", "sweep.count = 2\nsweep.parameter2 = model.b\nsweep.start2 = 1\n"
          "sweep.stop2 = 2\nsweep.count2 = -1", "sweep.count2: grid is empty (got -1)"),
@@ -333,16 +337,6 @@ stability.scan_points = 4
         assert err.count("\n") == 1 and "stability.scan: expected one of" in err, err
         assert "(got 'ture')" in err
         assert not (out / "scan.csv").exists()
-
-    def test_arpack_failure_exits_no_convergence(self, tmp_path, monkeypatch, capsys):
-        def stalled(*args, **kwargs):
-            raise ArpackNoConvergence("No convergence (0/6 eigenvectors converged)", [], [])
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalled)
-        cfg = _write(tmp_path, self.SCAN_2D)
-        code = main(["stability", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert code == cli.EXIT_NOCONV
-        assert "singularity scan" in capsys.readouterr().err
 
     def test_scan_rerun_is_byte_identical(self, tmp_path):
         cfg = _write(tmp_path, self.SCAN_2D)
@@ -800,12 +794,16 @@ def test_import_does_not_load_scipy_integrate():
 
 
 def test_import_does_not_load_scipy_sparse():
-    # scipy.sparse is imported by the functions that assemble matrices (the
-    # singularity scan), so a simulate never pays for it
+    # scipy.sparse is imported only by the functions that assemble reference
+    # matrices, so neither a simulate nor a singularity scan pays for it
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, chemolab, chemolab.cli; "
+        "p = chemolab.build_params({'chi': 5, 'a': 1, 'b': 1, 'theta': 2, 'kappa': 1, "
+        "'beta': 1, 'dim': 2, 'L': 3.14}); "
+        "e = chemolab.equilibrium_info(chemolab.make_kinetics(p, 'generalized-logistic'), 1.0); "
+        "chemolab.singularity_scan(e, chemolab.make_grid(p, 8), 3.5, 8.0, 4); "
         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
     )
     out = subprocess.run(

@@ -88,6 +88,17 @@ class TestSolveSandwich:
             np.testing.assert_array_equal(column, values)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0])
+@pytest.mark.parametrize("solve", [
+    lambda p, horizon: cl.solve_sandwich(p, 0.5, 1.5, horizon),
+    lambda p, horizon: cl.envelope_odes(p, cl.make_kinetics(p, "generalized-logistic"),
+                                        0.5, 1.5, horizon),
+], ids=["solve_sandwich", "envelope_odes"])
+def test_nonpositive_horizon_rejected_before_integrating(solve, horizon):
+    with pytest.raises(OutOfRange, match=r"^horizon: must be > 0"):
+        solve(_params(), horizon)
+
+
 class TestContractionRate:
     def test_direct_substitution(self):
         # kappa=1, a=b=1, chi=0.4: eps0 = 1*(0.5/2)*1*0.2 = 0.05

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
@@ -299,7 +300,8 @@ class TestSingularityScan:
         assert repeats.count(2) == 5  # modes (j, k) and (k, j) share sigma_h on a square
 
     def test_3d_cube_roots_repeat_per_multiplicity(self, damped_eq):
-        # 8^3 keeps the sparse LU of size 2*n**3 cheap; 12^3 costs about 5x
+        # checked against discrete_sigma, not a dense pencil: a dense 8^3
+        # reference has 1026 unknowns and takes seconds
         g = cl.make_grid(_params(dim=3), 8)
         scan = cl.singularity_scan(damped_eq, g, 3.5, 7.0, 2)
         # modes (1,0,0) and (1,1,0) with their permutations, each threefold
@@ -336,22 +338,41 @@ class TestSingularityScan:
             dense = np.eye(2 * g.n_cells) - np.kron(a, kinv)
             assert got == pytest.approx(np.linalg.svd(dense, compute_uv=False)[-1], rel=1e-12)
 
-    @pytest.mark.parametrize("n_points", [2, 40])
-    def test_one_sparse_lu_per_scan(self, damped_eq, monkeypatch, n_points):
-        import scipy.sparse.linalg as spla
-
-        calls = []
-        splu = spla.splu
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", counted)
-        g = cl.make_grid(_params(dim=2), 12)
-        scan = cl.singularity_scan(damped_eq, g, 3.5, 8.0, n_points)
-        assert len(scan.smallest_singular_values) == n_points
-        assert calls == [(2 * g.n_cells + 2,) * 2]  # the bordered pencil only
+    @pytest.mark.parametrize(
+        "raw, kind, cells, window",
+        [
+            ({}, "generalized-logistic", 24, (3.5, 12.0)),
+            ({"dim": 2, "L": (math.pi, 1.3 * math.pi)}, "generalized-logistic", (8, 12),
+             (3.5, 8.0)),
+            ({"theta": 3}, "polynomial", 16, (1.5, 40.0)),  # f'(u0) = 0
+        ],
+    )
+    def test_roots_equal_eigenvalues_of_the_assembled_bordered_pencil(
+        self, raw, kind, cells, window
+    ):
+        # An independent reference: M(chi) = M0 + chi*M1 on stacked (u, v) is
+        # assembled from the sparse Helmholtz matrix, bordered with the means
+        # of u and v (which removes the constant mode), and its real finite
+        # generalised eigenvalues come from a dense QZ, not from the DCT.
+        p = _params(**raw)
+        extra = {"poly_coeffs": (0.5, -2.0, 2.5, -1.0)} if kind == "polynomial" else {}
+        e = cl.equilibrium_info(cl.make_kinetics(p, kind, **extra), 1.0)
+        g = cl.make_grid(p, cells)
+        n = g.n_cells
+        K, eye, zero = helmholtz_matrix(g).toarray(), np.eye(n), np.zeros((n, n))
+        m0 = np.block([[K - (e.fprime + 1.0) * eye, zero], [-e.gprime * eye, K]])
+        m1 = np.block([[-e.slope * eye, e.u0 * eye], [zero, zero]])
+        means = np.kron(np.eye(2), np.ones((1, n)))
+        m0_b = np.block([[m0, means.T], [means, np.zeros((2, 2))]])
+        m1_b = np.zeros_like(m0_b)
+        m1_b[:2 * n, :2 * n] = m1
+        theta = scipy.linalg.eigvals(m0_b, -m1_b)
+        real = theta[np.isfinite(theta) & (np.abs(theta.imag) <= 1e-9 * np.abs(theta))].real
+        lo, hi = window
+        expected = np.sort(real[(real >= lo) & (real <= hi)])
+        roots = cl.singularity_scan(e, g, lo, hi, 2).roots
+        assert len(expected) >= 3
+        assert roots == pytest.approx(expected.tolist(), rel=1e-12)
 
     def test_window_must_be_increasing(self, damped_eq):
         g = cl.make_grid(_params(), 16)
