@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .compare_ode import (EnvelopeTrajectories, SandwichTrajectory, check_sandwich,
                           envelope_odes, sandwich_contraction_rate, solve_sandwich)
 from .diagnostics import SeriesFit, fit_exponential_decay, lp_norm, monitor_exponent
-from .elliptic import EigenPair, elliptic_identity_residual, neumann_eigenvalues, solve_helmholtz
+from .elliptic import elliptic_identity_residual, solve_helmholtz
 from .evolve import RunReport, SimState, adapt_dt, detect_blowup, run, step
 from .grid import Field, Grid, make_grid
 from .model import (Kinetics, ModelParams, RegimeReport, build_params, check_strong_dissipativity,
@@ -24,7 +24,7 @@ __all__ = [
     "EnvelopeTrajectories", "SandwichTrajectory", "check_sandwich", "envelope_odes",
     "sandwich_contraction_rate", "solve_sandwich",
     "SeriesFit", "fit_exponential_decay", "lp_norm", "monitor_exponent",
-    "EigenPair", "elliptic_identity_residual", "neumann_eigenvalues", "solve_helmholtz",
+    "elliptic_identity_residual", "solve_helmholtz",
     "RunReport", "SimState", "adapt_dt", "detect_blowup", "run", "step",
     "Field", "Grid", "make_grid",
     "Kinetics", "ModelParams", "RegimeReport", "build_params", "check_strong_dissipativity",

@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import hashlib
 import math
 import sys
@@ -139,6 +140,22 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _config_keys(**keys):
+    """Decorate a handler so that an OutOfRange on a function argument named
+    in ``keys`` is reported under the config key that set it."""
+    def wrap(handler):
+        @functools.wraps(handler)
+        def run(cfg: Config, args, manifest: _Manifest):
+            try:
+                return handler(cfg, args, manifest)
+            except OutOfRange as exc:
+                if exc.name not in keys:
+                    raise
+                raise OutOfRange(keys[exc.name], exc.reason) from exc
+        return run
+    return wrap
+
+
 def _simulate_inputs(cfg: Config, args) -> evolve.RunSpec:
     p = params_from_config(cfg)
     k = kinetics_from_config(cfg, p)
@@ -186,6 +203,7 @@ def _cmd_simulate(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     return _simulate_outputs(outcome, manifest)
 
 
+@_config_keys(mode="steady.mode", steps="steady.steps", seed_fraction="steady.seed_fraction")
 def _cmd_steady(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     p = params_from_config(cfg)
     k = kinetics_from_config(cfg, p)
@@ -234,6 +252,8 @@ def _cmd_steady(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     return EXIT_OK, amp
 
 
+@_config_keys(count="stability.count", n_points="stability.scan_points",
+              chi_hi="stability.scan_hi")
 def _cmd_stability(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     p = params_from_config(cfg)
     k = kinetics_from_config(cfg, p)

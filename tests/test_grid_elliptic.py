@@ -3,26 +3,25 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import chemolab as cl
-from chemolab.elliptic import (
-    discrete_sigma,
-    helmholtz_matrix,
-    solve_helmholtz_array,
-    solve_screened_array,
-)
+from _reference import helmholtz_matrix, laplacian_matrix
+from chemolab.elliptic import solve_helmholtz_array, solve_screened_array
 from chemolab.errors import NonpositiveV, OutOfRange
 from chemolab.evolve import DT_MAX_FACTOR
-from chemolab.grid import Field, Grid, integrate, laplacian_apply
+from chemolab.grid import Field, Grid, integrate, laplacian_apply, mode_groups
+
+
+def _grid_params(dim, length=math.pi):
+    return cl.build_params(
+        {"chi": 1, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1, "dim": dim, "L": length}
+    )
 
 
 def _grid_1d(nx, length=math.pi):
-    p = cl.build_params(
-        {"chi": 1, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1, "dim": 1, "L": length}
-    )
-    return cl.make_grid(p, nx)
+    return cl.make_grid(_grid_params(1, length), nx)
 
 
 def _grid_2d(nx, ny=None, lengths=(math.pi, math.pi)):
@@ -64,56 +63,99 @@ class TestMakeGrid:
             _grid_1d(4)
 
 
-class TestEigenpairs:
+def _modes(g, count):
+    return mode_groups(g.helmholtz_symbol, count)
+
+
+class TestModeGroups:
     def test_1d_spectrum(self):
         g = _grid_1d(64)
-        pairs = cl.neumann_eigenvalues(g, 5)
-        assert [e.sigma for e in pairs] == pytest.approx([1, 2, 5, 10, 17])
-        assert all(e.multiplicity == 1 for e in pairs)
-        assert pairs[0].eigenfunction.values == pytest.approx(np.ones(64))
+        groups = _modes(g, 5)
+        assert [members for _, members in groups] == [[(k,)] for k in range(5)]
+        # sigma_h = 1 + k**2 up to the O(h**2) discretisation error
+        assert [sigma for sigma, _ in groups] == pytest.approx([1, 2, 5, 10, 17], rel=5e-3)
+        assert g.cosine_product(groups[0][1][0]) == pytest.approx(np.ones(64))
 
     def test_square_degeneracy(self):
         g = _grid_2d(16)
-        pairs = cl.neumann_eigenvalues(g, 3)
-        assert pairs[1].sigma == pytest.approx(2.0)
-        assert pairs[1].multiplicity == 2
-        assert set(pairs[1].indices) == {(1, 0), (0, 1)}
+        sigma, members = _modes(g, 3)[1]
+        assert sigma == pytest.approx(2.0, rel=5e-3)
+        assert members == [(0, 1), (1, 0)]
 
     def test_grid_splits_a_continuum_group(self):
         # sigma = 26 on a square: (0,5),(5,0) and (3,4),(4,3) differ in sigma_h
         g = _grid_2d(32)
-        pairs = [e for e in cl.neumann_eigenvalues(g, 14) if e.sigma == pytest.approx(26.0)]
-        assert [set(e.indices) for e in pairs] == [{(0, 5), (5, 0)}, {(3, 4), (4, 3)}]
-        assert [e.multiplicity for e in pairs] == [2, 2]
-        assert [e.sigma_h for e in pairs] == pytest.approx([25.5020, 25.7306], abs=1e-4)
-        for e in pairs:
-            assert {discrete_sigma(g, ks) for ks in e.indices} == {e.sigma_h}
+        groups = [(s, m) for s, m in _modes(g, 20) if 25.0 < s < 26.0]
+        assert [m for _, m in groups] == [[(0, 5), (5, 0)], [(3, 4), (4, 3)]]
+        assert [s for s, _ in groups] == pytest.approx([25.5020, 25.7306], abs=1e-4)
+        for sigma, members in groups:
+            assert {float(g.helmholtz_symbol[ks]) for ks in members} == {sigma}
             x, y = g.coordinates
-            kx, ky = e.index
-            assert e.eigenfunction.values == pytest.approx(np.cos(kx * x) * np.cos(ky * y))
+            kx, ky = members[0]
+            assert g.cosine_product(members[0]) == pytest.approx(np.cos(kx * x) * np.cos(ky * y))
 
     def test_count_capped_by_cells(self):
         g = _grid_1d(8)
-        with pytest.raises(OutOfRange):
-            cl.neumann_eigenvalues(g, 9)
+        assert len(_modes(g, 9)) == 8
+        p = _grid_params(1)
+        k = cl.make_kinetics(p, "generalized-logistic")
+        eq = cl.equilibrium_info(k, 1.0)
+        with pytest.raises(OutOfRange, match="^mode: the grid has modes 1 to 7 "):
+            cl.continuation(p, k, eq, 8, (4.2, 4.2), 1, g)
 
     def test_discrete_formula_matches_dense_eigensolver(self):
         g = _grid_1d(256)
-        ours = sorted(discrete_sigma(g, (k,)) for k in range(10))
+        ours = [sigma for sigma, _ in _modes(g, 10)]
         dense = scipy.linalg.eigvalsh(helmholtz_matrix(g).toarray())
         assert ours == pytest.approx(list(dense[:10]), abs=1e-9)
 
     def test_discrete_eigen_residual(self):
         for g in (_grid_1d(128), Grid((1.0, 2.0, 1.5), (8, 9, 10))):
             A = helmholtz_matrix(g)
-            for pair in cl.neumann_eigenvalues(g, 6):
-                e = pair.eigenfunction.values.ravel()
-                assert np.max(np.abs(A @ e - pair.sigma_h * e)) < 1e-10
+            for sigma, members in _modes(g, 6):
+                for ks in members:
+                    e = g.cosine_product(ks).ravel()
+                    assert np.max(np.abs(A @ e - sigma * e)) < 1e-10
 
-    def test_descriptor(self):
+    def test_first_member_seeds_the_group(self):
         g = _grid_2d(16)
-        pairs = cl.neumann_eigenvalues(g, 2)
-        assert "cos" in pairs[1].descriptor
+        _, members = _modes(g, 2)[1]
+        assert members[0] == (0, 1)
+        assert g.cosine_product(members[0]) == pytest.approx(np.cos(g.coordinates[1]))
+
+    def test_members_are_lexicographic_whatever_the_roundoff(self):
+        # the permutations of (1, 2, 2) on a cube differ in the last bits of
+        # the symbol, and by value (2, 2, 1) would come first
+        g = Grid((1.0,) * 3, (16,) * 3)
+        groups = [m for _, m in _modes(g, 12)]
+        assert all(members == sorted(members) for members in groups)
+        assert [(1, 2, 2), (2, 1, 2), (2, 2, 1)] in groups
+        assert len({float(g.helmholtz_symbol[ks]) for ks in [(1, 2, 2), (2, 2, 1)]}) == 2
+
+    @seed(16)
+    @settings(max_examples=10, deadline=None)
+    @example(shape=(12, 12, 12), lengths=(0.5, 3.0, 10.0))  # the largest symbol
+    @example(shape=(8, 9, 10), lengths=(1.0, 2.0, 1.5))
+    @given(
+        shape=st.one_of(st.tuples(st.integers(8, 12)),
+                        st.tuples(st.integers(8, 12), st.integers(8, 12)),
+                        st.tuples(st.integers(8, 12), st.integers(8, 12), st.integers(8, 12))),
+        lengths=st.tuples(st.floats(0.5, 10.0), st.floats(0.5, 10.0), st.floats(0.5, 10.0)),
+    )
+    def test_groups_match_the_dense_spectrum(self, shape, lengths):
+        g = Grid(lengths[: len(shape)], shape)
+        groups = _modes(g, g.n_cells)
+        A = helmholtz_matrix(g)
+        dense = scipy.linalg.eigvalsh(A.toarray())
+        sizes = [len(m) for _, m in groups]
+        values = np.repeat([s for s, _ in groups], sizes)
+        tol = 1e-13 * dense[-1]  # eigvalsh is accurate to about 2e-15 of the largest
+        assert values == pytest.approx(dense, rel=1e-12, abs=tol)
+        assert [int(np.sum(np.abs(dense - s) <= tol)) for s, _ in groups] == sizes
+        members = [ks for _, m in groups for ks in m]
+        assert len(set(members)) == g.n_cells
+        modes = np.column_stack([g.cosine_product(ks).ravel() for ks in members])
+        assert np.max(np.abs(A @ modes - values * modes)) < 1e-10
 
 
 class TestHelmholtzSolve:
@@ -134,11 +176,10 @@ class TestHelmholtzSolve:
 
     def test_eigenfunction_relation(self):
         g = _grid_1d(64)
-        for pair in cl.neumann_eigenvalues(g, 4):
-            v = cl.solve_helmholtz(g, pair.eigenfunction)
-            assert v.values == pytest.approx(
-                pair.eigenfunction.values / pair.sigma_h, abs=1e-9
-            )
+        for sigma, (ks,) in _modes(g, 4):
+            mode = g.cosine_product(ks)
+            v = cl.solve_helmholtz(g, Field(mode, g))
+            assert v.values == pytest.approx(mode / sigma, abs=1e-9)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_compatibility_cell_sums(self, dim):
@@ -180,7 +221,7 @@ class TestHelmholtzSolve:
         else:
             c = DT_MAX_FACTOR * min(g.spacings) ** 2
             x = solve_screened_array(g, rhs, c)
-        A = np.eye(g.n_cells) - c * g.laplacian_matrix.toarray()
+        A = np.eye(g.n_cells) - c * laplacian_matrix(g).toarray()
         dense = scipy.linalg.solve(A, rhs.ravel())
         assert x.ravel() == pytest.approx(dense, abs=1e-12)
         assert abs(x.sum() - rhs.sum()) <= 1e-14 * rhs.sum()
@@ -265,7 +306,7 @@ class TestDiscreteCalculus:
                   Grid((1.0, 2.0, 1.5), (8, 9, 10))):
             rng = np.random.default_rng(5)
             u = rng.normal(size=g.shape)
-            via_matrix = (g.laplacian_matrix @ u.ravel()).reshape(g.shape)
+            via_matrix = (laplacian_matrix(g) @ u.ravel()).reshape(g.shape)
             assert laplacian_apply(u, g) == pytest.approx(via_matrix)
 
     def test_divergence_telescopes(self):

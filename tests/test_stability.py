@@ -7,8 +7,9 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import chemolab as cl
-from chemolab.elliptic import discrete_sigma, helmholtz_matrix
+from _reference import continuum_groups, helmholtz_matrix
 from chemolab.errors import NotOnPlusBranch, OutOfRange, UndefinedForThisChi
+from chemolab.grid import mode_groups
 from chemolab.stability import characteristic_chi
 
 
@@ -202,23 +203,33 @@ class TestBifurcationTable:
             cl.bifurcation_table(damped_eq, (math.pi,), 0)
 
     def test_grid_splits_continuum_group_like_the_scan(self, damped_eq):
-        # sigma = 26 on a square: (0,5),(5,0) and (3,4),(4,3) differ in sigma_h
+        # sigma = 26 on a square: (0,5),(5,0) and (3,4),(4,3) differ in sigma_h,
+        # so the grid's table has two groups where the lengths-only row has one
         g = cl.make_grid(_params(dim=2), 32)
-        rows = [r for r in cl.bifurcation_table(damped_eq, g, 13)
-                if r.sigma == pytest.approx(26.0)]
-        assert [(r.indices, r.multiplicity, r.proven) for r in rows] == [
-            (((0, 5), (5, 0)), 2, False),
-            (((3, 4), (4, 3)), 2, False),
-        ]
-        assert [r.sigma_h for r in rows] == [discrete_sigma(g, r.indices[0]) for r in rows]
-        expected = [characteristic_chi(damped_eq, r.sigma_h)
-                    for r in rows for _ in range(r.multiplicity)]
+        groups = [(s, m) for s, m in mode_groups(g.helmholtz_symbol, 20) if 25.0 < s < 26.0]
+        assert [m for _, m in groups] == [[(0, 5), (5, 0)], [(3, 4), (4, 3)]]
+        assert [s for s, _ in groups] == [float(g.helmholtz_symbol[m[0]]) for _, m in groups]
+        expected = [characteristic_chi(damped_eq, s) for s, m in groups for _ in m]
         roots = cl.singularity_scan(damped_eq, g, 26.5, 27.2, 4).roots
         assert roots == pytest.approx(expected, rel=1e-12)
         lengths_only = cl.bifurcation_table(damped_eq, g.lengths, 13)[-1]
-        assert (lengths_only.indices, lengths_only.multiplicity) == (
-            ((0, 5), (3, 4), (4, 3), (5, 0)), 4
+        assert (lengths_only.indices, lengths_only.multiplicity, lengths_only.proven) == (
+            ((0, 5), (3, 4), (4, 3), (5, 0)), 4, False
         )
+
+    @pytest.mark.parametrize("lengths", [
+        (math.pi,), (math.pi, math.pi), (math.pi,) * 3, (1.0, 1.3 * math.pi), (1.0, 2.0, 3.0),
+    ])
+    def test_rows_equal_the_loop_enumeration(self, damped_eq, lengths):
+        # a mode below the branch point has no row (the first one of the
+        # 1 x 1.3*pi box), so rows are matched to groups by k
+        for count in range(1, 21):
+            rows = cl.bifurcation_table(damped_eq, lengths, count)
+            groups = continuum_groups(lengths, count + 1)
+            assert rows or count == 1
+            for r in rows:
+                sigma, members = groups[r.k]
+                assert (r.sigma, r.indices) == (sigma, tuple(sorted(members)))
 
     def test_pattern_intervals_pair_consecutive_rows(self, damped_eq):
         rows = cl.bifurcation_table(damped_eq, (math.pi,), 4)
@@ -234,7 +245,7 @@ class TestSingularityScan:
         scan = cl.singularity_scan(damped_eq, g, 3.5, 12.0, 35)
         assert len(scan.roots) == 3
         for mode, root in zip((1, 2, 3), scan.roots):
-            predicted = characteristic_chi(damped_eq, discrete_sigma(g, (mode,)))
+            predicted = characteristic_chi(damped_eq, g.helmholtz_symbol[mode])
             assert root == pytest.approx(predicted, abs=1e-6)
 
     def test_no_roots_below_floor(self, damped_eq):
@@ -249,7 +260,7 @@ class TestSingularityScan:
         e = cl.equilibrium_info(k, 1.0)
         # lam_plus = slope*chi, so the first mode goes singular at sigma_1/slope
         g = cl.make_grid(p, 64)
-        target = discrete_sigma(g, (1,)) / e.slope
+        target = g.helmholtz_symbol[1] / e.slope
         scan = cl.singularity_scan(e, g, target - 0.2, target + 0.2, 9)
         assert scan.roots[0] == pytest.approx(target, abs=1e-6)
         # the constant mode's block I - A is singular for every chi, and its
@@ -288,24 +299,24 @@ class TestSingularityScan:
         modes = [characteristic_chi(damped_eq, 1.0 + lam)
                  for lam in g.laplacian_eigenvalues.ravel()[1:]]
         assert scan.roots == pytest.approx(sorted(c for c in modes if lo <= c <= hi), rel=1e-12)
-        rows = [r for r in cl.bifurcation_table(damped_eq, g, 8)
-                if lo <= characteristic_chi(damped_eq, r.sigma_h) <= hi]
+        groups = [(s, m) for s, m in mode_groups(g.helmholtz_symbol, g.n_cells)[1:]
+                  if lo <= characteristic_chi(damped_eq, s) <= hi]
         repeats = [
-            sum(abs(root - characteristic_chi(damped_eq, r.sigma_h)) <= 1e-10 * root
+            sum(abs(root - characteristic_chi(damped_eq, s)) <= 1e-10 * root
                 for root in scan.roots)
-            for r in rows
+            for s, _ in groups
         ]
-        assert repeats == [r.multiplicity for r in rows]
+        assert repeats == [len(m) for _, m in groups]
         assert sum(repeats) == len(scan.roots)
         assert repeats.count(2) == 5  # modes (j, k) and (k, j) share sigma_h on a square
 
     def test_3d_cube_roots_repeat_per_multiplicity(self, damped_eq):
-        # checked against discrete_sigma, not a dense pencil: a dense 8^3
-        # reference has 1026 unknowns and takes seconds
+        # checked against the Helmholtz symbol, not a dense pencil: a dense
+        # 8^3 reference has 1026 unknowns and takes seconds
         g = cl.make_grid(_params(dim=3), 8)
         scan = cl.singularity_scan(damped_eq, g, 3.5, 7.0, 2)
         # modes (1,0,0) and (1,1,0) with their permutations, each threefold
-        expected = [characteristic_chi(damped_eq, discrete_sigma(g, ks))
+        expected = [characteristic_chi(damped_eq, g.helmholtz_symbol[ks])
                     for ks in ((1, 0, 0), (1, 1, 0)) for _ in range(3)]
         assert scan.roots[:6] == pytest.approx(expected, rel=1e-10)
 

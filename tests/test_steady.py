@@ -9,10 +9,10 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import chemolab as cl
-from chemolab.elliptic import neumann_eigenvalues, solve_helmholtz_array
+from chemolab.elliptic import solve_helmholtz_array
 from chemolab.errors import NoConvergence, OutOfRange
 from chemolab.evolve import SimState
-from chemolab.grid import Field
+from chemolab.grid import Field, mode_groups
 from chemolab import steady
 from chemolab.stability import characteristic_chi
 from chemolab.steady import (
@@ -196,11 +196,39 @@ class TestContinuation:
         k = cl.make_kinetics(p, "generalized-logistic")
         g = cl.make_grid(p, cells)
         eq = cl.equilibrium_info(k, 1.0)
-        onset = characteristic_chi(eq, neumann_eigenvalues(g, mode + 1)[mode].sigma_h)
+        onset = characteristic_chi(eq, mode_groups(g.helmholtz_symbol, mode + 1)[mode][0])
         chi_range = (window[0] * onset, window[1] * onset)
         branch = cl.continuation(p, k, eq, mode, chi_range, 12, grid=g)
         assert branch.terminated_reason is None and len(branch.states) == 12
         assert max(s.residual_norm for s in branch.states) < NEWTON_TOL
+
+    def test_every_mode_of_a_coarse_grid_seeds_a_grid_cosine(self, monkeypatch):
+        # an index k >= n aliases: cos(n*pi*x/L) samples to zero at the cell
+        # centres, so a seed on it is no perturbation at all
+        p = cl.build_params(
+            {"chi": 4.2, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1, "dim": 2, "L": math.pi}
+        )
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, 8)
+        eq = cl.equilibrium_info(k, 1.0)
+        groups = mode_groups(g.helmholtz_symbol, g.n_cells)
+        assert sum(len(members) for _, members in groups) == g.n_cells
+        assert all(i < n for _, members in groups for ks in members for i, n in zip(ks, g.shape))
+        seeds = []
+
+        def first_seed_only(p_i, k_i, guess, **labels):
+            seeds.append(guess[0].values - eq.u0)
+            raise NoConvergence("seed recorded")
+
+        monkeypatch.setattr(steady, "solve_stationary", first_seed_only)
+        for mode, (_, members) in enumerate(groups[1:], start=1):
+            seeds.clear()
+            cl.continuation(p, k, eq, mode, (4.2, 4.2), 1, g)
+            # the first rung is SEED_FRACTION*u0 times the first member's
+            # cosine, of norm >= 4 on this grid
+            cosine = g.cosine_product(members[0])
+            assert seeds[0] == pytest.approx(steady.SEED_FRACTION * eq.u0 * cosine, abs=1e-15)
+            assert np.linalg.norm(seeds[0]) > 0.1, mode
 
     def test_zero_steps_rejected(self, setup):
         p, k, g, eq = setup
@@ -278,9 +306,9 @@ class TestSingularPoint:
         k = cl.make_kinetics(p, "generalized-logistic")
         g = cl.make_grid(p, cells)
         eq = cl.equilibrium_info(k, 1.0)
-        mode = neumann_eigenvalues(g, 2)[1]
-        p = replace(p, chi=characteristic_chi(eq, mode.sigma_h))
-        u = 1.0 + 1e-3 * mode.eigenfunction.values
+        sigma, members = mode_groups(g.helmholtz_symbol, 2)[1]
+        p = replace(p, chi=characteristic_chi(eq, sigma))
+        u = 1.0 + 1e-3 * g.cosine_product(members[0])
         guess = (Field(u, g), Field(solve_helmholtz_array(g, k.g(u)), g))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -302,10 +330,10 @@ class TestSingularPoint:
         k = cl.make_kinetics(p, "generalized-logistic")
         g = cl.make_grid(p, cells)
         eq = cl.equilibrium_info(k, 1.0)
-        mode = neumann_eigenvalues(g, 2)[1]
-        chi = characteristic_chi(eq, mode.sigma_h) * (1.0 + j * np.finfo(float).eps)
+        sigma, members = mode_groups(g.helmholtz_symbol, 2)[1]
+        chi = characteristic_chi(eq, sigma) * (1.0 + j * np.finfo(float).eps)
         p = replace(p, chi=chi)
-        u = 1.0 + 1e-3 * mode.eigenfunction.values
+        u = 1.0 + 1e-3 * g.cosine_product(members[0])
         guess = (Field(u, g), Field(solve_helmholtz_array(g, k.g(u)), g))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -518,8 +546,8 @@ class TestSteadyEvolveConsistency:
         k = cl.make_kinetics(p, "generalized-logistic")
         g = cl.make_grid(p, cells)
         eq = cl.equilibrium_info(k, (a / b) ** (1 / kappa))
-        pairs = neumann_eigenvalues(g, 6)[1:]
-        onsets = [characteristic_chi(eq, pair.sigma_h) for pair in pairs]
+        onsets = [characteristic_chi(eq, sigma)
+                  for sigma, _ in mode_groups(g.helmholtz_symbol, 6)[1:]]
         mode = 1 + int(np.argmin(onsets))
         chi = factor * min(onsets)
         branch = cl.continuation(p, k, eq, mode, (chi, chi), 1, grid=g)
