@@ -203,7 +203,7 @@ def _cmd_simulate(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     return _simulate_outputs(outcome, manifest)
 
 
-@_config_keys(mode="steady.mode", steps="steady.steps", seed_fraction="steady.seed_fraction")
+@_config_keys(mode="steady.mode", steps="steady.steps")
 def _cmd_steady(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     p = params_from_config(cfg)
     k = kinetics_from_config(cfg, p)
@@ -217,9 +217,12 @@ def _cmd_steady(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     else:
         chi = cfg.number("steady.chi", p.chi)
         chi_range, steps = (chi, chi), 1
-    branch = steady.continuation(
-        p, k, eq, mode, chi_range, steps, grid=grid,
-        seed_fraction=cfg.number("steady.seed_fraction", steady.SEED_FRACTION),
+    branch = steady.continuation(p, k, eq, mode, chi_range, steps, grid=grid)
+    manifest.write_csv(
+        "onset.csv", ("chi_h", "inv_chi2", "approach_points", "approach_newton_iterations",
+                      "approach_krylov_iterations"),
+        [(branch.chi_h, branch.inv_chi2, branch.approach_points, branch.approach_newton,
+          branch.approach_krylov)],
     )
     manifest.write_csv(
         "branch.csv",
@@ -259,6 +262,8 @@ def _cmd_stability(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     k = kinetics_from_config(cfg, p)
     if cfg.has("stability.u0"):
         u0 = cfg.number("stability.u0")
+        if not u0 > 0:
+            raise OutOfRange("stability.u0", f"equilibrium must be > 0 (got {u0})")
     else:
         _, u0 = growth_zeros(k)
     eq = stability.equilibrium_info(k, u0)

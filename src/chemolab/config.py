@@ -28,7 +28,7 @@ KNOWN_KEYS = {
     "init.kind", "init.base", "init.amplitude", "init.mode",
     "run.horizon", "run.target", "run.eps", "run.rows", "run.snapshots",
     "steady.chi", "steady.chi_start", "steady.chi_stop", "steady.steps",
-    "steady.mode", "steady.seed_fraction",
+    "steady.mode",
     "stability.u0", "stability.count",
     "stability.chi_lo", "stability.chi_hi", "stability.chi_samples",
     "stability.scan", "stability.scan_lo", "stability.scan_hi",

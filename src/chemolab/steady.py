@@ -23,8 +23,9 @@ stops GMRES at the forcing term min(FORCING_MAX, |r_k|_2) relative to |r_k|_2,
 floored at FORCING_FLOOR, so far from the root the linear solves are loose and
 near it they are as tight as an exact step; convergence stays quadratic.  A
 line search that fails on a loose direction retries once on a direction
-solved at the floor.  ``continuation`` starts each point after the second
-from the secant predictor through the previous two, and redoes a point whose
+solved at the floor.  ``continuation`` starts a branch on its weakly
+nonlinear expansion at the discrete onset, each point after the second from
+the secant predictor through the previous two, and redoes a point whose
 solve fails from there with exact steps from the previous state.
 """
 
@@ -35,12 +36,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .elliptic import (
-    cell_values,
-    cosine_coefficients,
-    elliptic_identity_residual,
-    solve_helmholtz_array,
-)
+from .elliptic import cell_values, cosine_coefficients, elliptic_identity_residual
 from .errors import NoConvergence, NonpositiveV, OutOfRange
 from .grid import (
     Field,
@@ -53,11 +49,12 @@ from .grid import (
     mode_groups,
 )
 from .model import Kinetics, ModelParams, growth_zeros
-from .stability import EquilibriumInfo
+from .stability import EquilibriumInfo, characteristic_chi
 
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 20
+APPROACH_HALVINGS = 8  # halvings of an approach step before a first point gives up
 # GMRES iterations per Newton step, one cycle: the 2D 64^2 and 128^2 onset
 # branch needs at most 16.  Over 48 continuation windows (1D n=64, 256 and 2D
 # 24^2, 48^2; logistic kappa 0.5, 1, 2; modes 1, 2; chi from 1.02 to 2.5 and
@@ -72,8 +69,7 @@ KRYLOV_BUDGET = 60
 # step's tolerance.
 FORCING_MAX = 0.01
 FORCING_FLOOR = 1e-10
-SEED_FRACTION = 0.05        # first-point perturbation, as a fraction of u0
-CONSTANT_AMPLITUDE = 1e-6   # below this a branch point counts as constant
+CONSTANT_AMPLITUDE = 1e-6  # below this a branch point counts as constant
 
 
 @dataclass
@@ -94,11 +90,15 @@ class SteadyState:
 def stationary_residual(
     u: np.ndarray, v: np.ndarray, p: ModelParams, k: Kinetics, grid
 ) -> tuple[np.ndarray, np.ndarray]:
-    grads = face_gradients(v, grid)
-    chemo = [p.chi * a * g for a, g in zip(face_averages(u, grid), grads)]
-    ru = laplacian_apply(u, grid) - face_divergence(chemo, grid) + k.f(u)
+    ru = laplacian_apply(u, grid) - _chemotaxis(u, v, p.chi, grid) + k.f(u)
     rv = laplacian_apply(v, grid) - v + k.g(u)
     return ru, rv
+
+
+def _chemotaxis(u: np.ndarray, v: np.ndarray, chi: float, grid) -> np.ndarray:
+    """div(chi * avg(u) * grad v), bilinear in (u, v)."""
+    fluxes = [chi * a * g for a, g in zip(face_averages(u, grid), face_gradients(v, grid))]
+    return face_divergence(fluxes, grid)
 
 
 @dataclass(frozen=True)
@@ -355,6 +355,14 @@ class Branch:
     terminated_reason: str | None = None
     # residual-norm history of the Newton solve that ended the branch early
     terminated_history: list[float] = field(default_factory=list)
+    chi_h: float = math.nan  # discrete onset of the seed mode
+    inv_chi2: float = math.nan  # eps**2 = (chi - chi_h) * inv_chi2 near onset
+    # the accepted unrecorded solves on the way to a first point, summed, and
+    # the |chi - chi_h| beyond which that approach stalled
+    approach_points: int = 0
+    approach_newton: int = 0
+    approach_krylov: int = 0
+    approach_stalled_beyond: float = math.inf
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -373,68 +381,52 @@ def continuation(
     chi_range: tuple[float, float],
     steps: int,
     grid: Grid,
-    seed_fraction: float = SEED_FRACTION,
 ) -> Branch:
-    """Trace the steady branch seeded from the given Neumann mode of the grid.
+    """Trace the steady branch that bifurcates from a Neumann mode of the grid.
 
-    Mode m is the m-th distinct eigenvalue of -lap_h + I, counted from 0 for
-    the constant by grid.mode_groups over grid.helmholtz_symbol; its
-    eigenfunction is the sampled cosine product of its lexicographically
-    first index tuple.  OutOfRange unless 1 <= mode < the number of distinct
-    eigenvalues and seed_fraction is nonzero (a negative one seeds the
-    mirror image).
+    Mode m is the m-th distinct eigenvalue sigma_h of -lap_h + I, counted
+    from 0 for the constant by grid.mode_groups over grid.helmholtz_symbol;
+    OutOfRange unless 1 <= mode < the number of distinct eigenvalues.
 
-    The first point starts from constant + seed_fraction*u0 times the mode
-    eigenfunction, the second from the first solution, and each later one
-    from the secant predictor 2 s_(i-1) - s_(i-2); where that guess has u < 0
-    or either state is constant, from the last nonconstant solution instead.
-    A point whose solve from the predictor fails is solved again with exact
-    Newton steps from the last nonconstant solution, as a continuation
-    without predictor or forcing would.  NoConvergence there terminates the
-    branch early, returning the partial list with the reason and that
-    solve's residual history.  A range that never leaves the constant basin
-    comes back with every amplitude below CONSTANT_AMPLITUDE and reports
-    itself empty.
-
-    Near onset the constant root's Newton basin swallows small seeds (its
-    radius shrinks like the branch amplitude), so whenever a fresh seed
-    collapses back to the constant the seed amplitude is doubled, up to
-    sixteen times the requested fraction, before accepting the constant
-    answer.  Each attempt is a plain damped Newton solve, so below the onset
-    threshold every rung collapses and the branch honestly reports empty.
+    Until a point is nonconstant, each starts on the branch's weakly
+    nonlinear expansion at the discrete onset (_start_on_branch), so a range
+    on the wrong side of onset comes back constant, with no Newton solve,
+    and reports itself empty.  The next point starts from the last solution,
+    and each later one from the secant predictor 2 s_(i-1) - s_(i-2), or the
+    last nonconstant solution where that guess has u < 0 or either state is
+    constant.  A point whose solve from the predictor fails is solved again
+    with exact Newton steps from the last nonconstant solution.
+    NoConvergence there or in a first point's solve terminates the branch
+    early with the partial list, the reason and that solve's history.
     """
     if steps < 1:
         raise OutOfRange("steps", f"must be >= 1 (got {steps})")
-    if seed_fraction == 0.0:
-        raise OutOfRange("seed_fraction", "must be nonzero: a zero seed is the constant state")
     if mode < 1:
         raise OutOfRange("mode", f"must be >= 1, a nonconstant mode (got {mode})")
     groups = mode_groups(grid.helmholtz_symbol, mode + 1)
     if mode >= len(groups):
         raise OutOfRange("mode", f"the grid has modes 1 to {len(groups) - 1} (got {mode})")
-    mode_fn = grid.cosine_product(groups[mode][1][0])
+    onset = _onset_expansion(p, k, e, grid, *groups[mode])
+    branch = Branch([], e.u0, mode, chi_h=onset[0], inv_chi2=onset[1])
     chis = np.linspace(chi_range[0], chi_range[1], steps)
-    states: list[SteadyState] = []
-    reason, history = None, []
+    spacing = float(abs(chis[1] - chis[0])) if steps > 1 else 0.0
     guess = None
     for i, chi in enumerate(chis):
         p_i = dc_replace(p, chi=float(chi))
         try:
             if guess is None:
-                state = _solve_from_mode_seed(
-                    p_i, k, e, mode, mode_fn, grid, seed_fraction, step_index=i
-                )
+                state = _start_on_branch(p_i, k, e, grid, onset, spacing, branch,
+                                         seed_mode=mode, continuation_step=i)
             else:
-                state = _solve_next(p_i, k, states, guess, e.u0, seed_mode=mode,
+                state = _solve_next(p_i, k, branch.states, guess, e.u0, seed_mode=mode,
                                     continuation_step=i)
         except NoConvergence as exc:
-            reason, history = str(exc), exc.history
+            branch.terminated_reason, branch.terminated_history = str(exc), exc.history
             break
-        states.append(state)
+        branch.states.append(state)
         if state.amplitude(e.u0) >= CONSTANT_AMPLITUDE:
             guess = (state.u.copy(), state.v.copy())
-    return Branch(states=states, reference=e.u0, seed_mode=mode,
-                  terminated_reason=reason, terminated_history=history)
+    return branch
 
 
 def _solve_next(p, k, states, guess, reference, **labels) -> SteadyState:
@@ -446,59 +438,116 @@ def _solve_next(p, k, states, guess, reference, **labels) -> SteadyState:
         return solve_stationary(p, k, guess, forcing_max=FORCING_FLOOR, **labels)
 
 
-def _predict(states: list[SteadyState], guess: tuple[Field, Field], reference: float):
-    """The secant guess 2 s_(i-1) - s_(i-2) when both states are nonconstant
-    and it keeps u >= 0; otherwise ``guess``, the last nonconstant state."""
+def _predict(states: list[SteadyState], guess: tuple[Field, Field], reference: float,
+             ratio: float = 1.0):
+    """The secant guess s_(i-1) + ratio*(s_(i-1) - s_(i-2)), ratio the chi step
+    over the last one, when both states are nonconstant and it keeps u >= 0;
+    otherwise ``guess``, the last nonconstant state."""
     if len(states) < 2 or min(s.amplitude(reference) for s in states[-2:]) < CONSTANT_AMPLITUDE:
         return guess
     last, before = states[-1], states[-2]
-    u = 2.0 * last.u.values - before.u.values
+    u = (1.0 + ratio) * last.u.values - ratio * before.u.values
     if float(u.min()) < 0.0:
         return guess
-    return Field(u, last.u.grid), Field(2.0 * last.v.values - before.v.values, last.v.grid)
+    v = (1.0 + ratio) * last.v.values - ratio * before.v.values
+    return Field(u, last.u.grid), Field(v, last.v.grid)
 
 
-def _solve_from_mode_seed(
-    p: ModelParams,
-    k: Kinetics,
-    e: EquilibriumInfo,
-    mode: int,
-    mode_fn: np.ndarray,
-    grid,
-    seed_fraction: float,
-    step_index: int,
-) -> SteadyState:
-    """Escalating-amplitude seeding along one mode.
+def _taylor(derivative, x: float) -> tuple[float, float]:
+    """Second and third derivatives at x > 0, central differences of the first."""
+    h = 1e-3 * x
+    lo, mid, hi = derivative(x + h * np.array([-1.0, 0.0, 1.0])).tolist()
+    return (hi - lo) / (2.0 * h), (hi - 2.0 * mid + lo) / h**2
 
-    Returns the first nonconstant solve, or the constant one when every rung
-    (including amplitudes up to 16x the requested fraction, capped where the
-    seed would go negative) falls back to it.  Raises NoConvergence, with the
-    last failed rung's history, if no rung converged.
+
+def _onset_expansion(p: ModelParams, k: Kinetics, e: EquilibriumInfo, grid: Grid, sigma: float,
+                     members: list[tuple[int, ...]]) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(chi_h, 1/chi2, w1, w2): the branch from a mode's discrete onset is
+    (u0, v0) + eps w1 + eps**2 w2 + O(eps**3) at chi = chi_h + eps**2 chi2.
+
+    chi_h = characteristic_chi(e, sigma_h).  w1 = (phi, g'(u0)/sigma_h phi),
+    phi the cosine of the group's first member, spans the kernel of the
+    Jacobian J at (u0, v0).  J w2 = -(quadratic part of the residual) is
+    solved per DCT mode by the blocks of _linearize, skipping the critical
+    group (on the square, (1,0) and (0,1)).  chi2 makes the cubic part
+    orthogonal to the critical block's left null vector (g'(u0), sigma_h -
+    1 - f'(u0)).  w1 and w2 have shape (2, *grid.shape).
     """
-    best, history = None, []
-    for rung in range(5):
-        amp = seed_fraction * e.u0 * 2.0**rung
-        u_seed = e.u0 + amp * mode_fn
-        if float(u_seed.min()) < 0.0:
-            break
-        v_seed = solve_helmholtz_array(grid, k.g(u_seed))
-        try:
-            attempt = solve_stationary(
-                p, k, (Field(u_seed, grid), Field(v_seed, grid)),
-                seed_mode=mode, continuation_step=step_index,
-            )
-        except NoConvergence as exc:
-            history = exc.history
-            continue
-        if best is None or attempt.amplitude(e.u0) > best.amplitude(e.u0):
-            best = attempt
-        if attempt.amplitude(e.u0) >= CONSTANT_AMPLITUDE:
-            break
-    if best is None:
-        raise NoConvergence(
-            f"no converged state from mode-{mode} seeds at chi = {p.chi:g}", history=history
-        )
-    return best
+    chi_h = characteristic_chi(e, sigma)
+    lam = sigma - 1.0
+    phi = grid.cosine_product(members[0])
+    w1 = np.stack([phi, e.gprime / sigma * phi])
+    (f2, f3), (g2, g3) = _taylor(k.f_prime, e.u0), _taylor(k.g_prime, e.u0)
+    constant = np.ones(grid.shape)
+    lin = _linearize(e.u0 * constant, e.v0 * constant, dc_replace(p, chi=chi_h), k, grid)
+    for block in lin.inverse_block:  # skip the critical group (arrays owned by lin)
+        block[tuple(zip(*members))] = 0.0
+    quadratic_u = f2 / 2 * phi**2 - _chemotaxis(phi, w1[1], chi_h, grid)
+    w2 = _precondition(lin, -np.stack([quadratic_u, g2 / 2 * phi**2]))
+    chemotaxis = _chemotaxis(phi, w2[1], chi_h, grid) + _chemotaxis(w2[0], w1[1], chi_h, grid)
+    cubic_u = f2 * phi * w2[0] + f3 / 6 * phi**3 - chemotaxis
+    cubic_v = g2 * phi * w2[0] + g3 / 6 * phi**3
+    cubic = float(np.vdot(phi, e.gprime * cubic_u + (lam - e.fprime) * cubic_v))
+    # d(J w1)/dchi = (-u0 lap_h v1, 0) = (u0 lam v1, 0)
+    along_chi = e.gprime * e.u0 * lam * float(np.vdot(phi, w1[1]))
+    return chi_h, -along_chi / cubic, w1, w2
+
+
+def _start_on_branch(p, k, e, grid, onset, spacing, branch: Branch, **labels) -> SteadyState:
+    """A first point, from the onset expansion with eps**2 = (chi - chi_h)/chi2.
+
+    Where eps > 0 and eps max|phi| <= u0/2, Newton starts from (u0, v0) +
+    eps w1 + eps**2 w2 (u clipped at 0).  Beyond that bound, unrecorded
+    secant steps approach chi from where the bound is reached, of the range's
+    ``spacing`` (for one point, of that chi's distance from chi_h), halving a
+    step that fails or falls back to the constant and doubling it, up to the
+    spacing, after one that succeeds; they are counted on ``branch``.
+    Elsewhere, or where the approach stalls (APPROACH_HALVINGS halvings, as
+    at a fold) or stalled nearer onset, the point is the constant state, an
+    exact root, and no Newton solve runs.
+    """
+    chi_h, inv_chi2, w1, w2 = onset
+
+    def on_expansion(chi):
+        eps = math.sqrt((chi - chi_h) * inv_chi2)
+        du, dv = eps * w1 + eps**2 * w2
+        return Field(np.maximum(e.u0 + du, 0.0), grid), Field(e.v0 + dv, grid)
+
+    eps2 = (p.chi - chi_h) * inv_chi2
+    eps2_max = (0.5 * e.u0 / float(np.max(np.abs(w1[0])))) ** 2
+    if 0.0 < eps2 <= eps2_max:
+        return solve_stationary(p, k, on_expansion(p.chi), **labels)
+    if eps2 > 0.0 and abs(p.chi - chi_h) < branch.approach_stalled_beyond:
+        chi = chi_h + eps2_max / inv_chi2
+        path, guess = [], on_expansion(chi)
+        base = step = spacing or abs(chi - chi_h)
+        while step >= base * 0.5**APPROACH_HALVINGS:
+            try:
+                state = solve_stationary(dc_replace(p, chi=chi), k, guess, **labels)
+            except NoConvergence:
+                state = None
+            if state is not None and state.amplitude(e.u0) >= CONSTANT_AMPLITUDE:
+                if chi == p.chi:
+                    return state
+                path.append(state)
+                branch.approach_points += 1
+                branch.approach_newton += state.iterations
+                branch.approach_krylov += state.krylov_iterations
+                step = min(2.0 * step, base)
+            elif not path:
+                break
+            else:
+                step *= 0.5
+            last = path[-1]
+            remaining = p.chi - last.chi
+            chi = p.chi if abs(remaining) <= step else last.chi + math.copysign(step, remaining)
+            ratio = (chi - last.chi) / (last.chi - path[-2].chi) if len(path) > 1 else 1.0
+            guess = _predict(path, (last.u, last.v), e.u0, ratio)
+        branch.approach_stalled_beyond = abs(path[-1].chi - chi_h) if path else 0.0
+    # the residual of the constant state is (f(u0), g(u0) - v0) = (f(u0), 0)
+    residual = abs(float(k.f(np.array([e.u0]))[0]))
+    return SteadyState(Field.constant(grid, e.u0), Field.constant(grid, e.v0), p.chi, residual, 0,
+                       **labels)
 
 
 # ---------------------------------------------------------------------------

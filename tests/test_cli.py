@@ -95,6 +95,8 @@ class TestExitCodes:
         ("stability", "stability.chi_lo = 3\nstability.chi_hi = 5\nstability.chi_samples = -1",
          "stability.chi_samples: must be >= 1 (got -1)"),
         ("stability", "stability.count = 0", "stability.count: must be >= 1 (got 0)"),
+        ("stability", "stability.u0 = -1", "stability.u0: equilibrium must be > 0 (got -1.0)"),
+        ("stability", "stability.u0 = 0", "stability.u0: equilibrium must be > 0 (got 0.0)"),
         ("stability", "stability.scan = true\nstability.scan_lo = 3\nstability.scan_hi = 5\n"
          "stability.scan_points = 1", "stability.scan_points: must be >= 2 (got 1)"),
         ("stability", "stability.scan = true\nstability.scan_lo = 5\nstability.scan_hi = 5",
@@ -104,7 +106,7 @@ class TestExitCodes:
         ("steady", "steady.mode = -1", "steady.mode: must be >= 1, a nonconstant mode (got -1)"),
         ("steady", "steady.mode = 0", "steady.mode: must be >= 1, a nonconstant mode (got 0)"),
         ("steady", "steady.mode = 16", "steady.mode: the grid has modes 1 to 15 (got 16)"),
-        ("steady", "steady.seed_fraction = 0", "steady.seed_fraction: must be nonzero"),
+        ("steady", "steady.seed_fraction = 0", "unknown config key: steady.seed_fraction"),
         ("compare-ode", "compare.horizon = 0\ncompare.u0_min = 0.5\ncompare.u0_max = 1.5",
          "horizon: must be > 0 (got 0.0)"),
         ("sweep", "sweep.count = -1", "sweep.count: grid is empty (got -1)"),
@@ -408,6 +410,15 @@ steady.steps = 3
         lines = (out / "branch.csv").read_text().splitlines()
         assert lines[0] == "chi,amplitude,residual,seed_mode,newton_iterations,krylov_iterations"
         assert len(lines) == 4
+        with open(out / "onset.csv", newline="") as fh:
+            (onset,) = list(csv.DictReader(fh))
+        assert list(onset) == ["chi_h", "inv_chi2", "approach_points",
+                               "approach_newton_iterations", "approach_krylov_iterations"]
+        assert float(onset["chi_h"]) == pytest.approx(4.0, rel=1e-6)
+        assert float(onset["inv_chi2"]) == pytest.approx(0.5, rel=1e-3)
+        # 4.2 is within the expansion's bound: no approach steps
+        assert [onset[key] for key in list(onset)[2:]] == ["0", "0", "0"]
+        assert "artifact: onset.csv" in (out / "manifest.txt").read_text()
 
     def test_branch_ended_early_writes_newton_history(self, tmp_path, capsys):
         # a chi step of about 0.95 from onset leaves the Newton basin at the
@@ -437,20 +448,6 @@ steady.steps = 60
         assert len(residuals) >= 2 and residuals[-1] >= NEWTON_TOL
         assert all(b <= a for a, b in zip(residuals, residuals[1:]))
         assert "artifact: newton_history.csv" in (out / "manifest.txt").read_text()
-
-    def test_branch_without_a_newton_solve_writes_no_newton_history(self, tmp_path, capsys):
-        # a seed fraction of 2 puts the first rung's seed below zero, so the
-        # branch ends before any Newton solve ran
-        cfg = _write(
-            tmp_path,
-            BASE.replace("model.chi = 0.4", "model.chi = 4.2")
-            + "grid.nx = 32\nsteady.chi = 4.2\nsteady.seed_fraction = 2\n",
-        )
-        out = tmp_path / "o"
-        assert main(["steady", "--config", cfg, "--out", str(out)]) == cli.EXIT_NOCONV
-        assert "no converged state from mode-1 seeds" in capsys.readouterr().err
-        assert (out / "branch.csv").read_text().count("\n") == 1
-        assert not (out / "newton_history.csv").exists()
 
     def test_complete_branch_writes_no_newton_history(self, tmp_path):
         cfg = _write(
@@ -792,16 +789,6 @@ def test_artifact_contract(tmp_path, command):
         for col, key in enumerate(header):
             if key in BOOL_COLUMNS:
                 assert {row[col] for row in rows} <= {"true", "false"}, (name, key)
-
-
-def test_import_does_not_load_scipy_integrate():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, chemolab, chemolab.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
 
 
 def test_commands_do_not_load_scipy_sparse(tmp_path):

@@ -24,6 +24,7 @@ from chemolab.steady import (
     _jvp,
     _krylov_direction,
     _linearize,
+    _onset_expansion,
     _precondition,
     stationary_residual,
 )
@@ -135,6 +136,52 @@ class TestContinuation:
         assert branch.is_empty
         assert np.all(branch.amplitudes < 1e-6)
 
+    def test_below_onset_is_the_constant_state_without_a_newton_step(self, setup, monkeypatch):
+        p, k, g, eq = setup
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("Newton ran below onset")
+
+        monkeypatch.setattr(steady, "solve_stationary", no_solve)
+        branch = cl.continuation(p, k, eq, 1, (3.0, 3.9), 4, grid=g)
+        assert branch.chi_h > 3.9 and branch.inv_chi2 > 0
+        assert branch.terminated_reason is None and len(branch.states) == 4
+        for state in branch.states:
+            assert state.iterations == 0 and state.krylov_iterations == 0
+            assert np.all(state.u.values == eq.u0) and np.all(state.v.values == eq.v0)
+            assert state.residual_norm < NEWTON_TOL
+        assert branch.approach_points == 0
+
+    def test_far_first_point_is_approached_and_counted(self, setup):
+        # at 2.5 times onset eps max|phi| exceeds u0/2, so the first point is
+        # reached by unrecorded secant steps from where that bound holds
+        p, k, g, eq = setup
+        branch = cl.continuation(p, k, eq, 1, (10.0, 10.0), 1, grid=g)
+        (state,) = branch.states
+        assert state.amplitude(eq.u0) > 0.5 and state.residual_norm < NEWTON_TOL
+        assert branch.approach_points >= 1
+        assert branch.approach_newton >= branch.approach_points
+        assert branch.approach_krylov >= branch.approach_newton
+        # the same state as a continuation that passes through 10 point by point
+        ranged = cl.continuation(p, k, eq, 1, (4.2, 10.0), 30, grid=g)
+        assert np.max(np.abs(ranged.states[-1].u.values - state.u.values)) < 1e-7
+
+    def test_approach_past_a_fold_gives_the_constant_state(self):
+        # the 2D 24^2 mode-2 branch folds near chi = 10.25: the approach to
+        # 2.5 times onset stalls there, and points beyond it run no Newton
+        p = cl.build_params(
+            {"chi": 1, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1, "dim": 2, "L": math.pi}
+        )
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, 24)
+        eq = cl.equilibrium_info(k, 1.0)
+        onset = characteristic_chi(eq, mode_groups(g.helmholtz_symbol, 3)[2][0])
+        branch = cl.continuation(p, k, eq, 2, (2.5 * onset, 3.0 * onset), 3, grid=g)
+        assert branch.terminated_reason is None and branch.is_empty
+        assert [s.iterations for s in branch.states] == [0, 0, 0]
+        assert 10.2 < onset + branch.approach_stalled_beyond < 10.3
+        assert branch.approach_points >= 1
+
     def test_negative_secant_guess_continues_from_previous_state(self, monkeypatch):
         # 1D n=32, chi from 4.2 to 30 in 15 points: the secant through the
         # first two states dips to u = -0.11, so the third point starts from
@@ -153,7 +200,8 @@ class TestContinuation:
         branch = cl.continuation(p, k, cl.equilibrium_info(k, 1.0), 1, (4.2, 30.0), 15, grid=g)
         assert branch.terminated_reason is None and len(branch.states) == 15
         states = [np.stack([s.u.values, s.v.values]) for s in branch.states]
-        guesses = guesses[-14:]  # the seed-ladder rungs come first
+        assert len(guesses) == 15  # one solve per point, the first on the expansion
+        guesses = guesses[1:]
         assert np.array_equal(guesses[0], states[0])
         assert float((2 * states[1] - states[0])[0].min()) < 0.0
         assert np.array_equal(guesses[1], states[1])
@@ -185,13 +233,16 @@ class TestContinuation:
 
     # 12-point windows that a secant guess or loose solves alone leave: the
     # redo from the previous state completes them, as exact steps did
-    @pytest.mark.parametrize("cells, kappa, mode, window", [
-        (24, 1.0, 2, (2.5, 6.0)), (48, 2.0, 1, (1.02, 2.5)),
+    # (the 2D 24^2 mode-2 branch folds near chi = 10.25, short of 2.5 times
+    # onset, so that window's points are the constant state); the 1D window
+    # starts with approach steps from the onset expansion
+    @pytest.mark.parametrize("dim, cells, kappa, mode, window", [
+        (2, 24, 1.0, 2, (2.5, 6.0)), (2, 48, 2.0, 1, (1.02, 2.5)), (1, 256, 2.0, 1, (2.5, 6.0)),
     ])
-    def test_far_windows_complete(self, cells, kappa, mode, window):
+    def test_far_windows_complete(self, dim, cells, kappa, mode, window):
         p = cl.build_params(
             {"chi": 1, "a": 1, "b": 1, "theta": kappa + 1, "kappa": kappa, "beta": 1,
-             "dim": 2, "L": math.pi}
+             "dim": dim, "L": math.pi}
         )
         k = cl.make_kinetics(p, "generalized-logistic")
         g = cl.make_grid(p, cells)
@@ -202,9 +253,9 @@ class TestContinuation:
         assert branch.terminated_reason is None and len(branch.states) == 12
         assert max(s.residual_norm for s in branch.states) < NEWTON_TOL
 
-    def test_every_mode_of_a_coarse_grid_seeds_a_grid_cosine(self, monkeypatch):
+    def test_every_mode_of_a_coarse_grid_seeds_a_grid_cosine(self):
         # an index k >= n aliases: cos(n*pi*x/L) samples to zero at the cell
-        # centres, so a seed on it is no perturbation at all
+        # centres, so an expansion on it would be no perturbation at all
         p = cl.build_params(
             {"chi": 4.2, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1, "dim": 2, "L": math.pi}
         )
@@ -214,21 +265,19 @@ class TestContinuation:
         groups = mode_groups(g.helmholtz_symbol, g.n_cells)
         assert sum(len(members) for _, members in groups) == g.n_cells
         assert all(i < n for _, members in groups for ks in members for i, n in zip(ks, g.shape))
-        seeds = []
-
-        def first_seed_only(p_i, k_i, guess, **labels):
-            seeds.append(guess[0].values - eq.u0)
-            raise NoConvergence("seed recorded")
-
-        monkeypatch.setattr(steady, "solve_stationary", first_seed_only)
-        for mode, (_, members) in enumerate(groups[1:], start=1):
-            seeds.clear()
-            cl.continuation(p, k, eq, mode, (4.2, 4.2), 1, g)
-            # the first rung is SEED_FRACTION*u0 times the first member's
-            # cosine, of norm >= 4 on this grid
+        constant = np.ones(g.shape)
+        for mode, (sigma, members) in enumerate(groups[1:], start=1):
+            chi_h, _, w1, _ = _onset_expansion(p, k, eq, g, sigma, members)
+            assert chi_h == characteristic_chi(eq, sigma)
+            # the first-order term is (phi, g'(u0)/sigma_h phi) on the first
+            # member's cosine, of norm >= 4 on this grid, and a null vector
+            # of the Jacobian at the constant state and chi_h
             cosine = g.cosine_product(members[0])
-            assert seeds[0] == pytest.approx(steady.SEED_FRACTION * eq.u0 * cosine, abs=1e-15)
-            assert np.linalg.norm(seeds[0]) > 0.1, mode
+            assert np.array_equal(w1[0], cosine)
+            assert w1[1] == pytest.approx(eq.gprime / sigma * cosine, rel=1e-15, abs=1e-15)
+            assert np.linalg.norm(w1[0]) > 0.1, mode
+            lin = _linearize(eq.u0 * constant, eq.v0 * constant, replace(p, chi=chi_h), k, g)
+            assert np.max(np.abs(_jvp(lin, w1))) <= 1e-14 * chi_h * sigma, mode
 
     def test_zero_steps_rejected(self, setup):
         p, k, g, eq = setup
@@ -426,9 +475,55 @@ class TestPreconditioner:
         assert np.max(np.abs(_jvp(lin, _precondition(lin, x)) - x)) <= 1e-10 * np.max(np.abs(x))
 
 
+class TestOnsetExpansion:
+    """1/chi2 of the onset expansion against Newton states on 1D logistic
+    branches (a = b = 1, L = pi); for kappa = 1 and mode 1 it is 1/2 in the
+    continuum."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _onset(kappa, mode, cells):
+        p = cl.build_params(
+            {"chi": 1, "a": 1, "b": 1, "theta": kappa + 1, "kappa": kappa, "beta": 1,
+             "dim": 1, "L": math.pi}
+        )
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, cells)
+        eq = cl.equilibrium_info(k, 1.0)
+        sigma, members = mode_groups(g.helmholtz_symbol, mode + 1)[mode]
+        return p, k, g, eq, _onset_expansion(p, k, eq, g, sigma, members)
+
+    # kappa != 1 gives g'' != 0, so the v row of the solvability condition counts
+    @pytest.mark.parametrize("kappa, mode, cells", [
+        (1.0, 1, 64), (1.0, 1, 128), (2.0, 1, 64), (0.5, 1, 64), (2.0, 2, 64),
+    ])
+    def test_inv_chi2_matches_newton_amplitudes(self, kappa, mode, cells):
+        # a**2/(chi - chi_h) = 1/chi2 + O(chi - chi_h) for the phi-projection a
+        # of the Newton state; Richardson over delta = 1e-3 and 4e-3 removes
+        # the linear term
+        p, k, g, eq, (chi_h, inv_chi2, w1, _) = self._onset(kappa, mode, cells)
+        phi = w1[0]
+        ratios = []
+        for delta in (1e-3, 4e-3):
+            chi = chi_h * (1.0 + delta)
+            branch = cl.continuation(p, k, eq, mode, (chi, chi), 1, grid=g)
+            (state,) = branch.states
+            assert state.residual_norm < NEWTON_TOL
+            a = float(np.vdot(state.u.values - eq.u0, phi)) / float(np.vdot(phi, phi))
+            assert a > 0.0  # eps > 0 keeps the orientation of phi
+            ratios.append(a * a / (chi - chi_h))
+        extrapolated = (4.0 * ratios[0] - ratios[1]) / 3.0
+        assert extrapolated == pytest.approx(inv_chi2, rel=1e-3)
+
+    def test_inv_chi2_converges_at_second_order(self):
+        errors = [self._onset(1.0, 1, cells)[4][1] - 0.5 for cells in (64, 128)]
+        assert errors[0] > 0.0 and 3.5 < errors[0] / errors[1] < 4.5
+
+
 class TestBranchRegression:
     """Accepted Newton and GMRES counts and amplitudes along two mode-1
-    logistic branches under the inexact Newton step and the secant predictor.
+    logistic branches under the inexact Newton step, the onset-expansion
+    start and the secant predictor.
 
     EXACT_STEP_AMPLITUDES are the same branches under exact Newton steps
     (GMRES to 1e-10 relative) started from the previous point; both are
@@ -437,16 +532,16 @@ class TestBranchRegression:
     RAW = {"chi": 0.4, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1, "L": math.pi}
     BRANCHES = {
         # the onset-analysis benchmark branch
-        "2d-64": (2, 64, (4.2, 6.0), 10, [5, 5, 4, 4, 3, 3, 3, 3, 3, 3], [
-            0.33777402950265967, 0.4781053714758685, 0.5795478448354807, 0.6587056349998084,
+        "2d-64": (2, 64, (4.2, 6.0), 10, [4, 5, 4, 4, 3, 3, 3, 3, 3, 3], [
+            0.33777402950276714, 0.4781053714758685, 0.5795478448354807, 0.6587056349998082,
             0.722582872724177, 0.7750735411582772, 0.8186616574136407, 0.8550653441950429,
-            0.8855366451533433, 0.9110213440127881,
+            0.8855366451533431, 0.9110213440127881,
         ]),
-        "1d-256": (1, 256, (4.2, 8.0), 20, [5, 5, 4] + [3] * 17, [
-            0.33788651928737234, 0.4783525191841327, 0.5799465686564704, 0.6592653861049071,
-            0.7233078466183109, 0.7759640487418724, 0.8197150595343261, 0.8562767316659841,
+        "1d-256": (1, 256, (4.2, 8.0), 20, [3, 5, 4] + [3] * 17, [
+            0.33788652003534714, 0.4783525191841327, 0.5799465686564704, 0.6592653861049071,
+            0.7233078466183109, 0.7759640487418724, 0.8197150595343263, 0.8562767316659841,
             0.8868993618675842, 0.9125274118928246, 0.9338932795990431, 0.9515764872517722,
-            0.9660432085456807, 0.9776738877165427, 0.9867832673729444, 0.9936353609546045,
+            0.9660432085456807, 0.9776738877165425, 0.9867832673729442, 0.9936353609546045,
             0.9984549210582874, 1.0014363800730717, 1.0027508899020545, 1.0025518691578754,
         ]),
     }
@@ -464,9 +559,9 @@ class TestBranchRegression:
             0.9984549210670528, 1.0014363800819863, 1.0027508899092035, 1.002551869164746,
         ],
     }
-    # GMRES iterations summed over the accepted states; exact Newton steps
-    # from the previous point took 36 Newton steps on 2d-64 as well
-    KRYLOV_ITERATIONS = {"2d-64": 240, "1d-256": 542}
+    # GMRES iterations summed over the accepted states; the first point
+    # starts on the onset expansion, so every solve is accepted
+    KRYLOV_ITERATIONS = {"2d-64": 235, "1d-256": 532}
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -495,23 +590,40 @@ class TestBranchRegression:
 
 
 class TestLineSearch:
-    def test_nan_trial_residuals_emit_no_warning(self):
-        # 2D 13^2, kappa = 1.9, seeded on mode 2: some line-search trials have
-        # u < 0, so u**1.9 is NaN there and the trial is rejected silently
+    def test_nan_trial_residuals_emit_no_warning(self, monkeypatch):
+        # 2D 13^2, kappa = 1.9, Newton from u0 + s*u0*cos(x)cos(y) for
+        # s = 0.05 ... 0.8: some line-search trials have u < 0, so u**1.9 is
+        # NaN there and the trial is rejected silently
         a, b, kappa = 1.084592174890127, 0.6797338484583977, 1.9
         p = cl.build_params(
-            {"chi": 1, "a": a, "b": b, "theta": kappa + 1, "kappa": kappa, "beta": 1,
-             "dim": 2, "L": math.pi}
+            {"chi": 2.8358778384769625, "a": a, "b": b, "theta": kappa + 1, "kappa": kappa,
+             "beta": 1, "dim": 2, "L": math.pi}
         )
         k = cl.make_kinetics(p, "generalized-logistic")
         g = cl.make_grid(p, 13)
         eq = cl.equilibrium_info(k, (a / b) ** (1 / kappa))
-        chi = 2.8358778384769625
+        nan_trials = []
+        real = steady.stationary_residual
+
+        def recording(*args):
+            ru, rv = real(*args)
+            nan_trials.append(bool(np.isnan(ru).any()))
+            return ru, rv
+
+        monkeypatch.setattr(steady, "stationary_residual", recording)
+        states = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            branch = cl.continuation(p, k, eq, 2, (chi, chi), 1, grid=g)
+            for fraction in (0.05, 0.1, 0.2, 0.4, 0.8):
+                u = eq.u0 * (1.0 + fraction * g.cosine_product((1, 1)))
+                guess = (Field(u, g), Field(solve_helmholtz_array(g, k.g(u)), g))
+                try:
+                    states.append(cl.solve_stationary(p, k, guess))
+                except NoConvergence:
+                    pass
+        assert any(nan_trials)
         # the same state as the solve with warnings enabled
-        (state,) = branch.states
+        state = states[2]
         assert state.iterations == 5
         assert state.residual_norm == pytest.approx(1.3620271770374827e-10, rel=1e-6)
         assert float(state.u.values.sum()) == pytest.approx(216.11787506337316, rel=1e-13)
