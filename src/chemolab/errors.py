@@ -55,8 +55,9 @@ class DissipativityFail(ChemolabError):
 class NoConvergence(ChemolabError):
     """An iterative solver ran out of iterations.
 
-    ``best`` holds the last iterate where that makes sense, ``history``
-    the residual-norm trace.
+    ``best`` holds the last iterate where that makes sense (for
+    ``steady.solve_stationary`` a SteadyState with its iteration counts),
+    ``history`` the residual-norm trace.
     """
 
     def __init__(self, message, best=None, history=None):

@@ -23,10 +23,11 @@ stops GMRES at the forcing term min(FORCING_MAX, |r_k|_2) relative to |r_k|_2,
 floored at FORCING_FLOOR, so far from the root the linear solves are loose and
 near it they are as tight as an exact step; convergence stays quadratic.  A
 line search that fails on a loose direction retries once on a direction
-solved at the floor.  ``continuation`` starts a branch on its weakly
-nonlinear expansion at the discrete onset, each point after the second from
-the secant predictor through the previous two, and redoes a point whose
-solve fails from there with exact steps from the previous state.
+solved at the floor.  ``continuation`` walks a branch from the discrete onset
+in step-controlled chi steps: the first from its weakly nonlinear expansion,
+later ones from the secant through the last two solved states, halving a step
+whose solve fails or leaves the branch and ending the branch where a step
+would fall below 2**-APPROACH_HALVINGS of the range's spacing.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .stability import EquilibriumInfo, characteristic_chi
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 20
-APPROACH_HALVINGS = 8  # halvings of an approach step before a first point gives up
+APPROACH_HALVINGS = 8  # halvings of a continuation step before the branch ends
 # GMRES iterations per Newton step, one cycle: the 2D 64^2 and 128^2 onset
 # branch needs at most 16.  Over 48 continuation windows (1D n=64, 256 and 2D
 # 24^2, 48^2; logistic kappa 0.5, 1, 2; modes 1, 2; chi from 1.02 to 2.5 and
@@ -126,15 +127,17 @@ def _linearize(u, v, p: ModelParams, k: Kinetics, grid) -> _Linearization:
     lam of -lap_h sees the block [[a, b], [c, d]] = [[f' - lam, chi*u*lam],
     [g', -lam - 1]], inverted in closed form.  At an onset chi the critical
     mode's determinant ad - bc vanishes up to roundoff, so its magnitude is
-    floored at 64 eps (|ad| + |bc|), keeping its sign: that mode's inverse is
-    then large but finite, and GMRES corrects it.
+    floored at 64 eps (|ad| + |bc| + d**2), keeping its sign: that mode's
+    inverse is then large but finite, and GMRES corrects it.  d**2 >= 1 keeps
+    the floor positive where the block has a zero row, as the constant mode's
+    [[mean f', 0], [mean g', -1]] does where f'(u) averages to 0.
     """
     f_prime, g_prime = k.f_prime(u), k.g_prime(u)
     lam = grid.laplacian_eigenvalues
     a, b = float(np.mean(f_prime)) - lam, p.chi * float(np.mean(u)) * lam
     c, d = float(np.mean(g_prime)), -lam - 1.0
     det = a * d - b * c
-    floor = 64.0 * np.finfo(float).eps * (np.abs(a * d) + np.abs(b * c))
+    floor = 64.0 * np.finfo(float).eps * (np.abs(a * d) + np.abs(b * c) + d * d)
     det = np.where(np.abs(det) < floor, np.copysign(floor, det), det)
     return _Linearization(
         grid=grid,
@@ -253,18 +256,17 @@ def solve_stationary(
     guess: tuple[Field, Field],
     seed_mode: int | None = None,
     continuation_step: int | None = None,
-    forcing_max: float = FORCING_MAX,
 ) -> SteadyState:
     """Inexact damped Newton on the stacked residual; converged at sup-norm
     < NEWTON_TOL.
 
     At most NEWTON_MAX_ITER iterations, each with a step-halving line search
     of at most NEWTON_MAX_HALVINGS.  Step k solves its linear system to the
-    forcing term min(forcing_max, |r_k|_2), floored at FORCING_FLOOR (so
-    forcing_max = FORCING_FLOOR gives exact Newton steps); if no step length
-    descends along that direction, the direction is solved again at the
-    floor before the solve gives up.  NoConvergence carries the best iterate
-    and the residual-norm history.
+    forcing term min(FORCING_MAX, |r_k|_2), floored at FORCING_FLOOR; if no
+    step length descends along that direction, the direction is solved again
+    at the floor before the solve gives up.  NoConvergence carries the best
+    iterate as a SteadyState, with its Newton and GMRES counts, and the
+    residual-norm history.
     """
     u_field, v_field = guess
     grid = u_field.grid
@@ -292,6 +294,10 @@ def solve_stationary(
             s *= 0.5
         return None
 
+    def state(u_values) -> SteadyState:
+        return SteadyState(Field(u_values, grid), Field(v, grid), p.chi, res, len(history) - 1,
+                           seed_mode, continuation_step, krylov)
+
     ru, rv = stationary_residual(u, v, p, k, grid)
     res = norm(ru, rv)
     history = [res]
@@ -301,7 +307,7 @@ def solve_stationary(
             break
         lin = _linearize(u, v, p, k, grid)
         rhs = -np.stack([ru, rv])
-        forcing = max(FORCING_FLOOR, min(forcing_max, float(np.linalg.norm(rhs))))
+        forcing = max(FORCING_FLOOR, min(FORCING_MAX, float(np.linalg.norm(rhs))))
         d, used = _krylov_direction(lin, rhs, forcing)
         krylov += used
         step = line_search(*d)
@@ -311,35 +317,17 @@ def solve_stationary(
             step = line_search(*d)
         if step is None:
             history.append(res)
-            raise NoConvergence(
-                f"Newton stagnated at residual {res:.3e} after {it} iterations",
-                best=(Field(u, grid), Field(v, grid)),
-                history=history,
-            )
+            raise NoConvergence(f"Newton stagnated at residual {res:.3e} after {it} iterations",
+                                best=state(u), history=history)
         u, v, ru, rv, res = step
         history.append(res)
     if res >= NEWTON_TOL:
-        raise NoConvergence(
-            f"Newton residual {res:.3e} after {NEWTON_MAX_ITER} iterations",
-            best=(Field(u, grid), Field(v, grid)),
-            history=history,
-        )
+        raise NoConvergence(f"Newton residual {res:.3e} after {NEWTON_MAX_ITER} iterations",
+                            best=state(u), history=history)
     if float(u.min()) < -1e-9:
-        raise NoConvergence(
-            f"converged state violates u >= 0 (min = {u.min():.3e})",
-            best=(Field(u, grid), Field(v, grid)),
-            history=history,
-        )
-    return SteadyState(
-        u=Field(np.maximum(u, 0.0), grid),
-        v=Field(v, grid),
-        chi=p.chi,
-        residual_norm=res,
-        iterations=len(history) - 1,
-        seed_mode=seed_mode,
-        continuation_step=continuation_step,
-        krylov_iterations=krylov,
-    )
+        raise NoConvergence(f"converged state violates u >= 0 (min = {u.min():.3e})",
+                            best=state(u), history=history)
+    return state(np.maximum(u, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +341,15 @@ class Branch:
     reference: float
     seed_mode: int
     terminated_reason: str | None = None
-    # residual-norm history of the Newton solve that ended the branch early
+    # residual-norm history of the last failed Newton solve of a branch that ended early
     terminated_history: list[float] = field(default_factory=list)
     chi_h: float = math.nan  # discrete onset of the seed mode
     inv_chi2: float = math.nan  # eps**2 = (chi - chi_h) * inv_chi2 near onset
-    # the accepted unrecorded solves on the way to a first point, summed, and
-    # the |chi - chi_h| beyond which that approach stalled
+    # the solves that recorded no point, summed: steps short of a range point,
+    # and steps that failed or left the branch
     approach_points: int = 0
     approach_newton: int = 0
     approach_krylov: int = 0
-    approach_stalled_beyond: float = math.inf
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -388,16 +375,20 @@ def continuation(
     from 0 for the constant by grid.mode_groups over grid.helmholtz_symbol;
     OutOfRange unless 1 <= mode < the number of distinct eigenvalues.
 
-    Until a point is nonconstant, each starts on the branch's weakly
-    nonlinear expansion at the discrete onset (_start_on_branch), so a range
-    on the wrong side of onset comes back constant, with no Newton solve,
-    and reports itself empty.  The next point starts from the last solution,
-    and each later one from the secant predictor 2 s_(i-1) - s_(i-2), or the
-    last nonconstant solution where that guess has u < 0 or either state is
-    constant.  A point whose solve from the predictor fails is solved again
-    with exact Newton steps from the last nonconstant solution.
-    NoConvergence there or in a first point's solve terminates the branch
-    early with the partial list, the reason and that solve's history.
+    Until the branch has a solved state, a point on the wrong side of the
+    discrete onset chi_h is the constant state, with no Newton solve.  Every
+    other point is reached by one step-controlled walk.  Its first step goes
+    from chi_h, by at most the distance at which the weakly nonlinear
+    expansion (_onset_expansion) has eps max|phi| = u0/2, and Newton starts
+    on that expansion; later steps start from _predict's secant through the
+    last two solved states.  Steps toward a range point start at the range's
+    spacing (for one point, at that distance), halve when the solve raises
+    NoConvergence or its state is off the branch, c = <u - u0, phi>/<phi, phi>
+    < CONSTANT_AMPLITUDE, and double again up to the spacing after a
+    success.  Where a step would fall below 2**-APPROACH_HALVINGS spacings,
+    the branch ends with the points so far, terminated_reason and the last
+    failed solve's residual history.  Solves that record no point are
+    counted in approach_points, approach_newton and approach_krylov.
     """
     if steps < 1:
         raise OutOfRange("steps", f"must be >= 1 (got {steps})")
@@ -406,51 +397,80 @@ def continuation(
     groups = mode_groups(grid.helmholtz_symbol, mode + 1)
     if mode >= len(groups):
         raise OutOfRange("mode", f"the grid has modes 1 to {len(groups) - 1} (got {mode})")
-    onset = _onset_expansion(p, k, e, grid, *groups[mode])
-    branch = Branch([], e.u0, mode, chi_h=onset[0], inv_chi2=onset[1])
+    chi_h, inv_chi2, w1, w2 = _onset_expansion(p, k, e, grid, *groups[mode])
+    branch = Branch([], e.u0, mode, chi_h=chi_h, inv_chi2=inv_chi2)
+    phi = w1[0]
     chis = np.linspace(chi_range[0], chi_range[1], steps)
-    spacing = float(abs(chis[1] - chis[0])) if steps > 1 else 0.0
-    guess = None
+    # the chi distance from chi_h at which eps max|phi| = u0/2
+    reach = (0.5 * e.u0 / float(np.max(np.abs(phi)))) ** 2 / abs(inv_chi2)
+    # the walk's position x counts range spacings from chis[0], point i at
+    # x = i, so halved and doubled steps add up exactly and equal steps have
+    # the secant ratio 1.0
+    unit = (float(chis[1] - chis[0]) if steps > 1 else 0.0) or math.copysign(reach, chis[0] - chi_h)
+
+    def chi_at(x: float) -> float:
+        if 0.0 <= x <= steps - 1:
+            return float(np.interp(x, np.arange(steps), chis))
+        return float(chis[0] + x * unit)
+
+    x_last, last_step = (chi_h - chis[0]) / unit, 0.0  # the walk starts at chi_h
+    solved: list[SteadyState] = []  # the last two solved states
+    history: list[float] = []  # of the last failed solve since then
     for i, chi in enumerate(chis):
-        p_i = dc_replace(p, chi=float(chi))
-        try:
-            if guess is None:
-                state = _start_on_branch(p_i, k, e, grid, onset, spacing, branch,
-                                         seed_mode=mode, continuation_step=i)
+        if not solved and (chi - chi_h) * inv_chi2 <= 0.0:
+            # the residual of the constant state is (f(u0), g(u0) - v0) = (f(u0), 0)
+            residual = abs(float(k.f(np.array([e.u0]))[0]))
+            branch.states.append(SteadyState(Field.constant(grid, e.u0), Field.constant(grid, e.v0),
+                                             float(chi), residual, 0, mode, i))
+            continue
+        step = 1.0 if solved else reach / abs(unit)
+        while x_last != i:
+            h = min(step, abs(i - x_last))
+            x = i if h == abs(i - x_last) else x_last + math.copysign(h, i - x_last)
+            p_x = dc_replace(p, chi=chi_at(x))
+            if solved:
+                guess = _predict(solved, h / last_step)
             else:
-                state = _solve_next(p_i, k, branch.states, guess, e.u0, seed_mode=mode,
-                                    continuation_step=i)
-        except NoConvergence as exc:
-            branch.terminated_reason, branch.terminated_history = str(exc), exc.history
-            break
-        branch.states.append(state)
-        if state.amplitude(e.u0) >= CONSTANT_AMPLITUDE:
-            guess = (state.u.copy(), state.v.copy())
+                eps = math.sqrt((p_x.chi - chi_h) * inv_chi2)
+                du, dv = eps * w1 + eps**2 * w2
+                guess = Field(np.maximum(e.u0 + du, 0.0), grid), Field(e.v0 + dv, grid)
+            try:
+                state = solve_stationary(p_x, k, guess, seed_mode=mode, continuation_step=i)
+            except NoConvergence as exc:
+                state, cause, history = exc.best, str(exc), exc.history
+            else:
+                c = float(np.vdot(state.u.values - e.u0, phi) / np.vdot(phi, phi))
+                cause = (None if c >= CONSTANT_AMPLITUDE
+                         else f"the state left the branch (c = {c:.3e})")
+            if x != i or cause:
+                branch.approach_points += 1
+                branch.approach_newton += state.iterations
+                branch.approach_krylov += state.krylov_iterations
+            if cause is None:
+                x_last, last_step, solved = x, h, [*solved[-1:], state]
+                step, history = min(2.0 * step, 1.0), []
+            elif h / 2.0 >= 0.5**APPROACH_HALVINGS:
+                step = h / 2.0
+            else:
+                branch.terminated_reason = (f"continuation stalled at chi = {chi_at(x_last):.6g}: "
+                                            f"{cause} at chi = {p_x.chi:.6g}")
+                branch.terminated_history = history
+                return branch
+        branch.states.append(solved[-1])
     return branch
 
 
-def _solve_next(p, k, states, guess, reference, **labels) -> SteadyState:
-    """Inexact Newton from the secant predictor; where that fails, exact
-    Newton steps from ``guess``, the last nonconstant state."""
-    try:
-        return solve_stationary(p, k, _predict(states, guess, reference), **labels)
-    except NoConvergence:
-        return solve_stationary(p, k, guess, forcing_max=FORCING_FLOOR, **labels)
-
-
-def _predict(states: list[SteadyState], guess: tuple[Field, Field], reference: float,
-             ratio: float = 1.0):
-    """The secant guess s_(i-1) + ratio*(s_(i-1) - s_(i-2)), ratio the chi step
-    over the last one, when both states are nonconstant and it keeps u >= 0;
-    otherwise ``guess``, the last nonconstant state."""
-    if len(states) < 2 or min(s.amplitude(reference) for s in states[-2:]) < CONSTANT_AMPLITUDE:
-        return guess
-    last, before = states[-1], states[-2]
-    u = (1.0 + ratio) * last.u.values - ratio * before.u.values
-    if float(u.min()) < 0.0:
-        return guess
-    v = (1.0 + ratio) * last.v.values - ratio * before.v.values
-    return Field(u, last.u.grid), Field(v, last.v.grid)
+def _predict(states: list[SteadyState], ratio: float) -> tuple[Field, Field]:
+    """The secant guess s_(i-1) + ratio*(s_(i-1) - s_(i-2)) through the last
+    two states, ratio the chi step over the last one; the last state where
+    there is one or that guess has u < 0."""
+    last = states[-1]
+    if len(states) > 1:
+        u = (1.0 + ratio) * last.u.values - ratio * states[-2].u.values
+        if float(u.min()) >= 0.0:
+            v = (1.0 + ratio) * last.v.values - ratio * states[-2].v.values
+            return Field(u, last.u.grid), Field(v, last.v.grid)
+    return last.u, last.v
 
 
 def _taylor(derivative, x: float) -> tuple[float, float]:
@@ -491,63 +511,6 @@ def _onset_expansion(p: ModelParams, k: Kinetics, e: EquilibriumInfo, grid: Grid
     # d(J w1)/dchi = (-u0 lap_h v1, 0) = (u0 lam v1, 0)
     along_chi = e.gprime * e.u0 * lam * float(np.vdot(phi, w1[1]))
     return chi_h, -along_chi / cubic, w1, w2
-
-
-def _start_on_branch(p, k, e, grid, onset, spacing, branch: Branch, **labels) -> SteadyState:
-    """A first point, from the onset expansion with eps**2 = (chi - chi_h)/chi2.
-
-    Where eps > 0 and eps max|phi| <= u0/2, Newton starts from (u0, v0) +
-    eps w1 + eps**2 w2 (u clipped at 0).  Beyond that bound, unrecorded
-    secant steps approach chi from where the bound is reached, of the range's
-    ``spacing`` (for one point, of that chi's distance from chi_h), halving a
-    step that fails or falls back to the constant and doubling it, up to the
-    spacing, after one that succeeds; they are counted on ``branch``.
-    Elsewhere, or where the approach stalls (APPROACH_HALVINGS halvings, as
-    at a fold) or stalled nearer onset, the point is the constant state, an
-    exact root, and no Newton solve runs.
-    """
-    chi_h, inv_chi2, w1, w2 = onset
-
-    def on_expansion(chi):
-        eps = math.sqrt((chi - chi_h) * inv_chi2)
-        du, dv = eps * w1 + eps**2 * w2
-        return Field(np.maximum(e.u0 + du, 0.0), grid), Field(e.v0 + dv, grid)
-
-    eps2 = (p.chi - chi_h) * inv_chi2
-    eps2_max = (0.5 * e.u0 / float(np.max(np.abs(w1[0])))) ** 2
-    if 0.0 < eps2 <= eps2_max:
-        return solve_stationary(p, k, on_expansion(p.chi), **labels)
-    if eps2 > 0.0 and abs(p.chi - chi_h) < branch.approach_stalled_beyond:
-        chi = chi_h + eps2_max / inv_chi2
-        path, guess = [], on_expansion(chi)
-        base = step = spacing or abs(chi - chi_h)
-        while step >= base * 0.5**APPROACH_HALVINGS:
-            try:
-                state = solve_stationary(dc_replace(p, chi=chi), k, guess, **labels)
-            except NoConvergence:
-                state = None
-            if state is not None and state.amplitude(e.u0) >= CONSTANT_AMPLITUDE:
-                if chi == p.chi:
-                    return state
-                path.append(state)
-                branch.approach_points += 1
-                branch.approach_newton += state.iterations
-                branch.approach_krylov += state.krylov_iterations
-                step = min(2.0 * step, base)
-            elif not path:
-                break
-            else:
-                step *= 0.5
-            last = path[-1]
-            remaining = p.chi - last.chi
-            chi = p.chi if abs(remaining) <= step else last.chi + math.copysign(step, remaining)
-            ratio = (chi - last.chi) / (last.chi - path[-2].chi) if len(path) > 1 else 1.0
-            guess = _predict(path, (last.u, last.v), e.u0, ratio)
-        branch.approach_stalled_beyond = abs(path[-1].chi - chi_h) if path else 0.0
-    # the residual of the constant state is (f(u0), g(u0) - v0) = (f(u0), 0)
-    residual = abs(float(k.f(np.array([e.u0]))[0]))
-    return SteadyState(Field.constant(grid, e.u0), Field.constant(grid, e.v0), p.chi, residual, 0,
-                       **labels)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from chemolab import cli, evolve
-from chemolab.cli import main
+from chemolab.cli import EXIT_NOCONV, main
 from chemolab.config import Config, eval_number
 from chemolab.errors import OutOfRange, UnknownKey
 from chemolab.steady import NEWTON_TOL
@@ -420,9 +420,9 @@ steady.steps = 3
         assert [onset[key] for key in list(onset)[2:]] == ["0", "0", "0"]
         assert "artifact: onset.csv" in (out / "manifest.txt").read_text()
 
-    def test_branch_ended_early_writes_newton_history(self, tmp_path, capsys):
-        # a chi step of about 0.95 from onset leaves the Newton basin at the
-        # second point
+    def test_far_branch_completes_without_newton_history(self, tmp_path, capsys):
+        # chi from 4.2 to 60 in 60 points: steps of about 0.95 that a failed
+        # or off-branch solve halves
         cfg = _write(
             tmp_path,
             BASE.replace("model.chi = 0.4", "model.chi = 4.2")
@@ -435,11 +435,29 @@ steady.steps = 60
         )
         out = tmp_path / "o"
         assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
-        assert "branch terminated early: Newton stagnated" in capsys.readouterr().err
-        with open(out / "branch.csv", newline="") as fh:
-            (point,) = list(csv.DictReader(fh))
-        assert int(point["newton_iterations"]) >= 1
-        assert int(point["krylov_iterations"]) >= int(point["newton_iterations"])
+        assert "branch points: 60," in capsys.readouterr().out
+        assert not (out / "newton_history.csv").exists()
+
+    def test_stalled_branch_writes_newton_history(self, tmp_path, capsys):
+        # the 2D 24^2 mode-2 branch folds near chi = 10.25, before the first
+        # point at 12: no point is recorded, and the last failed Newton solve
+        # is written out
+        cfg = _write(
+            tmp_path,
+            BASE.replace("model.chi = 0.4", "model.chi = 4.2")
+            .replace("model.dim = 1", "model.dim = 2")
+            + """
+grid.nx = 24
+steady.mode = 2
+steady.chi_start = 12
+steady.chi_stop = 14
+steady.steps = 3
+""",
+        )
+        out = tmp_path / "o"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == EXIT_NOCONV
+        assert "no convergence: continuation stalled at chi = 10.2" in capsys.readouterr().err
+        assert (out / "branch.csv").read_text().splitlines()[1:] == []
         with open(out / "newton_history.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert header == ["iteration", "residual"]

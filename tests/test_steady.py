@@ -1,5 +1,7 @@
 import functools
+import inspect
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -16,6 +18,7 @@ from chemolab.grid import Field, mode_groups
 from chemolab import steady
 from chemolab.stability import characteristic_chi
 from chemolab.steady import (
+    CONSTANT_AMPLITUDE,
     FORCING_FLOOR,
     FORCING_MAX,
     KRYLOV_BUDGET,
@@ -166,20 +169,25 @@ class TestContinuation:
         ranged = cl.continuation(p, k, eq, 1, (4.2, 10.0), 30, grid=g)
         assert np.max(np.abs(ranged.states[-1].u.values - state.u.values)) < 1e-7
 
-    def test_approach_past_a_fold_gives_the_constant_state(self):
-        # the 2D 24^2 mode-2 branch folds near chi = 10.25: the approach to
-        # 2.5 times onset stalls there, and points beyond it run no Newton
-        p = cl.build_params(
-            {"chi": 1, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1, "dim": 2, "L": math.pi}
-        )
-        k = cl.make_kinetics(p, "generalized-logistic")
-        g = cl.make_grid(p, 24)
-        eq = cl.equilibrium_info(k, 1.0)
-        onset = characteristic_chi(eq, mode_groups(g.helmholtz_symbol, 3)[2][0])
+    def test_step_off_the_branch_is_halved(self, setup):
+        # from chi = 4.2 the step to 10 converges to a state symmetric about
+        # the centre, c ~ 1e-12 on cos(x), and so does the half step to 7.1;
+        # the walk takes quarter steps instead and reaches the mode-1 state
+        p, k, g, eq = setup
+        branch = cl.continuation(p, k, eq, 1, (4.2, 10.0), 2, grid=g)
+        assert branch.terminated_reason is None and len(branch.states) == 2
+        assert branch.approach_points == 4  # two rejected states and two quarter steps
+        assert min(_branch_c(branch, g)) > 0.25
+        ranged = cl.continuation(p, k, eq, 1, (4.2, 10.0), 30, grid=g)
+        assert np.max(np.abs(ranged.states[-1].u.values - branch.states[-1].u.values)) < 1e-7
+
+    def test_walk_stalls_at_a_fold(self):
+        # the 2D 24^2 mode-2 branch folds near chi = 10.25: the walk from
+        # onset toward 2.5 times onset stalls there, before a first point
+        p, k, g, eq, onset = _logistic_window(2, 24, 1.0, 2)
         branch = cl.continuation(p, k, eq, 2, (2.5 * onset, 3.0 * onset), 3, grid=g)
-        assert branch.terminated_reason is None and branch.is_empty
-        assert [s.iterations for s in branch.states] == [0, 0, 0]
-        assert 10.2 < onset + branch.approach_stalled_beyond < 10.3
+        assert branch.states == [] and 10.2 < _stalled_at(branch) < 10.3
+        assert "Newton" in branch.terminated_reason and len(branch.terminated_history) >= 2
         assert branch.approach_points >= 1
 
     def test_negative_secant_guess_continues_from_previous_state(self, monkeypatch):
@@ -213,45 +221,62 @@ class TestContinuation:
             secants += expected is secant
         assert secants >= 10
 
-    def test_failed_predicted_solve_redone_exactly_from_previous_state(self, setup, monkeypatch):
+    def test_failed_predicted_solve_retried_at_half_the_step(self, setup, monkeypatch):
+        # point 3's solve from the secant fails once: the walk solves at half
+        # the step from the secant with ratio 1/2, with no forcing keyword (so
+        # at FORCING_MAX), then reaches point 3 from the secant through point
+        # 2 and that half step
         p, k, g, eq = setup
-        calls = []
+        assert "forcing_max" not in inspect.signature(steady.solve_stationary).parameters
+        calls, solved = [], []
         real = steady.solve_stationary
 
-        def third_point_fails_once(p_i, k_i, guess, forcing_max=FORCING_MAX, **kwargs):
-            calls.append((kwargs["continuation_step"], forcing_max, guess[0].values.copy()))
-            if kwargs["continuation_step"] == 3 and forcing_max == FORCING_MAX:
-                raise NoConvergence("stalled")
-            return real(p_i, k_i, guess, forcing_max=forcing_max, **kwargs)
+        def fourth_solve_fails(p_i, k_i, guess, **labels):
+            calls.append((p_i.chi, np.stack([guess[0].values, guess[1].values]), labels))
+            state = real(p_i, k_i, guess, **labels)
+            if len(calls) == 4:
+                raise NoConvergence("stalled", best=state, history=[1.0, 1.0])
+            solved.append(np.stack([state.u.values, state.v.values]))
+            return state
 
-        monkeypatch.setattr(steady, "solve_stationary", third_point_fails_once)
+        monkeypatch.setattr(steady, "solve_stationary", fourth_solve_fails)
         branch = cl.continuation(p, k, eq, 1, (4.2, 5.0), 5, grid=g)
         assert branch.terminated_reason is None and len(branch.states) == 5
-        redo = [(f, u) for step, f, u in calls if step == 3]
-        assert [f for f, _ in redo] == [FORCING_MAX, FORCING_FLOOR]
-        assert np.array_equal(redo[1][1], branch.states[2].u.values)
+        chis = np.linspace(4.2, 5.0, 5)
+        assert [chi for chi, _, _ in calls] == pytest.approx([*chis[:4], 4.7, *chis[3:]], abs=1e-15)
+        assert all(labels == {"seed_mode": 1, "continuation_step": i}
+                   for (_, _, labels), i in zip(calls, [0, 1, 2, 3, 3, 3, 4]))
+        assert np.array_equal(calls[4][1], 1.5 * solved[2] - 0.5 * solved[1])
+        assert np.array_equal(calls[5][1], 2.0 * solved[3] - 1.0 * solved[2])
+        assert branch.approach_points == 2  # the failed solve and the half step
 
-    # 12-point windows that a secant guess or loose solves alone leave: the
-    # redo from the previous state completes them, as exact steps did
-    # (the 2D 24^2 mode-2 branch folds near chi = 10.25, short of 2.5 times
-    # onset, so that window's points are the constant state); the 1D window
-    # starts with approach steps from the onset expansion
+    # 12-point windows that the walk completes with every point on the
+    # branch: in the first two a solve from the previous state alone falls
+    # back to the constant (1D, second point) or fails (2D, fourth point);
+    # the 1D 2.5-6 window starts with steps from onset
     @pytest.mark.parametrize("dim, cells, kappa, mode, window", [
-        (2, 24, 1.0, 2, (2.5, 6.0)), (2, 48, 2.0, 1, (1.02, 2.5)), (1, 256, 2.0, 1, (2.5, 6.0)),
+        (1, 64, 1.0, 1, (1.02, 2.5)), (2, 24, 0.5, 2, (1.02, 2.5)), (1, 256, 1.0, 2, (2.5, 6.0)),
     ])
     def test_far_windows_complete(self, dim, cells, kappa, mode, window):
-        p = cl.build_params(
-            {"chi": 1, "a": 1, "b": 1, "theta": kappa + 1, "kappa": kappa, "beta": 1,
-             "dim": dim, "L": math.pi}
-        )
-        k = cl.make_kinetics(p, "generalized-logistic")
-        g = cl.make_grid(p, cells)
-        eq = cl.equilibrium_info(k, 1.0)
-        onset = characteristic_chi(eq, mode_groups(g.helmholtz_symbol, mode + 1)[mode][0])
-        chi_range = (window[0] * onset, window[1] * onset)
-        branch = cl.continuation(p, k, eq, mode, chi_range, 12, grid=g)
+        p, k, g, eq, onset = _logistic_window(dim, cells, kappa, mode)
+        branch = cl.continuation(p, k, eq, mode, (window[0] * onset, window[1] * onset), 12, grid=g)
         assert branch.terminated_reason is None and len(branch.states) == 12
         assert max(s.residual_norm for s in branch.states) < NEWTON_TOL
+        assert min(_branch_c(branch, g)) >= CONSTANT_AMPLITUDE
+
+    # windows whose branch ends: the 2D 24^2 kappa = 1 mode-2 branch folds
+    # near chi = 10.25, short of 2.5 times onset; on the kappa = 2 mode-1
+    # branch c falls toward 0 and every step past chi = 4.04 leaves the branch
+    @pytest.mark.parametrize("dim, cells, kappa, mode, window, points, stall", [
+        (2, 24, 1.0, 2, (2.5, 6.0), 0, (10.2, 10.3)),
+        (2, 48, 2.0, 1, (1.02, 2.5), 3, (4.0, 4.1)),
+        (1, 256, 2.0, 1, (2.5, 6.0), 0, (4.0, 4.1)),
+    ])
+    def test_far_windows_stall(self, dim, cells, kappa, mode, window, points, stall):
+        p, k, g, eq, onset = _logistic_window(dim, cells, kappa, mode)
+        branch = cl.continuation(p, k, eq, mode, (window[0] * onset, window[1] * onset), 12, grid=g)
+        assert len(branch.states) == points and stall[0] < _stalled_at(branch) < stall[1]
+        assert all(c >= CONSTANT_AMPLITUDE for c in _branch_c(branch, g))
 
     def test_every_mode_of_a_coarse_grid_seeds_a_grid_cosine(self):
         # an index k >= n aliases: cos(n*pi*x/L) samples to zero at the cell
@@ -294,6 +319,33 @@ class TestContinuation:
             states.append(cl.solve_stationary(p, k, (Field(u, g), Field(v, g))))
         mirrored = states[0].u.values[::-1]
         assert np.max(np.abs(mirrored - states[1].u.values)) < 1e-7
+
+
+def _logistic_window(dim, cells, kappa, mode):
+    """Logistic kinetics (a = b = 1, theta = kappa + 1) on an n^dim grid of
+    side pi, with the mode's discrete onset."""
+    p = cl.build_params(
+        {"chi": 1, "a": 1, "b": 1, "theta": kappa + 1, "kappa": kappa, "beta": 1,
+         "dim": dim, "L": math.pi}
+    )
+    k = cl.make_kinetics(p, "generalized-logistic")
+    g = cl.make_grid(p, cells)
+    eq = cl.equilibrium_info(k, 1.0)
+    onset = characteristic_chi(eq, mode_groups(g.helmholtz_symbol, mode + 1)[mode][0])
+    return p, k, g, eq, onset
+
+
+def _branch_c(branch, g):
+    """c = <u - u0, phi>/<phi, phi> per point, phi the seed mode's first cosine."""
+    members = mode_groups(g.helmholtz_symbol, branch.seed_mode + 1)[branch.seed_mode][1]
+    phi = g.cosine_product(members[0])
+    return [float(np.vdot(s.u.values - branch.reference, phi) / np.vdot(phi, phi))
+            for s in branch.states]
+
+
+def _stalled_at(branch):
+    """The chi named by a stalled branch's terminated_reason."""
+    return float(re.match(r"continuation stalled at chi = (\S+):", branch.terminated_reason)[1])
 
 
 def _random_state(dim):
@@ -473,6 +525,23 @@ class TestPreconditioner:
         lin = _linearize(u, np.full(g.shape, eq.v0), p, k, g)
         x = np.random.default_rng(data_seed).normal(size=(2,) + g.shape)
         assert np.max(np.abs(_jvp(lin, _precondition(lin, x)) - x)) <= 1e-10 * np.max(np.abs(x))
+
+    def test_singular_constant_mode_block_stays_finite(self):
+        # u = v = 0.5 under f(u) = u(1 - u): mean f'(u) = 0, so the constant
+        # mode's block [[0, 0], [mean g', -1]] has determinant 0 and no
+        # |ad| + |bc| to scale a floor by
+        p = _params()
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, 32)
+        half = Field.constant(g, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lin = _linearize(half.values, half.values, p, k, g)
+            assert all(np.all(np.isfinite(block)) for block in lin.inverse_block)
+            # the Jacobian itself is singular on the constant mode there, so
+            # Newton stagnates instead of dividing by zero
+            with pytest.raises(NoConvergence, match="stagnated"):
+                cl.solve_stationary(p, k, (half, half))
 
 
 class TestOnsetExpansion:
