@@ -165,7 +165,7 @@ def _simulate_inputs(cfg: Config, args) -> evolve.RunSpec:
     target = None
     if cfg.has("run.target"):
         raw = cfg.raw("run.target")
-        target = p.equilibrium if raw == "equilibrium" else cfg.number("run.target")
+        target = growth_zeros(k)[1] if raw == "equilibrium" else cfg.number("run.target")
     n_snaps = cfg.integer("run.snapshots", 0)
     if n_snaps < 0:
         raise OutOfRange("run.snapshots", f"must be >= 0 (got {n_snaps})")
@@ -316,6 +316,7 @@ def _cmd_stability(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     return EXIT_OK, gap
 
 
+@_config_keys(horizon="compare.horizon", u0_min="compare.u0_min", u0_max="compare.u0_max")
 def _cmd_compare_ode(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     p = params_from_config(cfg)
     k = kinetics_from_config(cfg, p)
@@ -342,6 +343,9 @@ def _cmd_classify(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     p = params_from_config(cfg)
     k = kinetics_from_config(cfg, p)
     dim = cfg.integer("classify.dim", p.dim)
+    # checked here: a "dim" mapping would relabel a bad model.dim too
+    if dim < 1:
+        raise OutOfRange("classify.dim", f"must be >= 1 (got {dim})")
     report = classify_regime(p, k, dim=dim)
     manifest.write_csv(
         "regimes.csv", ("tag", "satisfied", "condition"),

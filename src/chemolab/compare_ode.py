@@ -114,7 +114,7 @@ def _integrate_sandwich(p: ModelParams, y0, horizon, rtol, n_out):
 
 
 def _check_sandwich_invariants(p: ModelParams, t, ubar, w):
-    eq = p.equilibrium
+    eq = (p.a / p.b) ** (1.0 / p.kappa)
     if np.any(w <= 0.0):
         return "lower solution touched zero"
     if np.any(w > eq + ORDER_TOL) or np.any(ubar < eq - ORDER_TOL):
@@ -147,7 +147,7 @@ def solve_sandwich(
         raise OutOfRange("u0_min", f"must be > 0 (got {u0_min})")
     if u0_max < u0_min:
         raise OutOfRange("u0_max", f"must be >= u0_min (got {u0_max} < {u0_min})")
-    eq = p.equilibrium
+    eq = (p.a / p.b) ** (1.0 / p.kappa)
     y0 = [max(u0_max, eq), min(u0_min, eq)]
     breach = None
     for rtol in (ODE_RTOL, ODE_RTOL_RETRY):

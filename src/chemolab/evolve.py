@@ -42,7 +42,7 @@ import numpy as np
 from .diagnostics import lp_norms
 from .elliptic import screened_symbol, solve_dct_diagonal, solve_helmholtz_array
 from .errors import ChemolabError, NegativeOvershoot, OutOfRange, StalledDt
-from .grid import Field, Grid, cell_sums, face_averages, face_divergence, face_gradients, integrate
+from .grid import Field, Grid, cell_sums, chemotaxis_divergence, face_gradients, integrate
 from .model import Kinetics, ModelParams, growth, growth_prime
 
 DT_SAFETY = 0.4
@@ -182,10 +182,9 @@ class _Stepper:
         """One IMEX step of size dt[i] for every point i."""
         grid, u = self.grid, self.u
         dt_col = _column(dt, grid)
-        chemo = [self.chi_col * a * g for a, g in zip(face_averages(u, grid), self.grad_v)]
         f_old = growth(self.f_kind, self.coeff_cols, self.exponent, u)
         # u + dt*(-div + f), in place: IEEE addition and multiplication commute
-        u_star = f_old - face_divergence(chemo, grid)
+        u_star = f_old - chemotaxis_divergence(u, self.grad_v, self.chi_col, grid)
         u_star *= dt_col
         u_star += u
         # dt repeats while it sits at its cap, and so does the implicit symbol

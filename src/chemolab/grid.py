@@ -236,6 +236,14 @@ def face_divergence(fluxes: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
     return out
 
 
+def chemotaxis_divergence(u: np.ndarray, grad_v: Sequence[np.ndarray], chi,
+                          grid: Grid) -> np.ndarray:
+    """div(chi * avg(u) * grad v) from the face gradients of v, bilinear in
+    (u, v): the chemotaxis term of both the time step and the stationary
+    residual.  chi is a float or a column that broadcasts against u."""
+    return face_divergence([chi * a * g for a, g in zip(face_averages(u, grid), grad_v)], grid)
+
+
 def laplacian_apply(values: np.ndarray, grid: Grid) -> np.ndarray:
     return face_divergence(face_gradients(values, grid), grid)
 

@@ -10,15 +10,17 @@ sensitivity ``chi``, the damping envelope ``(a, b, theta)`` bounding the
 growth source from above by ``a - b*u**theta``, and the secretion pair
 ``(beta, kappa)`` with ``g(u) = beta * u**kappa``.  ``Kinetics`` turns a
 named growth-function family into evaluators with derivatives, zeros and a
-verified damping envelope.  ``classify_regime`` evaluates every known
-parameter condition (boundedness, borderline, global convergence, pattern
-onset) and reports each inequality with the numbers substituted.
+verified damping envelope; it is the one description of f, and the positive
+equilibrium of every command is its largest zero (``growth_zeros``).
+``classify_regime`` evaluates every known parameter condition (boundedness,
+borderline, global convergence, pattern onset) and reports each inequality
+with the numbers substituted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +32,9 @@ from .errors import (
     UnknownKey,
 )
 
+# The growth families a Kinetics evaluates.  make_kinetics also takes
+# "allee", the cubic u*(1-u)*(u-c), which it builds as a polynomial.
+FAMILIES = ("generalized-logistic", "power-envelope", "polynomial")
 F_KINDS = ("generalized-logistic", "power-envelope", "allee", "polynomial")
 
 # Tolerances pinned by the contracts in this module.
@@ -37,6 +42,7 @@ EQUALITY_RTOL = 1e-12      # regime conditions testing exact parameter equalitie
 ZERO_ATOL = 1e-12          # |f(z)| at reported zeros whose bracket did not close
 ZERO_SCAN_SAMPLES = 4096   # uniform pre-scan before bisection
 DISSIPATIVITY_GRID = 256   # log-spaced sample pairs per side of the equilibrium
+ENVELOPE_SAMPLES = 512     # samples of the envelope check, s = 0 included
 
 # Axis names of a simulated domain; their count bounds ModelParams.dim and Grid.
 AXIS_NAMES = ("x", "y", "z")
@@ -93,11 +99,6 @@ class ModelParams:
     def volume(self) -> float:
         return float(np.prod(self.lengths))
 
-    @property
-    def equilibrium(self) -> float:
-        """Positive equilibrium (a/b)**(1/kappa) of the u(a - b*u**kappa) family."""
-        return (self.a / self.b) ** (1.0 / self.kappa)
-
 
 _REQUIRED_KEYS = ("chi", "a", "b", "theta", "kappa", "beta", "dim")
 
@@ -143,41 +144,15 @@ class EnvelopeCheck:
     at: float
 
 
-def _check_envelope(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    theta: float,
-    n_samples: int,
-    scale: float,
-) -> EnvelopeCheck:
-    """Sample f(s) - (a - b*s**theta) on (0, S_max] plus s = 0.
-
-    S_max doubles until the damping term dominates the growth function, so any
-    asymptotic violation lands inside the sampled range.
-    """
-    if n_samples < 100:
-        raise OutOfRange("n_samples", f"must be >= 100 (got {n_samples})")
-    s_max = max(1.0, 4.0 * scale)
-    for _ in range(60):
-        if b * s_max**theta >= 2.0 * (abs(float(f(np.array([s_max]))[0])) + a + 1.0):
-            break
-        s_max *= 2.0
-    samples = np.concatenate([[0.0], np.geomspace(1e-9, s_max, n_samples - 1)])
-    diff = f(samples) - (a - b * samples**theta)
-    i = int(np.argmax(diff))
-    return EnvelopeCheck(bool(diff[i] <= 0.0), float(diff[i]), float(samples[i]))
-
-
 @dataclass(frozen=True)
 class Kinetics:
     """A growth function family plus the power secretion g(u) = beta*u**kappa.
 
     ``coeffs`` holds the family parameters: (a, b) for generalized-logistic
-    u*(a - b*u**kappa) and power-envelope a - b*u**theta, the Allee root c for
-    u*(1-u)*(u-c), or the ascending coefficient list of a polynomial.
-    ``envelope`` is a verified triple (a_env, b_env, theta_env) with
-    f(s) <= a_env - b_env*s**theta_env for all s >= 0.
+    u*(a - b*u**kappa) and power-envelope a - b*u**theta, or the ascending
+    coefficient list of a polynomial.  ``envelope`` is the verified triple
+    (a_env, b_env, theta_env) with f(s) <= a_env - b_env*s**theta_env for
+    all s >= 0, built from the family.
     """
 
     f_kind: str
@@ -185,11 +160,11 @@ class Kinetics:
     exponent: float
     beta: float
     kappa: float
-    envelope: tuple[float, float, float] = field(default=(0.0, 0.0, 0.0))
+    envelope: tuple[float, float, float] = field(init=False)
 
     def __post_init__(self):
-        if self.f_kind not in F_KINDS:
-            raise OutOfRange("f_kind", f"must be one of {F_KINDS} (got {self.f_kind})")
+        if self.f_kind not in FAMILIES:
+            raise OutOfRange("f_kind", f"must be one of {FAMILIES} (got {self.f_kind})")
         if not self.beta > 0:
             raise OutOfRange("beta", f"must be > 0 (got {self.beta})")
         if not self.kappa > 0:
@@ -197,12 +172,9 @@ class Kinetics:
         f0 = float(self.f(np.array([0.0]))[0])
         if not f0 >= 0:
             raise OutOfRange("f(0)", f"must be >= 0 (got {f0})")
-        if self.envelope == (0.0, 0.0, 0.0):
-            object.__setattr__(self, "envelope", self._build_envelope())
+        object.__setattr__(self, "envelope", self._build_envelope())
         a_env, b_env, th_env = self.envelope
-        check = _check_envelope(
-            self.f, a_env, b_env, th_env, 512, (max(a_env, 1.0) / b_env) ** (1 / th_env)
-        )
+        check = verify_growth_envelope(self, a_env, b_env, th_env)
         if not check.ok:
             raise OutOfRange(
                 "envelope",
@@ -244,11 +216,6 @@ class Kinetics:
                 s_star = (2.0 * a / (b * (kap + 1.0))) ** (1.0 / kap)
                 a_env = a * s_star * kap / (kap + 1.0)
             return (a_env + 1e-12 * (1.0 + abs(a_env)), b_env, th_env)
-        if self.f_kind == "allee":
-            (c,) = self.coeffs
-            # f + s**3/2 = -s**3/2 + (1+c)s**2 - c*s, maximize over s >= 0
-            surplus = (0.0, -c, 1.0 + c, -0.5)
-            return (_poly_max(surplus) + 1e-12, 0.5, 3.0)
         coeffs = self.coeffs
         deg = len(coeffs) - 1
         if deg < 2 or not coeffs[-1] < 0:
@@ -275,9 +242,6 @@ def growth(f_kind: str, coeffs, exponent: float, u: np.ndarray) -> np.ndarray:
     if f_kind == "power-envelope":
         a, b = coeffs
         return a - b * u**exponent
-    if f_kind == "allee":
-        (c,) = coeffs
-        return u * (1.0 - u) * (u - c)
     return np.polynomial.polynomial.polyval(u, coeffs, tensor=False)
 
 
@@ -289,9 +253,6 @@ def growth_prime(f_kind: str, coeffs, exponent: float, u: np.ndarray) -> np.ndar
     if f_kind == "power-envelope":
         a, b = coeffs
         return -b * exponent * u ** (exponent - 1.0)
-    if f_kind == "allee":
-        (c,) = coeffs
-        return -3.0 * u**2 + 2.0 * (1.0 + c) * u - c
     dcoef = np.polynomial.polynomial.polyder(coeffs)
     return np.polynomial.polynomial.polyval(u, dcoef, tensor=False)
 
@@ -314,14 +275,16 @@ def make_kinetics(
     """Build the named growth family from the model parameters.
 
     generalized-logistic uses (p.a, p.b, p.kappa), power-envelope uses
-    (p.a, p.b, p.theta); the secretion is always beta*u**kappa.
+    (p.a, p.b, p.theta), and allee is the polynomial u*(1-u)*(u-c) with
+    coefficients (0, -c, 1+c, -1); the secretion is always beta*u**kappa.
     """
     if f_kind == "generalized-logistic":
         return Kinetics(f_kind, (p.a, p.b), p.kappa, p.beta, p.kappa)
     if f_kind == "power-envelope":
         return Kinetics(f_kind, (p.a, p.b), p.theta, p.beta, p.kappa)
     if f_kind == "allee":
-        return Kinetics(f_kind, (float(allee_c),), 3.0, p.beta, p.kappa)
+        c = float(allee_c)
+        f_kind, poly_coeffs = "polynomial", (0.0, -c, 1.0 + c, -1.0)
     if f_kind == "polynomial":
         if not poly_coeffs:
             raise MissingKey("poly_coeffs")
@@ -335,25 +298,23 @@ def make_kinetics(
 # ---------------------------------------------------------------------------
 
 
-def growth_zeros(
-    k: Kinetics, upper: float | None = None, atol: float = ZERO_ATOL
-) -> tuple[list[float], float]:
+def growth_zeros(k: Kinetics) -> tuple[list[float], float]:
     """Nonnegative zeros of f found by sign-change bracketing plus bisection.
 
-    Returns the sorted zero list and its last entry (the largest zero).
-    The scan uses ZERO_SCAN_SAMPLES uniform samples on [0, upper].  The
-    default bound is four times (a_env/b_env)**(1/theta_env): every zero z
-    satisfies b_env*z**theta_env <= a_env under the verified envelope, so
-    this covers all of them while keeping the sampling dense.  A zero is
-    reported when |f| < atol there or its bisection bracket closed to
-    adjacent floats; NoZeroFound otherwise.
+    Returns the sorted zero list and its last entry (the largest zero), the
+    positive equilibrium of the model.  The scan uses ZERO_SCAN_SAMPLES
+    uniform samples on [0, upper], upper four times
+    (a_env/b_env)**(1/theta_env): every zero z satisfies
+    b_env*z**theta_env <= a_env under the verified envelope, so this covers
+    all of them while keeping the sampling dense.  The list is never empty:
+    f(0) = 0 is an exact zero sample, and f(0) > 0 changes sign before
+    upper, where the envelope gives f <= a_env*(1 - 4**theta_env) < 0.  A
+    zero is reported when |f| < ZERO_ATOL there or its bisection bracket
+    closed to adjacent floats; NoZeroFound otherwise.
     """
-    if upper is None:
-        a_env, b_env, th_env = k.envelope
-        upper = max(1e-12, 4.0 * (max(a_env, 1e-30) / b_env) ** (1.0 / th_env))
-    if not upper > 0:
-        raise OutOfRange("upper", f"search bound must be > 0 (got {upper})")
-    xs = np.linspace(0.0, float(upper), ZERO_SCAN_SAMPLES)
+    a_env, b_env, th_env = k.envelope
+    upper = max(1e-12, 4.0 * (max(a_env, 1e-30) / b_env) ** (1.0 / th_env))
+    xs = np.linspace(0.0, upper, ZERO_SCAN_SAMPLES)
     fs = k.f(xs)
     # (zero, proven): an exact zero sample or a bracket closed by bisection
     # proves the root whatever the rounding error of f there.
@@ -369,15 +330,13 @@ def growth_zeros(
             zeros.append(_bisect(k.f, float(xs[i]), float(xs[j])))
     zeros.sort()
     merged: list[tuple[float, bool]] = []
-    merge_tol = max(atol, 1e-9 * upper)
+    merge_tol = max(ZERO_ATOL, 1e-9 * upper)
     for z, proven in zeros:
         if not merged or z - merged[-1][0] > merge_tol:
             merged.append((z, proven))
-    if not merged:
-        raise NoZeroFound(f"f has no nonnegative zero below {upper}")
     bad = [
         z for z, proven in merged
-        if not proven and abs(float(k.f(np.array([z]))[0])) >= atol
+        if not proven and abs(float(k.f(np.array([z]))[0])) >= ZERO_ATOL
     ]
     if bad:
         raise NoZeroFound(f"bisection failed to polish zeros near {bad}")
@@ -410,50 +369,54 @@ def _bisect(f, lo: float, hi: float) -> tuple[float, bool]:
 # ---------------------------------------------------------------------------
 
 
-def verify_growth_envelope(
-    k: Kinetics, a: float, b: float, theta: float, n_samples: int = 512
-) -> EnvelopeCheck:
+def verify_growth_envelope(k: Kinetics, a: float, b: float, theta: float) -> EnvelopeCheck:
     """Sampled check of f(s) <= a - b*s**theta for all s >= 0.
 
-    Pure check: returns the verdict and the worst (largest) value of
-    f(s) - (a - b*s**theta) over the samples, never raises on violation.
+    Samples f(s) - (a - b*s**theta) at s = 0 and ENVELOPE_SAMPLES - 1
+    log-spaced points up to S_max, which doubles from
+    max(1, 4*(max(a, 1)/b)**(1/theta)) until the damping term dominates f, so
+    any asymptotic violation lands inside the sampled range.  Pure check:
+    returns the verdict and the worst (largest) sampled value, never raises
+    on violation.
     """
-    scale = (max(a, 1.0) / b) ** (1.0 / theta)
-    return _check_envelope(k.f, a, b, theta, n_samples, scale)
+    s_max = max(1.0, 4.0 * (max(a, 1.0) / b) ** (1.0 / theta))
+    for _ in range(60):
+        if b * s_max**theta >= 2.0 * (abs(float(k.f(np.array([s_max]))[0])) + a + 1.0):
+            break
+        s_max *= 2.0
+    samples = np.concatenate([[0.0], np.geomspace(1e-9, s_max, ENVELOPE_SAMPLES - 1)])
+    diff = k.f(samples) - (a - b * samples**theta)
+    i = int(np.argmax(diff))
+    return EnvelopeCheck(bool(diff[i] <= 0.0), float(diff[i]), float(samples[i]))
 
 
-def check_strong_dissipativity(
-    k: Kinetics,
-    chi: float,
-    kappa: float,
-    z_j: float,
-    zeros: Sequence[float] | None = None,
-    n_samples: int = DISSIPATIVITY_GRID,
-) -> float:
-    """Margin eta0 in f(s)/s - f(r)/r <= -(2*chi + eta0)*(s**kappa - r**kappa).
+def check_strong_dissipativity(k: Kinetics, chi: float, z_j: float) -> float:
+    """Margin eta0 in f(s)/s - f(r)/r <= -(2*chi + eta0)*(s**kappa - r**kappa),
+    kappa the secretion exponent k.kappa.
 
     The supremum of the difference quotient is taken over pairs r <= z_j <= s
-    bracketing the equilibrium between its neighbouring zeros (log-spaced
-    distances on each side).  For the generalized-logistic family the quotient
-    is identically -b, so the closed form b - 2*chi is returned directly.
-    Raises DissipativityFail when the margin is nonpositive.
+    bracketing the equilibrium between its neighbouring zeros
+    (DISSIPATIVITY_GRID log-spaced distances on each side).  For the
+    generalized-logistic family the quotient is identically -b, so the
+    closed form b - 2*chi is returned directly.  Raises DissipativityFail
+    when the margin is nonpositive.
     """
     if not z_j > 0:
         raise OutOfRange("z_j", f"equilibrium must be > 0 (got {z_j})")
+    kappa = k.kappa
     if k.f_kind == "generalized-logistic" and kappa == k.exponent:
         _, b = k.coeffs
         eta0 = b - 2.0 * chi
         if eta0 <= 0.0:
             raise DissipativityFail(eta0, z_j / 2.0, z_j * 2.0)
         return eta0
-    if zeros is None:
-        zeros, _ = growth_zeros(k)
+    zeros, _ = growth_zeros(k)
     below = [z for z in zeros if z < z_j - 1e-9 * z_j]
     above = [z for z in zeros if z > z_j + 1e-9 * z_j]
     left = below[-1] if below else 0.0
     right = above[0] if above else 8.0 * z_j
-    d_r = np.geomspace(1e-8 * z_j, (z_j - left) * (1.0 - 1e-12), n_samples)
-    d_s = np.geomspace(1e-8 * z_j, (right - z_j) * (1.0 - 1e-12), n_samples)
+    d_r = np.geomspace(1e-8 * z_j, (z_j - left) * (1.0 - 1e-12), DISSIPATIVITY_GRID)
+    d_s = np.geomspace(1e-8 * z_j, (right - z_j) * (1.0 - 1e-12), DISSIPATIVITY_GRID)
     r = z_j - d_r
     s = z_j + d_s
     qr = (k.f(r) / r)[:, None]
@@ -542,8 +505,8 @@ def classify_regime(p: ModelParams, k: Kinetics, dim: int | None = None) -> Regi
         )
     )
 
-    g_exact_power = True  # secretion is beta*u**kappa by construction
-    ok = on_line and _almost_equal(p.b, threshold) and g_exact_power
+    # g = beta*u**kappa holds by construction of Kinetics
+    ok = on_line and _almost_equal(p.b, threshold)
     verdicts.append(
         Verdict(
             "Borderline",

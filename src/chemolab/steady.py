@@ -42,6 +42,7 @@ from .errors import NoConvergence, NonpositiveV, OutOfRange
 from .grid import (
     Field,
     Grid,
+    chemotaxis_divergence,
     face_averages,
     face_divergence,
     face_gradients,
@@ -91,15 +92,10 @@ class SteadyState:
 def stationary_residual(
     u: np.ndarray, v: np.ndarray, p: ModelParams, k: Kinetics, grid
 ) -> tuple[np.ndarray, np.ndarray]:
-    ru = laplacian_apply(u, grid) - _chemotaxis(u, v, p.chi, grid) + k.f(u)
+    chemotaxis = chemotaxis_divergence(u, face_gradients(v, grid), p.chi, grid)
+    ru = laplacian_apply(u, grid) - chemotaxis + k.f(u)
     rv = laplacian_apply(v, grid) - v + k.g(u)
     return ru, rv
-
-
-def _chemotaxis(u: np.ndarray, v: np.ndarray, chi: float, grid) -> np.ndarray:
-    """div(chi * avg(u) * grad v), bilinear in (u, v)."""
-    fluxes = [chi * a * g for a, g in zip(face_averages(u, grid), face_gradients(v, grid))]
-    return face_divergence(fluxes, grid)
 
 
 @dataclass(frozen=True)
@@ -502,9 +498,11 @@ def _onset_expansion(p: ModelParams, k: Kinetics, e: EquilibriumInfo, grid: Grid
     lin = _linearize(e.u0 * constant, e.v0 * constant, dc_replace(p, chi=chi_h), k, grid)
     for block in lin.inverse_block:  # skip the critical group (arrays owned by lin)
         block[tuple(zip(*members))] = 0.0
-    quadratic_u = f2 / 2 * phi**2 - _chemotaxis(phi, w1[1], chi_h, grid)
+    grad_v1 = face_gradients(w1[1], grid)
+    quadratic_u = f2 / 2 * phi**2 - chemotaxis_divergence(phi, grad_v1, chi_h, grid)
     w2 = _precondition(lin, -np.stack([quadratic_u, g2 / 2 * phi**2]))
-    chemotaxis = _chemotaxis(phi, w2[1], chi_h, grid) + _chemotaxis(w2[0], w1[1], chi_h, grid)
+    chemotaxis = (chemotaxis_divergence(phi, face_gradients(w2[1], grid), chi_h, grid)
+                  + chemotaxis_divergence(w2[0], grad_v1, chi_h, grid))
     cubic_u = f2 * phi * w2[0] + f3 / 6 * phi**3 - chemotaxis
     cubic_v = g2 * phi * w2[0] + g3 / 6 * phi**3
     cubic = float(np.vdot(phi, e.gprime * cubic_u + (lam - e.fprime) * cubic_v))

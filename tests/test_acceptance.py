@@ -64,7 +64,7 @@ def borderline_2d():
     k = cl.make_kinetics(p, "power-envelope")
     grid = cl.make_grid(p, 64)
     rng = np.random.default_rng(0)
-    u0 = Field(p.equilibrium * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, grid.shape)), grid)
+    u0 = Field((p.a / p.b) ** (1.0 / p.kappa) * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, grid.shape)), grid)
     start = time.perf_counter()
     report = cl.run(p, k, u0, 50.0)
     return p, k, report, time.perf_counter() - start

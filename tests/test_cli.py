@@ -108,7 +108,12 @@ class TestExitCodes:
         ("steady", "steady.mode = 16", "steady.mode: the grid has modes 1 to 15 (got 16)"),
         ("steady", "steady.seed_fraction = 0", "unknown config key: steady.seed_fraction"),
         ("compare-ode", "compare.horizon = 0\ncompare.u0_min = 0.5\ncompare.u0_max = 1.5",
-         "horizon: must be > 0 (got 0.0)"),
+         "compare.horizon: must be > 0 (got 0.0)"),
+        ("compare-ode", "compare.horizon = 1\ncompare.u0_min = 0\ncompare.u0_max = 1.5",
+         "compare.u0_min: must be > 0 (got 0.0)"),
+        ("compare-ode", "compare.horizon = 1\ncompare.u0_min = 0.5\ncompare.u0_max = 0.25",
+         "compare.u0_max: must be >= u0_min (got 0.25 < 0.5)"),
+        ("classify", "classify.dim = 0", "classify.dim: must be >= 1 (got 0)"),
         ("sweep", "sweep.count = -1", "sweep.count: grid is empty (got -1)"),
         ("sweep", "sweep.count = 2\nsweep.parameter2 = model.b\nsweep.start2 = 1\n"
          "sweep.stop2 = 2\nsweep.count2 = -1", "sweep.count2: grid is empty (got -1)"),
@@ -247,6 +252,53 @@ run.horizon = 0.5
         assert series.tobytes() == report.series.tobytes()
         assert final[:, dim].tobytes() == report.final_u.values.ravel().tobytes()
         assert final[:, dim + 1].tobytes() == report.final_v.values.ravel().tobytes()
+
+
+class TestEquilibriumTarget:
+    """run.target = equilibrium is the largest zero of f in every family: the
+    u0 that classify reports, which the run converges to."""
+
+    # family keys over BASE; each run starts near that family's largest zero
+    FAMILIES = {
+        "generalized-logistic": ("", 1.0),
+        # the borderline power-envelope kinetics: f = 1 - u**3/2 settles on
+        # 2**(1/3), not on (a/b)**(1/kappa) = 2**(1/2)
+        "power-envelope": ("model.b = 0.5\nmodel.theta = 3\nmodel.kappa = 2\n", 1.25),
+        "allee": ("model.theta = 3\nkinetics.allee_c = 0.5\n", 1.0),
+        "polynomial": ("model.theta = 3\nkinetics.poly_coeffs = 0, 2, -1\n", 2.0),
+    }
+
+    @pytest.mark.parametrize("f_kind", sorted(FAMILIES))
+    def test_converges_to_the_classified_equilibrium(self, tmp_path, monkeypatch, f_kind):
+        keys, base = self.FAMILIES[f_kind]
+        specs = []
+        run_batch = evolve.run_batch
+
+        def keep_specs(batch):
+            specs.extend(batch)
+            return run_batch(batch)
+
+        monkeypatch.setattr(evolve, "run_batch", keep_specs)
+        text = BASE.replace("model.chi = 0.4", "model.chi = 0.1") + keys + f"""
+kinetics.f_kind = {f_kind}
+grid.nx = 16
+init.kind = cosine
+init.base = {base}
+init.amplitude = 0.05
+run.horizon = 60
+run.target = equilibrium
+"""
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        footer = (out / "series.csv").read_text().splitlines()[-1]
+        assert footer.startswith("# status=Converged"), footer
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+        with open(tmp_path / "c" / "regimes.csv", newline="", encoding="utf-8") as fh:
+            pattern = next(row for row in csv.DictReader(fh) if row["tag"] == "PatternCapableAt")
+        u0 = re.findall(r"u0 = (\S+):", pattern["condition"])[-1]
+        (spec,) = specs
+        assert f"{spec.target:.6g}" == u0
 
 
 class TestArtifactWriter:

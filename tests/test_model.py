@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import chemolab as cl
@@ -94,20 +94,15 @@ class TestGrowthZeros:
 
     def test_quadratic_secretion_family_against_bisection_oracle(self):
         k = cl.make_kinetics(_params(a=2, b=3, kappa=2, theta=3), "generalized-logistic")
-        zeros, largest = cl.growth_zeros(k, upper=4.0)
+        zeros, largest = cl.growth_zeros(k)
         oracle = _bisect_zeros(k.f, 4.0)
         assert zeros == pytest.approx(oracle, abs=1e-10)
         assert largest == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
 
-    def test_no_zero(self):
-        k = cl.make_kinetics(_params(a=1, b=1, theta=2), "power-envelope")
-        # f = 1 - u**2 has its only nonnegative zero at 1; search below it
-        with pytest.raises(cl.errors.NoZeroFound):
-            cl.growth_zeros(k, upper=0.5)
-
     @given(a=st.floats(0.1, 10), b=st.floats(0.1, 10), kappa=st.floats(0.25, 3))
     @example(a=7.35666256524149, b=1.0, kappa=0.25)
     @settings(max_examples=25, deadline=None)
+    @seed(13)
     def test_logistic_zero_set_is_exact(self, a, b, kappa):
         k = cl.make_kinetics(_params(a=a, b=b, kappa=kappa, theta=kappa + 1), "generalized-logistic")
         zeros, largest = cl.growth_zeros(k)
@@ -133,14 +128,6 @@ class TestGrowthEnvelope:
         assert check.ok
         assert check.worst_violation == pytest.approx(0.0, abs=1e-12)
 
-    def test_sample_count_never_flips_false_to_true(self, logistic_kinetics):
-        for n in (128, 256, 1024, 4096):
-            assert not cl.verify_growth_envelope(logistic_kinetics, 0.25, 1.0, 2.0, n).ok
-
-    def test_minimum_samples(self, logistic_kinetics):
-        with pytest.raises(OutOfRange):
-            cl.verify_growth_envelope(logistic_kinetics, 1.0, 0.5, 2.0, n_samples=10)
-
     def test_constructed_envelopes_verify(self):
         for kind, kw in [
             ("generalized-logistic", {}),
@@ -151,6 +138,22 @@ class TestGrowthEnvelope:
             k = cl.make_kinetics(_params(theta=3), kind, **kw)
             a_env, b_env, th_env = k.envelope
             assert cl.verify_growth_envelope(k, a_env, b_env, th_env).ok
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, 0.5])
+    def test_allee_is_the_cubic_polynomial(self, c):
+        p = _params(theta=3)
+        allee = cl.make_kinetics(p, "allee", allee_c=c)
+        poly = cl.make_kinetics(p, "polynomial", poly_coeffs=(0.0, -c, 1.0 + c, -1.0))
+        assert allee == poly and allee.f_kind == "polynomial"
+        assert allee.envelope == poly.envelope
+        # the polynomial envelope is the closed-form Allee surplus bound
+        a_env = cl.model._poly_max((0.0, -c, 1.0 + c, -0.5)) + 1e-12
+        assert allee.envelope == (a_env, 0.5, 3.0)
+        # Horner's rule against the product form: a few ulps of the terms
+        u = np.linspace(0.0, 2.0, 201)
+        product, slope = u * (1.0 - u) * (u - c), -3.0 * u**2 + 2.0 * (1.0 + c) * u - c
+        np.testing.assert_allclose(allee.f(u), product, rtol=0, atol=4 * np.spacing(2.0))
+        np.testing.assert_allclose(allee.f_prime(u), slope, rtol=0, atol=4 * np.spacing(8.0))
 
     def test_polynomial_needs_negative_leading_coefficient(self):
         with pytest.raises(OutOfRange):
@@ -163,29 +166,29 @@ class TestGrowthEnvelope:
 
 class TestStrongDissipativity:
     def test_logistic_closed_form(self, logistic_kinetics):
-        assert cl.check_strong_dissipativity(logistic_kinetics, 0.4, 1.0, 1.0) == pytest.approx(0.2)
+        assert cl.check_strong_dissipativity(logistic_kinetics, 0.4, 1.0) == pytest.approx(0.2)
 
     def test_fail_carries_pair(self, logistic_kinetics):
         with pytest.raises(DissipativityFail) as err:
-            cl.check_strong_dissipativity(logistic_kinetics, 0.6, 1.0, 1.0)
+            cl.check_strong_dissipativity(logistic_kinetics, 0.6, 1.0)
         assert err.value.eta0 == pytest.approx(-0.2)
         assert len(err.value.pair) == 2
 
     def test_sampled_path_matches_closed_form(self):
         # Same f = u - u**2 expressed as a raw polynomial forces the sampler.
         k = cl.make_kinetics(_params(), "polynomial", poly_coeffs=(0.0, 1.0, -1.0))
-        eta = cl.check_strong_dissipativity(k, 0.4, 1.0, 1.0)
+        eta = cl.check_strong_dissipativity(k, 0.4, 1.0)
         assert eta == pytest.approx(1.0 - 0.8, abs=1e-10)
 
     def test_general_exponent_identity(self):
         # f = u*(2 - 3*u**2): the difference quotient is identically -3.
         k = cl.make_kinetics(_params(a=2, b=3, kappa=2, theta=3), "generalized-logistic")
-        eta = cl.check_strong_dissipativity(k, 0.4, 2.0, math.sqrt(2.0 / 3.0))
+        eta = cl.check_strong_dissipativity(k, 0.4, math.sqrt(2.0 / 3.0))
         assert eta == pytest.approx(3.0 - 0.8)
 
     def test_needs_positive_equilibrium(self, logistic_kinetics):
         with pytest.raises(OutOfRange):
-            cl.check_strong_dissipativity(logistic_kinetics, 0.4, 1.0, 0.0)
+            cl.check_strong_dissipativity(logistic_kinetics, 0.4, 0.0)
 
 
 class TestClassifyRegime:
