@@ -162,6 +162,11 @@ def _simulate_inputs(cfg: Config, args) -> evolve.RunSpec:
     grid = grid_from_config(cfg, p)
     u0 = initial_field(cfg, grid, seed=args.seed)
     horizon = cfg.number("run.horizon")
+    if not horizon > 0:
+        raise OutOfRange("run.horizon", f"must be > 0 (got {horizon})")
+    rows = cfg.integer("run.rows", 500)
+    if rows < 1:
+        raise OutOfRange("run.rows", f"must be >= 1 (got {rows})")
     target = None
     if cfg.has("run.target"):
         raw = cfg.raw("run.target")
@@ -174,7 +179,7 @@ def _simulate_inputs(cfg: Config, args) -> evolve.RunSpec:
         p, k, u0, horizon,
         target=target,
         eps=cfg.number("run.eps", evolve.MONITOR_EPS),
-        rows=cfg.integer("run.rows", 500),
+        rows=rows,
         snapshot_times=snap_times,
     )
 

@@ -17,7 +17,7 @@ import operator
 import numpy as np
 
 from .errors import MissingKey, OutOfRange, UnknownKey
-from .grid import Field, Grid, make_grid
+from .grid import MIN_CELLS_PER_AXIS, Field, Grid, make_grid
 from .model import Kinetics, ModelParams, build_params, make_kinetics
 
 KNOWN_KEYS = {
@@ -187,7 +187,11 @@ def kinetics_from_config(cfg: Config, p: ModelParams) -> Kinetics:
 def grid_from_config(cfg: Config, p: ModelParams) -> Grid:
     """grid.nx cells along axis 0 and grid.ny (default nx) along every later axis."""
     nx = cfg.integer("grid.nx")
-    return make_grid(p, [nx] + [cfg.integer("grid.ny", nx) for _ in range(1, p.dim)])
+    counts = [nx] + [cfg.integer("grid.ny", nx) for _ in range(1, p.dim)]
+    for key, n in zip(["grid.nx"] + ["grid.ny"] * (p.dim - 1), counts):
+        if n < MIN_CELLS_PER_AXIS:
+            raise OutOfRange(key, f"need >= {MIN_CELLS_PER_AXIS} cells per axis (got {n})")
+    return make_grid(p, counts)
 
 
 def initial_field(cfg: Config, grid: Grid, seed: int = 0) -> Field:

@@ -9,38 +9,52 @@ DCT-II basis, and one exact spectral solve serves the chemical equation
 is projected exactly afterwards, which pins the discrete compatibility
 identity sum(x) = sum(b) to roundoff.
 
-The transforms come from scipy.fftpack: scipy.fft's pocketfft kernel, bit for
-bit, without its backend dispatch, which adds about 60% to a 256-cell call
-(9.5 against 5.8 us, 2-vCPU x86, scipy 1.17) and runs four times a step.
+The transforms call the compiled pocketfft kernel behind scipy's public dct
+and idct, one axis per call, with the arguments their orthonormal forms pass
+it.  The public wrappers only check and convert their input (dtype, byte
+order, alignment, normalisation and worker count), which chemolab's float64
+arrays never need; on a 256-cell line that is about half of a call (a
+forward transform took 5.6 against 2.7 us, best of five timeit runs, 2-vCPU
+x86, scipy 1.17), and a step makes four such calls.  The kernel is a
+private scipy name, so tests/test_grid_elliptic.py::TestTransformKernel
+requires both transforms to equal the public ones bit for bit: a scipy
+whose kernel changes fails there instead of drifting silently.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.fftpack import dct, idct
+from scipy.fft._pocketfft.pypocketfft import dct
 
 from .errors import NonpositiveV, OutOfRange
 from .grid import Field, Grid, cell_gradients, cell_sums, integrate
 
+_DCT_II, _DCT_III = 2, 3   # the orthonormal DCT-III is the DCT-II's inverse
+_ORTHO = 1                 # pocketfft's normalisation code for norm="ortho"
+
 
 def cosine_coefficients(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II per axis; entry k pairs with grid.laplacian_eigenvalues[k].
+    """Orthonormal DCT-II per axis of a float64 array; entry k pairs with
+    grid.laplacian_eigenvalues[k].
 
     The transforms run along the trailing grid axes, so a leading batch axis
     passes through; pocketfft transforms each line alone, so every field of a
     batch gets the bits it would get alone.
     """
-    # Per-axis transforms: dctn's n-d argument handling makes a round trip on
-    # a 64-cell 1D grid about 40% slower.
-    for ax in range(-grid.dim, 0):
-        values = dct(values, type=2, norm="ortho", axis=ax)
-    return values
+    # Per-axis transforms: one call over all axes applies the orthonormal
+    # factor once, not per axis, and so moves the last bits.  The first call
+    # writes a new array and later axes transform it in place.
+    first, *later = grid.cell_axes
+    out = dct(values, _DCT_II, (first,), _ORTHO, None, 1, None)
+    for ax in later:
+        dct(out, _DCT_II, (ax,), _ORTHO, out, 1, None)
+    return out
 
 
 def cell_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of cosine_coefficients; overwrites ``coeffs``."""
-    for ax in range(-grid.dim, 0):
-        coeffs = idct(coeffs, type=2, norm="ortho", axis=ax, overwrite_x=True)
+    """Inverse of cosine_coefficients; overwrites ``coeffs`` and returns it."""
+    for ax in grid.cell_axes:
+        dct(coeffs, _DCT_III, (ax,), _ORTHO, coeffs, 1, None)
     return coeffs
 
 

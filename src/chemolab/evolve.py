@@ -32,7 +32,6 @@ RunReport exist only at the boundary.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -90,19 +89,34 @@ def _cell_max(values: np.ndarray, grid: Grid) -> list[float]:
     return np.maximum.reduce(values, axis=grid.cell_axes).tolist()
 
 
+def _cell_min(values: np.ndarray, grid: Grid) -> list[float]:
+    """The smallest entry of each point's cells in a (B, *grid.shape) array."""
+    return np.minimum.reduce(values, axis=grid.cell_axes).tolist()
+
+
+def _target_error(u_max: float, u_min: float, target: float) -> float:
+    """max |u - target| over the cells of u, from its extremes alone.
+
+    Rounding u - target is monotone in u, so the largest rounded magnitude
+    sits at the largest or the smallest u: this is np.max(np.abs(u - target))
+    bit for bit, and a zero error is +0.0 as np.abs gives it.
+    """
+    return max(abs(u_max - target), abs(u_min - target))
+
+
 class _Stepper:
     """The step kernel: a batch of states on one grid, advanced together.
 
     u and v have shape (B, *grid.shape).  The per-point scalars -- t, dt,
     step_count, clamp_count, clamped_mass, last_mass_residual, mass (the
-    cell sum of u, the next step's old mass), linf_u (max |u|), chi, the
-    growth coefficients and beta -- are lists, one entry per point, and go
-    through the same float arithmetic as a lone point would: numpy calls on
-    a few entries cost far more than that arithmetic.  chi, the growth
-    coefficients and beta also enter the array arithmetic as columns (see
-    _column).  The grid, f_kind, the growth exponent and kappa are shared,
-    because numpy's x**2.0 and x**0.5 take fast paths that an array of
-    exponents does not.
+    cell sum of u, the next step's old mass), linf_u (max |u|), u_min
+    (min u), chi, the growth coefficients and beta -- are lists, one entry
+    per point, and go through the same float arithmetic as a lone point
+    would: numpy calls on a few entries cost far more than that arithmetic.
+    chi, the growth coefficients and beta also enter the array arithmetic as
+    columns (see _column).  The grid, f_kind, the growth exponent and kappa
+    are shared, because numpy's x**2.0 and x**0.5 take fast paths that an
+    array of exponents does not.
 
     grad_v holds the face gradients of v and grad_v_inf their largest
     magnitude per point, both refreshed with v: the flux, the dt rule and
@@ -112,7 +126,7 @@ class _Stepper:
     """
 
     _LISTS = ("t", "dt", "step_count", "clamp_count", "clamped_mass", "last_mass_residual",
-              "mass", "linf_u", "grad_v_inf", "chi", "coeffs", "beta")
+              "mass", "linf_u", "u_min", "grad_v_inf", "chi", "coeffs", "beta")
 
     def __init__(self, states: Sequence[SimState], params: Sequence[ModelParams],
                  kinetics: Sequence[Kinetics]):
@@ -134,6 +148,7 @@ class _Stepper:
         self.u = np.stack([s.u.values for s in states])
         self.mass = cell_sums(self.u, grid).tolist()
         self.linf_u = _cell_max(np.abs(self.u), grid)
+        self.u_min = _cell_min(self.u, grid)
         self.failures: list[tuple[int, ChemolabError]] = []
         self._implicit: tuple = (None, None)   # (dt, screened_symbol at dt)
         self._set_v(np.stack([s.v.values for s in states]))
@@ -199,9 +214,10 @@ class _Stepper:
         ]
 
         u_max = [max(m, 0.0) for m in _cell_max(u_new, grid)]
-        for row, u_min in enumerate(np.minimum.reduce(u_new, axis=grid.cell_axes).tolist()):
-            if u_min < 0.0:
-                self._clamp(row, u_new, u_min, u_max[row], mass, dt[row])
+        u_min = _cell_min(u_new, grid)
+        for row, m in enumerate(u_min):
+            if m < 0.0:
+                self._clamp(row, u_new, m, u_max[row], mass, dt[row])
 
         source = self.beta_col * u_new**self.kappa
         try:
@@ -209,14 +225,17 @@ class _Stepper:
         except OutOfRange as error:
             finite = np.logical_and.reduce(np.isfinite(source), axis=grid.cell_axes)
             for row in np.flatnonzero(~finite).tolist():
-                self.failures.append((row, copy.copy(error)))
+                # one error per failing point; copy.copy cannot rebuild an OutOfRange
+                self.failures.append((row, OutOfRange(error.name, error.reason)))
                 u_new[row], source[row] = u[row], 0.0
             v = solve_helmholtz_array(grid, source)
         self._set_v(v)
         self.t = [t + d for t, d in zip(self.t, dt)]
         self.step_count = [n + 1 for n in self.step_count]
-        # u >= 0 after the clamp, so its clamp bound max(u, 0) is max |u|
+        # u >= 0 after the clamp, so its clamp bound max(u, 0) is max |u|, and
+        # a clamped row's minimum is 0
         self.u, self.dt, self.mass, self.linf_u = u_new, dt, mass, u_max
+        self.u_min = [max(m, 0.0) for m in u_min]
 
     def _clamp(self, row, u_new, u_min, u_max, mass, dt) -> None:
         """Zero the routine negatives of one row, counting them, and refresh
@@ -429,9 +448,7 @@ class _BatchRun:
         self.horizon = [s.horizon for s in specs]
         self.stop = [h * (1.0 - 1e-12) for h in self.horizon]
         self.interval = [1] * len(specs)
-        self.target = [s.target for s in specs]
-        self._set_offsets()
-        self.any_target = any(t is not None for t in self.target)
+        self.target = [None if s.target is None else float(s.target) for s in specs]
         self.pending = [sorted(float(t) for t in s.snapshot_times) for s in specs]
         self.snap_at = [math.inf] * len(specs)
         self.max_mass_residual = [0.0] * len(specs)
@@ -453,12 +470,6 @@ class _BatchRun:
         for name in self._LISTS:
             values = getattr(self, name)
             setattr(self, name, [values[row] for row in rows])
-        if rows:
-            self._set_offsets()
-
-    def _set_offsets(self) -> None:
-        # the targets as a column; a row without one never reads its error
-        self.offsets = _column([0.0 if t is None else t for t in self.target], self.grid)
 
     def _log(self, row: int, values: np.ndarray) -> None:
         point = self.point[row]
@@ -542,11 +553,9 @@ class _BatchRun:
                     break
             self.max_mass_residual = list(map(max, self.max_mass_residual, kernel.last_mass_residual))
             self.l1_observed = [max(l1, m * volume) for l1, m in zip(self.l1_observed, kernel.mass)]
-            errors = None
-            if self.any_target:
-                errors = _cell_max(np.abs(kernel.u - self.offsets), self.grid)
 
-            # (row, record, status) of every row that logs a row or stops
+            # (row, record, status, target error) of every row that logs a
+            # row or stops
             events = []
             for row, t in enumerate(kernel.t):
                 if t >= self.snap_at[row]:
@@ -554,24 +563,27 @@ class _BatchRun:
                 done = t >= self.stop[row]
                 record = steps % self.interval[row] == 0 or done
                 status = "ReachedHorizon" if done else None
-                if self.target[row] is not None and errors[row] < TARGET_TOL:
+                target, error = self.target[row], None
+                if target is not None:
+                    error = _target_error(kernel.linf_u[row], kernel.u_min[row], target)
+                if error is not None and error < TARGET_TOL:
                     status = "Converged"
                 elif kernel.linf_u[row] > BLOWUP_LINF:
                     status = "BlowUp"
                 if record or status:
-                    events.append((row, record, status))
+                    events.append((row, record, status, error))
             if not events:
                 continue
             rows = self._rows()
-            for row, record, status in events:
+            for row, record, status, error in events:
                 point = self.point[row]
                 self._log(row, rows[row])
-                if self.target[row] is not None and (record or status == "Converged"):
-                    self.target_errors[point].append((kernel.t[row], errors[row]))
+                if error is not None and (record or status == "Converged"):
+                    self.target_errors[point].append((kernel.t[row], error))
                 if status:
                     norms = (float(rows[row, 2]), float(rows[row, 3])) if status == "BlowUp" else None
                     self._finish(row, status, norms)
-            stopped = {row for row, _, status in events if status}
+            stopped = {row for row, _, status, _ in events if status}
             if stopped:
                 self._keep([row for row in range(len(self.point)) if row not in stopped])
         return self.outcomes

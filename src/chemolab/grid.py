@@ -226,13 +226,17 @@ def face_divergence(fluxes: Sequence[np.ndarray], grid: Grid) -> np.ndarray:
     the discrete mass law hold.
     """
     shape = fluxes[0].shape[: fluxes[0].ndim - grid.dim] + grid.shape
-    out = np.zeros(shape)
+    out = None
     for (lo, hi), flux, h in zip(grid.face_slices, fluxes, grid.spacings):
         # cell i gets F[i] - F[i-1], with F = 0 on the two walls
         diff = np.zeros(shape)
         diff[lo] = flux
         diff[hi] -= flux
-        out += diff / h
+        diff /= h
+        if out is None:
+            out = diff
+        else:
+            out += diff
     return out
 
 

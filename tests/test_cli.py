@@ -84,8 +84,11 @@ class TestExitCodes:
         ("simulate", "init.kind = cosine\ninit.mode = 1e400", "init.mode: expected an integer (got inf)"),
         ("simulate", "init.kind = cosine\ninit.mode = 1, 1.5", "init.mode: expected an integer (got 1.5)"),
         ("simulate", "init.kind = cosine\ninit.mode = 1, 2", "init.mode: more entries (2) than grid axes (1)"),
-        ("simulate", "run.rows = 0", "rows: must be >= 1 (got 0)"),
-        ("simulate", "run.rows = -3", "rows: must be >= 1 (got -3)"),
+        ("simulate", "run.rows = 0", "run.rows: must be >= 1 (got 0)"),
+        ("simulate", "run.rows = -3", "run.rows: must be >= 1 (got -3)"),
+        ("simulate", "run.horizon = 0", "run.horizon: must be > 0 (got 0.0)"),
+        ("simulate", "grid.nx = 4", "grid.nx: need >= 8 cells per axis (got 4)"),
+        ("simulate", "model.dim = 2\ngrid.ny = 4", "grid.ny: need >= 8 cells per axis (got 4)"),
         ("simulate", "run.snapshots = -1", "run.snapshots: must be >= 0 (got -1)"),
         ("simulate", "run.horizon = 1e400", "run.horizon: must be finite (got inf)"),
         ("simulate", "model.chi = 1e400", "model.chi: must be finite (got inf)"),
@@ -589,7 +592,7 @@ run.horizon = 0.5
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "sweep_summary.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["status"] for r in rows] == ["error: rows: must be >= 1 (got 0)", "ok"]
+        assert [r["status"] for r in rows] == ["error: run.rows: must be >= 1 (got 0)", "ok"]
 
     def test_programming_error_is_not_a_point_failure(self, tmp_path, monkeypatch):
         def broken(cfg, args, manifest):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import chemolab as cl
@@ -65,6 +65,84 @@ class TestStep:
         s = SimState(t=0.0, u=Field(u, g), v=v, dt=1e-4)
         with pytest.raises(NegativeOvershoot):
             cl.step(s, p, k)
+
+
+class TestNonfiniteSource:
+    """A step whose secretion beta*u**kappa overflows fails its point alone."""
+
+    @staticmethod
+    def _state(g, u, beta):
+        # built directly: SimState.initial would already fail on the source
+        p, k, _ = _setup(nx=g.shape[0], beta=beta)
+        return p, k, SimState(t=0.0, u=Field(u, g), v=Field.constant(g, 1.0), dt=1e-3)
+
+    def test_step_raises_out_of_range(self):
+        _, _, g = _setup(nx=16)
+        p, k, s = self._state(g, np.full(g.shape, 10.0), beta=1e308)
+        with pytest.raises(OutOfRange, match="^source: must be finite$"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
+            cl.step(s, p, k)
+
+    def test_only_the_overflowing_row_of_a_batch_fails(self):
+        _, _, g = _setup(nx=16)
+        x = g.coordinates[0]
+        rows = [self._state(g, 1.0 + 0.3 * np.cos(x), beta=1.0),
+                self._state(g, np.full(g.shape, 10.0), beta=1e308),
+                self._state(g, 1.0 + 0.2 * np.cos(2.0 * x), beta=2.0)]
+        params, kinetics, states = zip(*rows)
+        kernel = evolve._Stepper(states, params, kinetics)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            kernel.step([s.dt for s in states])
+        assert [(row, str(error)) for row, error in kernel.failures] == [
+            (1, "source: must be finite")]
+        assert kernel.u[1].tobytes() == states[1].u.values.tobytes()  # its old u
+        for row in (0, 2):
+            alone = cl.step(states[row], params[row], kinetics[row])
+            batched = kernel.state(row)
+            for f in dataclasses.fields(SimState):
+                assert _bits(getattr(batched, f.name)) == _bits(getattr(alone, f.name)), f.name
+
+
+# cell values for the target-error identity: mixed signs, signed zeros,
+# subnormals and magnitudes up to 1e6
+_CELL_VALUES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+)
+
+
+class TestTargetError:
+    @seed(20)
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.lists(_CELL_VALUES, min_size=1, max_size=40),
+           side=st.sampled_from(["below", "above", "inside", "cell", "zero"]),
+           gap=st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e-300)))
+    # max(u_max - target, target - u_min) would give -0.0 here
+    @example(values=[-0.0], side="zero", gap=0.0)
+    def test_extremes_give_max_abs_difference(self, values, side, gap):
+        u = np.array(values)
+        lo, hi = float(u.min()), float(u.max())
+        target = {"below": lo - gap, "above": hi + gap, "inside": 0.5 * lo + 0.5 * hi,
+                  "cell": values[-1], "zero": 0.0}[side]
+        expected = np.max(np.abs(u - target))
+        assert _bits(evolve._target_error(hi, lo, target)) == _bits(float(expected))
+
+    def test_last_error_is_the_final_field_error(self):
+        p, k, g = _setup(nx=32)
+        x = g.coordinates[0]
+        converge = RunSpec(p, k, Field(1.0 + 0.5 * np.cos(x), g), 100.0, target=1.0)
+        horizon = RunSpec(p, k, Field(1.0 + 0.4 * np.cos(2.0 * x), g), 0.5, target=1.1)
+        untargeted = RunSpec(replace(p, chi=0.2), k, Field(1.0 + 0.3 * np.cos(x), g), 0.3)
+        batched = run_batch([untargeted, converge, horizon, untargeted])
+        alone = run_batch([converge]) + run_batch([horizon])
+        assert [r.status for r in batched] == ["ReachedHorizon", "Converged", "ReachedHorizon",
+                                               "ReachedHorizon"]
+        assert batched[0].target_errors == batched[3].target_errors == []
+        for report, spec in zip(batched[1:3] + alone, [converge, horizon] * 2):
+            t, error = report.target_errors[-1]
+            assert t == report.final_time
+            assert _bits(error) == _bits(float(np.max(np.abs(report.final_u.values - spec.target))))
 
 
 class TestAdaptDt:

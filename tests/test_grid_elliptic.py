@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy
+import scipy.fftpack
 import scipy.linalg
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import chemolab as cl
 from _reference import helmholtz_matrix, laplacian_matrix
-from chemolab.elliptic import solve_helmholtz_array, solve_screened_array
+from chemolab.elliptic import (cell_values, cosine_coefficients, solve_helmholtz_array,
+                               solve_screened_array)
 from chemolab.errors import NonpositiveV, OutOfRange
 from chemolab.evolve import DT_MAX_FACTOR
 from chemolab.grid import Field, Grid, integrate, laplacian_apply, mode_groups
@@ -264,12 +267,40 @@ class TestHelmholtzSolve:
         assert (solve_helmholtz_array(g, rhs[0]).tobytes()
                 == solve_screened_array(g, rhs[0], 1.0).tobytes())
 
-    def test_rejects_nonfinite_source(self):
+    @pytest.mark.parametrize("entries", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)])
+    def test_rejects_nonfinite_source(self, entries):
         g = _grid_1d(16)
         bad = np.ones(16)
-        bad[3] = np.nan
-        with pytest.raises(OutOfRange):
+        bad[3:3 + len(entries)] = entries
+        with pytest.raises(OutOfRange, match="^source: must be finite$"):
             cl.solve_helmholtz(g, Field(bad, g))
+
+
+class TestTransformKernel:
+    """cosine_coefficients and cell_values call scipy's private pocketfft
+    kernel directly; they must equal the public scipy.fftpack transforms
+    bit for bit, so a scipy whose kernel changes fails here."""
+
+    @pytest.mark.parametrize("shape, batch", [
+        ((256,), ()), ((64, 64), ()), ((12, 20), ()), ((8, 8, 8), ()), ((64,), (5,)),
+    ])
+    def test_transforms_equal_scipy_fftpack(self, shape, batch):
+        g = Grid((math.pi, 2.0, 3.0)[: len(shape)], shape)
+        values = np.random.default_rng(7).uniform(-1.0, 2.0, batch + shape)
+        given_values = values.copy()
+        forward = inverse = values
+        for ax in g.cell_axes:
+            forward = scipy.fftpack.dct(forward, type=2, norm="ortho", axis=ax)
+        for ax in g.cell_axes:
+            inverse = scipy.fftpack.idct(inverse, type=2, norm="ortho", axis=ax)
+        kernel = f"scipy {scipy.__version__} changed its pocketfft kernel"
+
+        coeffs = cosine_coefficients(g, values)
+        assert coeffs.shape == forward.shape and coeffs.tobytes() == forward.tobytes(), kernel
+        assert values.tobytes() == given_values.tobytes()  # the forward keeps its input
+        restored = cell_values(g, values)
+        assert np.shares_memory(restored, values)  # the inverse overwrites its input
+        assert values.tobytes() == restored.tobytes() == inverse.tobytes(), kernel
 
 
 class TestEllipticIdentity:
