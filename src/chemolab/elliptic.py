@@ -64,21 +64,16 @@ def screened_symbol(grid: Grid, c) -> np.ndarray:
     return 1.0 + c * grid.laplacian_eigenvalues
 
 
-def solve_screened_array(grid: Grid, rhs: np.ndarray, c) -> np.ndarray:
-    """Solve (I - c*lap_h) x = rhs, mirror-ghost Neumann stencil, c >= 0.
+def solve_dct_diagonal(grid: Grid, rhs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Solve (I - c*lap_h) x = rhs, mirror-ghost Neumann stencil, c >= 0, given
+    its symbol, screened_symbol(grid, c).
 
     A forward DCT-II along each axis diagonalises the operator exactly, the
-    coefficients are divided by screened_symbol(grid, c), and the inverse
-    DCT-II along each axis returns to cell values.  rhs may carry a leading
-    batch axis, (B, *grid.shape), with c a float or one value per field
-    shaped to broadcast, (B, 1, ...); each field is solved bit for bit as it
-    would be alone.
+    coefficients are divided by the symbol, and the inverse DCT-II along each
+    axis returns to cell values.  rhs may carry a leading batch axis,
+    (B, *grid.shape), with c a float or one value per field shaped to
+    broadcast, (B, 1, ...); each field gets the bits it would get alone.
     """
-    return solve_dct_diagonal(grid, rhs, screened_symbol(grid, c))
-
-
-def solve_dct_diagonal(grid: Grid, rhs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """solve_screened_array with its symbol given, for callers that reuse one."""
     x = cosine_coefficients(grid, rhs)
     x /= symbol
     x = cell_values(grid, x)
@@ -91,19 +86,18 @@ def solve_dct_diagonal(grid: Grid, rhs: np.ndarray, symbol: np.ndarray) -> np.nd
 def solve_helmholtz_array(grid: Grid, source: np.ndarray) -> np.ndarray:
     """Solve (-lap_h + I) v = s with zero-flux walls; see solve_helmholtz.
 
-    source may carry a leading batch axis, as in solve_screened_array.
+    source may carry a leading batch axis, as in solve_dct_diagonal.
     """
     if not np.isfinite(source).all():
         raise OutOfRange("source", "must be finite")
-    # solve_screened_array at c = 1: 1.0*eigenvalue is exact, so the cached
-    # symbol 1 + eigenvalue gives the same bits
+    # the cached symbol is screened_symbol(grid, 1.0): 1.0*eigenvalue is exact
     return solve_dct_diagonal(grid, source, grid.helmholtz_symbol)
 
 
 def solve_helmholtz(grid: Grid, source: Field) -> Field:
     """v with (-lap_h + I) v = source, mirror-ghost Neumann stencil.
 
-    Direct: the DCT-II diagonalisation of solve_screened_array, exact up to
+    Direct: the DCT-II diagonalisation of solve_dct_diagonal, exact up to
     roundoff in any dimension.  Nonnegative sources give nonnegative v (M-matrix).
     """
     return Field(solve_helmholtz_array(grid, source.values), grid)

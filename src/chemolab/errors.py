@@ -4,9 +4,15 @@ Every error that a caller is expected to branch on gets its own class;
 generic misuse raises ValueError like any other numpy-adjacent code.
 """
 
+import copyreg
+
 
 class ChemolabError(Exception):
     """Base class for all package-specific errors."""
+
+    def __reduce__(self):
+        # rebuild from args and attributes, not through each class's own __init__
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(ChemolabError):

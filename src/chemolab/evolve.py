@@ -219,13 +219,15 @@ class _Stepper:
             if m < 0.0:
                 self._clamp(row, u_new, m, u_max[row], mass, dt[row])
 
-        source = self.beta_col * u_new**self.kappa
+        # an overflow is reported by the finite check, as the point's error
+        with np.errstate(over="ignore"):
+            source = self.beta_col * u_new**self.kappa
         try:
             v = solve_helmholtz_array(grid, source)
         except OutOfRange as error:
             finite = np.logical_and.reduce(np.isfinite(source), axis=grid.cell_axes)
             for row in np.flatnonzero(~finite).tolist():
-                # one error per failing point; copy.copy cannot rebuild an OutOfRange
+                # one error object per failing point
                 self.failures.append((row, OutOfRange(error.name, error.reason)))
                 u_new[row], source[row] = u[row], 0.0
             v = solve_helmholtz_array(grid, source)

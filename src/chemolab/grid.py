@@ -5,7 +5,9 @@ interior value and the zero-flux condition is exact to second order.  All
 discrete calculus used elsewhere lives here: face gradients, conservative
 divergence of face fluxes, the mirror-ghost Laplacian (array form and
 eigenvalues), centered cell gradients, and midpoint-rule integrals.  The
-Neumann modes are counted once, by ``mode_groups`` over a symbol array.
+chemotaxis face flux chi*avg(u)*grad v has one rule, chemotaxis_divergence
+and its derivative chemotaxis_flux_derivative.  The Neumann modes are
+counted once, by ``mode_groups`` over a symbol array.
 """
 
 from __future__ import annotations
@@ -246,6 +248,23 @@ def chemotaxis_divergence(u: np.ndarray, grad_v: Sequence[np.ndarray], chi,
     (u, v): the chemotaxis term of both the time step and the stationary
     residual.  chi is a float or a column that broadcasts against u."""
     return face_divergence([chi * a * g for a, g in zip(face_averages(u, grid), grad_v)], grid)
+
+
+def chemotaxis_flux_derivative(u: np.ndarray, grad_v: Sequence[np.ndarray], chi, grid: Grid):
+    """The derivative of chemotaxis_divergence's face flux about (u, v): the map
+    (du, grad dv) -> avg(du)*(chi*grad v) + (chi*avg(u))*grad dv, a new array
+    per face; chi*avg(u) and chi*grad v are computed once, here."""
+    chi_avg_u = [chi * a for a in face_averages(u, grid)]
+    chi_grad_v = [chi * g for g in grad_v]
+
+    def derivative(du: np.ndarray, grad_dv: Sequence[np.ndarray]) -> list[np.ndarray]:
+        fluxes = face_averages(du, grid)
+        for flux, cg, ca, gd in zip(fluxes, chi_grad_v, chi_avg_u, grad_dv):
+            flux *= cg
+            flux += ca * gd
+        return fluxes
+
+    return derivative
 
 
 def laplacian_apply(values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -10,13 +10,13 @@ stepper,
 so a converged steady state is an exact fixed point of one IMEX step (up to
 the Newton tolerance).  Each Newton step is Jacobian-free Newton-Krylov
 (Knoll & Keyes, J. Comput. Phys. 193, 2004): GMRES on the directional
-derivative of that residual, written with the same face stencils, so the
-operator is encoded once.  It is right-preconditioned by the exact inverse of
-the Jacobian about the mean state, which the DCT-II splits into one 2x2 block
-per cosine mode, the algebra of ``stability``.  The linearization is computed
-once per Newton step, u and v are transformed and differenced as one stacked
-array, and GMRES is this module's own loop (CGS2 Arnoldi, Givens rotations on
-Python floats).
+derivative of that residual, whose chemotaxis part is the flux derivative
+that ``grid`` defines next to the flux, so the operator is encoded once.  It
+is right-preconditioned by the exact inverse of the Jacobian about the mean
+state, which the DCT-II splits into one 2x2 block per cosine mode, the
+algebra of ``stability``.  The linearization is computed once per Newton
+step, u and v are transformed and differenced as one stacked array, and
+GMRES is its own loop (CGS2 Arnoldi, Givens rotations on Python floats).
 
 Newton is inexact (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996): step k
 stops GMRES at the forcing term min(FORCING_MAX, |r_k|_2) relative to |r_k|_2,
@@ -33,6 +33,7 @@ would fall below 2**-APPROACH_HALVINGS of the range's spacing.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -43,7 +44,7 @@ from .grid import (
     Field,
     Grid,
     chemotaxis_divergence,
-    face_averages,
+    chemotaxis_flux_derivative,
     face_divergence,
     face_gradients,
     integrate,
@@ -81,20 +82,16 @@ class SteadyState:
     chi: float
     residual_norm: float
     iterations: int
-    seed_mode: int | None = None
-    continuation_step: int | None = None
     krylov_iterations: int = 0  # GMRES iterations summed over the Newton steps
 
     def amplitude(self, reference: float) -> float:
         return float(np.max(np.abs(self.u.values - reference)))
 
 
-def stationary_residual(
-    u: np.ndarray, v: np.ndarray, p: ModelParams, k: Kinetics, grid
-) -> tuple[np.ndarray, np.ndarray]:
-    chemotaxis = chemotaxis_divergence(u, face_gradients(v, grid), p.chi, grid)
-    ru = laplacian_apply(u, grid) - chemotaxis + k.f(u)
-    rv = laplacian_apply(v, grid) - v + k.g(u)
+def stationary_residual(u, v, p: ModelParams, k: Kinetics, grid) -> tuple[np.ndarray, np.ndarray]:
+    grad_v = face_gradients(v, grid)
+    ru = laplacian_apply(u, grid) - chemotaxis_divergence(u, grad_v, p.chi, grid) + k.f(u)
+    rv = face_divergence(grad_v, grid) - v + k.g(u)
     return ru, rv
 
 
@@ -103,14 +100,13 @@ class _Linearization:
     """The Jacobian of stationary_residual at one state, and its preconditioner.
 
     Everything that stays fixed while GMRES runs is computed once per Newton
-    step: chi*avg(u) and chi*grad(v) on the faces, f'(u) and g'(u) in the
-    cells, and the entries of the inverse 2x2 block per cosine mode about the
-    mean state.
+    step: the derivative of the chemotaxis face flux about (u, v), f'(u) and
+    g'(u) in the cells, and the entries of the inverse 2x2 block per cosine
+    mode about the mean state.
     """
 
     grid: Grid
-    chi_avg_u: list[np.ndarray]
-    chi_grad_v: list[np.ndarray]
+    chemotaxis_flux: Callable[[np.ndarray, list[np.ndarray]], list[np.ndarray]]
     f_prime: np.ndarray
     g_prime: np.ndarray
     inverse_block: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -135,28 +131,19 @@ def _linearize(u, v, p: ModelParams, k: Kinetics, grid) -> _Linearization:
     det = a * d - b * c
     floor = 64.0 * np.finfo(float).eps * (np.abs(a * d) + np.abs(b * c) + d * d)
     det = np.where(np.abs(det) < floor, np.copysign(floor, det), det)
-    return _Linearization(
-        grid=grid,
-        chi_avg_u=[p.chi * avg for avg in face_averages(u, grid)],
-        chi_grad_v=[p.chi * grad for grad in face_gradients(v, grid)],
-        f_prime=f_prime,
-        g_prime=g_prime,
-        inverse_block=(d / det, -b / det, -c / det, a / det),
-    )
+    flux = chemotaxis_flux_derivative(u, face_gradients(v, grid), p.chi, grid)
+    return _Linearization(grid, flux, f_prime, g_prime, (d / det, -b / det, -c / det, a / det))
 
 
 def _jvp(lin: _Linearization, d: np.ndarray) -> np.ndarray:
     """Directional derivative of stationary_residual along d = (du, dv), shape
     (2, *grid.shape); both Laplacians come from one stacked stencil call."""
-    grid = lin.grid
     du, dv = d
-    fluxes = face_gradients(d, grid)
-    for flux, chemo, ca, cg in zip(fluxes, face_averages(du, grid), lin.chi_avg_u, lin.chi_grad_v):
-        # grad du - chi*(avg(du)*grad v + avg(u)*grad dv), built in place
-        chemo *= cg
-        chemo += ca * flux[1]
+    fluxes = face_gradients(d, lin.grid)
+    # grad du - chi*(avg(du)*grad v + avg(u)*grad dv)
+    for flux, chemo in zip(fluxes, lin.chemotaxis_flux(du, [grad[1] for grad in fluxes])):
         flux[0] -= chemo
-    out = face_divergence(fluxes, grid)
+    out = face_divergence(fluxes, lin.grid)
     out[0] += lin.f_prime * du
     out[1] += lin.g_prime * du
     out[1] -= dv
@@ -246,13 +233,7 @@ def _krylov_direction(lin: _Linearization, rhs: np.ndarray, forcing: float):
     return _precondition(lin, y.reshape(shape)), len(basis)
 
 
-def solve_stationary(
-    p: ModelParams,
-    k: Kinetics,
-    guess: tuple[Field, Field],
-    seed_mode: int | None = None,
-    continuation_step: int | None = None,
-) -> SteadyState:
+def solve_stationary(p: ModelParams, k: Kinetics, guess: tuple[Field, Field]) -> SteadyState:
     """Inexact damped Newton on the stacked residual; converged at sup-norm
     < NEWTON_TOL.
 
@@ -292,7 +273,7 @@ def solve_stationary(
 
     def state(u_values) -> SteadyState:
         return SteadyState(Field(u_values, grid), Field(v, grid), p.chi, res, len(history) - 1,
-                           seed_mode, continuation_step, krylov)
+                           krylov)
 
     ru, rv = stationary_residual(u, v, p, k, grid)
     res = norm(ru, rv)
@@ -350,10 +331,6 @@ class Branch:
     @property
     def amplitudes(self) -> np.ndarray:
         return np.array([s.amplitude(self.reference) for s in self.states])
-
-    @property
-    def is_empty(self) -> bool:
-        return bool(np.all(self.amplitudes < CONSTANT_AMPLITUDE)) if self.states else True
 
 
 def continuation(
@@ -417,7 +394,7 @@ def continuation(
             # the residual of the constant state is (f(u0), g(u0) - v0) = (f(u0), 0)
             residual = abs(float(k.f(np.array([e.u0]))[0]))
             branch.states.append(SteadyState(Field.constant(grid, e.u0), Field.constant(grid, e.v0),
-                                             float(chi), residual, 0, mode, i))
+                                             float(chi), residual, 0))
             continue
         step = 1.0 if solved else reach / abs(unit)
         while x_last != i:
@@ -431,7 +408,7 @@ def continuation(
                 du, dv = eps * w1 + eps**2 * w2
                 guess = Field(np.maximum(e.u0 + du, 0.0), grid), Field(e.v0 + dv, grid)
             try:
-                state = solve_stationary(p_x, k, guess, seed_mode=mode, continuation_step=i)
+                state = solve_stationary(p_x, k, guess)
             except NoConvergence as exc:
                 state, cause, history = exc.best, str(exc), exc.history
             else:

@@ -79,8 +79,7 @@ class TestNonfiniteSource:
     def test_step_raises_out_of_range(self):
         _, _, g = _setup(nx=16)
         p, k, s = self._state(g, np.full(g.shape, 10.0), beta=1e308)
-        with pytest.raises(OutOfRange, match="^source: must be finite$"), \
-                pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(OutOfRange, match="^source: must be finite$"):
             cl.step(s, p, k)
 
     def test_only_the_overflowing_row_of_a_batch_fails(self):
@@ -91,8 +90,7 @@ class TestNonfiniteSource:
                 self._state(g, 1.0 + 0.2 * np.cos(2.0 * x), beta=2.0)]
         params, kinetics, states = zip(*rows)
         kernel = evolve._Stepper(states, params, kinetics)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            kernel.step([s.dt for s in states])
+        kernel.step([s.dt for s in states])
         assert [(row, str(error)) for row, error in kernel.failures] == [
             (1, "source: must be finite")]
         assert kernel.u[1].tobytes() == states[1].u.values.tobytes()  # its old u

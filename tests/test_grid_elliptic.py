@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 import chemolab as cl
 from _reference import helmholtz_matrix, laplacian_matrix
-from chemolab.elliptic import (cell_values, cosine_coefficients, solve_helmholtz_array,
-                               solve_screened_array)
+from chemolab.elliptic import (cell_values, cosine_coefficients, screened_symbol,
+                               solve_dct_diagonal, solve_helmholtz_array)
 from chemolab.errors import NonpositiveV, OutOfRange
 from chemolab.evolve import DT_MAX_FACTOR
-from chemolab.grid import Field, Grid, integrate, laplacian_apply, mode_groups
+from chemolab.grid import (Field, Grid, chemotaxis_divergence, chemotaxis_flux_derivative,
+                           face_divergence, face_gradients, integrate, laplacian_apply,
+                           mode_groups)
 
 
 def _grid_params(dim, length=math.pi):
@@ -223,7 +225,7 @@ class TestHelmholtzSolve:
             x = cl.solve_helmholtz(g, Field(rhs, g)).values
         else:
             c = DT_MAX_FACTOR * min(g.spacings) ** 2
-            x = solve_screened_array(g, rhs, c)
+            x = solve_dct_diagonal(g, rhs, screened_symbol(g, c))
         A = np.eye(g.n_cells) - c * laplacian_matrix(g).toarray()
         dense = scipy.linalg.solve(A, rhs.ravel())
         assert x.ravel() == pytest.approx(dense, abs=1e-12)
@@ -259,13 +261,15 @@ class TestHelmholtzSolve:
         rng = np.random.default_rng(4)
         rhs = rng.uniform(0.0, 2.0, (5,) + shape)
         c = rng.uniform(0.0, 0.5, 5)
-        screened = solve_screened_array(g, rhs, c.reshape((-1,) + (1,) * len(shape)))
+        c_col = c.reshape((-1,) + (1,) * len(shape))
+        screened = solve_dct_diagonal(g, rhs, screened_symbol(g, c_col))
         helmholtz = solve_helmholtz_array(g, rhs)
         for i in range(5):
-            assert screened[i].tobytes() == solve_screened_array(g, rhs[i], c[i]).tobytes()
+            alone = solve_dct_diagonal(g, rhs[i], screened_symbol(g, c[i]))
+            assert screened[i].tobytes() == alone.tobytes()
             assert helmholtz[i].tobytes() == solve_helmholtz_array(g, rhs[i]).tobytes()
         assert (solve_helmholtz_array(g, rhs[0]).tobytes()
-                == solve_screened_array(g, rhs[0], 1.0).tobytes())
+                == solve_dct_diagonal(g, rhs[0], screened_symbol(g, 1.0)).tobytes())
 
     @pytest.mark.parametrize("entries", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)])
     def test_rejects_nonfinite_source(self, entries):
@@ -345,3 +349,27 @@ class TestDiscreteCalculus:
         rng = np.random.default_rng(1)
         u = rng.normal(size=g.shape)
         assert abs(laplacian_apply(u, g).sum()) < 1e-11
+
+
+class TestChemotaxisFlux:
+    @pytest.mark.parametrize("shape, batch", [
+        ((64,), ()), ((16, 20), ()), ((8, 8, 8), ()), ((64,), (3,)),
+    ], ids=["1d", "2d", "3d-8", "batch-3x64"])
+    def test_derivative_matches_central_differences(self, shape, batch):
+        # chemotaxis_divergence is bilinear in (u, grad v), so the central
+        # difference along (du, grad dv) is its derivative up to roundoff
+        g = Grid((math.pi, 2.0, 1.5)[: len(shape)], shape)
+        rng = np.random.default_rng(8)
+        u, v, du, dv = (rng.uniform(0.5, 2.0, batch + shape) for _ in range(4))
+        chi = rng.uniform(1.0, 5.0, batch).reshape(batch + (1,) * len(shape)) if batch else 3.7
+        grad_v, grad_dv = face_gradients(v, g), face_gradients(dv, g)
+        eps = 1e-4
+
+        def divergence(sign):
+            shifted = [gv + sign * eps * gd for gv, gd in zip(grad_v, grad_dv)]
+            return chemotaxis_divergence(u + sign * eps * du, shifted, chi, g)
+
+        central = (divergence(1.0) - divergence(-1.0)) / (2.0 * eps)
+        derivative = chemotaxis_flux_derivative(u, grad_v, chi, g)
+        exact = face_divergence(derivative(du, grad_dv), g)
+        assert np.max(np.abs(central - exact)) <= 1e-6 * np.max(np.abs(exact))

@@ -1,10 +1,15 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import chemolab as cl
+from chemolab import errors
 
 
 def test_all_lists_every_public_name_and_no_module():
@@ -35,3 +40,44 @@ def test_import_loads_no_scipy_sparse_linalg_integrate_or_fftpack():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_one_module_owns_the_face_rule():
+    # the face value of u in the chemotaxis flux is chosen in grid alone, by
+    # chemotaxis_divergence and its derivative, and the DCT solve has one entry
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in Path(cl.__file__).resolve().parent.glob("*.py")}
+    assert [name for name, text in sources.items() if "face_averages" in text] == ["grid.py"]
+    assert not [name for name, text in sources.items() if "solve_screened_array" in text]
+
+
+# the classes whose __init__ takes more than the message, with their attributes
+_ERRORS = {
+    errors.MissingKey: lambda: errors.MissingKey("model.chi"),
+    errors.UnknownKey: lambda: errors.UnknownKey("model.xi"),
+    errors.OutOfRange: lambda: errors.OutOfRange("chi", "must be > 0 (got -1)"),
+    errors.DissipativityFail: lambda: errors.DissipativityFail(-0.25, 0.5, 2.0),
+    errors.NoConvergence: lambda: errors.NoConvergence("stalled", best=(1.0, 2), history=[1.0, 0.5]),
+}
+
+
+def _subclasses(cls):
+    return {cls}.union(*(_subclasses(sub) for sub in cls.__subclasses__()))
+
+
+def _instance(cls):
+    return _ERRORS.get(cls, lambda: cls(f"{cls.__name__} message"))()
+
+
+@pytest.mark.parametrize("cls", sorted(_subclasses(errors.ChemolabError), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda error: pickle.loads(pickle.dumps(error))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_errors_survive_copy_and_pickle(cls, duplicate):
+    error = _instance(cls)
+    again = duplicate(error)
+    assert type(again) is cls
+    assert str(again) == str(error)
+    assert again.args == error.args
+    assert vars(again) == vars(error)

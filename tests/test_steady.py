@@ -136,7 +136,6 @@ class TestContinuation:
     def test_below_threshold_reports_empty(self, setup):
         p, k, g, eq = setup
         branch = cl.continuation(p, k, eq, 1, (3.0, 3.5), 4, grid=g)
-        assert branch.is_empty
         assert np.all(branch.amplitudes < 1e-6)
 
     def test_below_onset_is_the_constant_state_without_a_newton_step(self, setup, monkeypatch):
@@ -223,17 +222,18 @@ class TestContinuation:
 
     def test_failed_predicted_solve_retried_at_half_the_step(self, setup, monkeypatch):
         # point 3's solve from the secant fails once: the walk solves at half
-        # the step from the secant with ratio 1/2, with no forcing keyword (so
-        # at FORCING_MAX), then reaches point 3 from the secant through point
-        # 2 and that half step
+        # the step from the secant with ratio 1/2, with no keyword argument
+        # (so at FORCING_MAX), then reaches point 3 from the secant through
+        # point 2 and that half step
         p, k, g, eq = setup
-        assert "forcing_max" not in inspect.signature(steady.solve_stationary).parameters
+        keywords = inspect.signature(steady.solve_stationary).parameters
+        assert not {"forcing_max", "seed_mode", "continuation_step"} & set(keywords)
         calls, solved = [], []
         real = steady.solve_stationary
 
-        def fourth_solve_fails(p_i, k_i, guess, **labels):
-            calls.append((p_i.chi, np.stack([guess[0].values, guess[1].values]), labels))
-            state = real(p_i, k_i, guess, **labels)
+        def fourth_solve_fails(p_i, k_i, guess):
+            calls.append((p_i.chi, np.stack([guess[0].values, guess[1].values])))
+            state = real(p_i, k_i, guess)
             if len(calls) == 4:
                 raise NoConvergence("stalled", best=state, history=[1.0, 1.0])
             solved.append(np.stack([state.u.values, state.v.values]))
@@ -243,9 +243,7 @@ class TestContinuation:
         branch = cl.continuation(p, k, eq, 1, (4.2, 5.0), 5, grid=g)
         assert branch.terminated_reason is None and len(branch.states) == 5
         chis = np.linspace(4.2, 5.0, 5)
-        assert [chi for chi, _, _ in calls] == pytest.approx([*chis[:4], 4.7, *chis[3:]], abs=1e-15)
-        assert all(labels == {"seed_mode": 1, "continuation_step": i}
-                   for (_, _, labels), i in zip(calls, [0, 1, 2, 3, 3, 3, 4]))
+        assert [chi for chi, _ in calls] == pytest.approx([*chis[:4], 4.7, *chis[3:]], abs=1e-15)
         assert np.array_equal(calls[4][1], 1.5 * solved[2] - 0.5 * solved[1])
         assert np.array_equal(calls[5][1], 2.0 * solved[3] - 1.0 * solved[2])
         assert branch.approach_points == 2  # the failed solve and the half step
