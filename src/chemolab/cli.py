@@ -35,7 +35,7 @@ from .config import (
     kinetics_from_config,
     params_from_config,
 )
-from .errors import ChemolabError, ConfigError, NoConvergence, OutOfRange, UndefinedForThisChi
+from .errors import ChemolabError, ConfigError, OutOfRange, UndefinedForThisChi
 from .grid import Field
 from .model import classify_regime, growth_zeros
 
@@ -490,17 +490,13 @@ def main(argv=None) -> int:
             code = _cmd_sweep(cfg, args, manifest)
         else:
             code, _ = _HANDLERS[args.command](cfg, args, manifest)
-        manifest.write()
-        return code
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NoConvergence as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
     except ChemolabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # the manifest still lists whatever was written before the failure
+        kind = "config error" if isinstance(exc, ConfigError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    manifest.write()
+    return code
 
 
 def console_main() -> None:

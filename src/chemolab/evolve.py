@@ -256,17 +256,13 @@ class _Stepper:
         mass[row] = float(cells.sum())
 
 
-def _stalled(dt: float) -> StalledDt:
-    return StalledDt(f"dt = {dt:.3e} fell below {DT_MIN:.0e}")
-
-
 def adapt_dt(s: SimState, p: ModelParams, k: Kinetics) -> float:
     """Stable explicit step: advective CFL against chi*|grad v| plus a
     reaction bound from |f'| over the observed density range, with safety
     DT_SAFETY, cap 10*h**2 and hard floor DT_MIN (StalledDt below it)."""
     dt = _Stepper([s], [p], [k]).adapt_dt()[0]
     if dt < DT_MIN:
-        raise _stalled(dt)
+        raise StalledDt(f"dt = {dt:.3e} fell below {DT_MIN:.0e}")
     return dt
 
 
@@ -320,7 +316,6 @@ class RunReport:
     max_mass_residual: float = 0.0
     l1_bound: float = 0.0
     l1_observed: float = 0.0
-    blowup_norms: tuple[float, float] | None = None
     steps: int = 0
 
     @property
@@ -430,16 +425,15 @@ def run_batch(specs: Sequence[RunSpec]) -> list[RunReport | ChemolabError]:
 class _BatchRun:
     """run's loop over a batch of points that share a batch_key.
 
-    The kernel advances every row; this class keeps, per row, the run's own
-    scalars (the point's index in specs, horizon, stop, diagnostics-row
-    interval, target, next snapshot time, mass-residual and L1 maxima) and,
-    per point, what its report is built from.  The per-row logic is
-    run's, point by point; only the diagnostics rows are computed for the
-    whole batch at once.  A point that finishes leaves the batch.
+    The kernel advances one row per live point, and point, the index in
+    specs of each row's point, is the only list indexed by row: _drop takes
+    finished rows out of the kernel and point together.  Everything else the
+    run keeps is indexed by point (diagnostics-row interval, pending
+    snapshot times, mass-residual and L1 maxima, and what the report is
+    built from) or read from the point's RunSpec (horizon, target).  The
+    per-row logic is run's, point by point; only the diagnostics rows are
+    computed for the whole batch at once.
     """
-
-    _LISTS = ("point", "horizon", "stop", "interval", "target", "snap_at",
-              "max_mass_residual", "l1_observed")
 
     def __init__(self, specs: Sequence[RunSpec], states: Sequence[SimState]):
         self.specs = specs
@@ -447,12 +441,8 @@ class _BatchRun:
         self.grid = kernel.grid
         self.p_star = specs[0].p_star
         self.point = list(range(len(specs)))
-        self.horizon = [s.horizon for s in specs]
-        self.stop = [h * (1.0 - 1e-12) for h in self.horizon]
         self.interval = [1] * len(specs)
-        self.target = [None if s.target is None else float(s.target) for s in specs]
         self.pending = [sorted(float(t) for t in s.snapshot_times) for s in specs]
-        self.snap_at = [math.inf] * len(specs)
         self.max_mass_residual = [0.0] * len(specs)
         self.l1_observed = [m * self.grid.cell_volume for m in kernel.mass]
         # per point, its diagnostics rows so far: a buffer that doubles when
@@ -467,11 +457,11 @@ class _BatchRun:
         for row in range(len(specs)):
             self._take_snapshots(row)
 
-    def _keep(self, rows: list[int]) -> None:
-        self.kernel.keep(rows)
-        for name in self._LISTS:
-            values = getattr(self, name)
-            setattr(self, name, [values[row] for row in rows])
+    def _drop(self, rows: set[int]) -> None:
+        """Take the given rows out of the kernel and of point."""
+        live = [row for row in range(len(self.point)) if row not in rows]
+        self.kernel.keep(live)
+        self.point = [self.point[row] for row in live]
 
     def _log(self, row: int, values: np.ndarray) -> None:
         point = self.point[row]
@@ -490,14 +480,13 @@ class _BatchRun:
         return np.array(columns, dtype=float).T
 
     def _take_snapshots(self, row: int) -> None:
-        k = self.kernel
-        pending = self.pending[self.point[row]]
+        k, point = self.kernel, self.point[row]
+        pending = self.pending[point]
         while pending and k.t[row] >= pending[0] - 1e-12:
             pending.pop(0)
-            self.snapshots[self.point[row]].append((k.t[row], k.u[row].copy(), k.v[row].copy()))
-        self.snap_at[row] = pending[0] - 1e-12 if pending else math.inf
+            self.snapshots[point].append((k.t[row], k.u[row].copy(), k.v[row].copy()))
 
-    def _finish(self, row: int, status: str, blowup_norms=None) -> None:
+    def _finish(self, row: int, status: str) -> None:
         k, grid = self.kernel, self.grid
         point = self.point[row]
         spec = self.specs[point]
@@ -516,58 +505,55 @@ class _BatchRun:
             target_errors=self.target_errors[point],
             clamp_count=k.clamp_count[row],
             clamped_mass=k.clamped_mass[row],
-            max_mass_residual=self.max_mass_residual[row],
+            max_mass_residual=self.max_mass_residual[point],
             l1_bound=max(integrate(spec.u0.values, grid), _gronwall_constant(spec.k) * grid.volume),
-            l1_observed=self.l1_observed[row],
-            blowup_norms=blowup_norms,
+            l1_observed=self.l1_observed[point],
             steps=k.step_count[row],
         )
 
     def run(self) -> list[RunReport | ChemolabError]:
-        kernel, volume = self.kernel, self.grid.cell_volume
+        kernel, specs, volume = self.kernel, self.specs, self.grid.cell_volume
         steps = 0
         while self.point:
             dt = kernel.adapt_dt()
             if min(dt) < DT_MIN:
-                for row, d in enumerate(dt):
-                    if d < DT_MIN:
-                        point = self.point[row]
-                        last = self.series[point][self.series_len[point] - 1]
-                        self._finish(row, "StalledDt", (float(last[2]), float(last[3])))
-                live = [row for row, d in enumerate(dt) if not d < DT_MIN]
-                self._keep(live)
-                dt = [dt[row] for row in live]
+                stalled = {row for row, d in enumerate(dt) if d < DT_MIN}
+                for row in stalled:
+                    self._finish(row, "StalledDt")
+                self._drop(stalled)
+                dt = [d for d in dt if not d < DT_MIN]
                 if not dt:
                     break
             if steps == 0:
-                self.interval = [
-                    max(1, math.floor(self.specs[point].horizon / (self.specs[point].rows * d)))
-                    for point, d in zip(self.point, dt)
-                ]
-            kernel.step([min(d, h - t) for d, h, t in zip(dt, self.horizon, kernel.t)])
+                for point, d in zip(self.point, dt):
+                    spec = specs[point]
+                    self.interval[point] = max(1, math.floor(spec.horizon / (spec.rows * d)))
+            kernel.step([min(d, specs[point].horizon - t)
+                         for d, point, t in zip(dt, self.point, kernel.t)])
             steps += 1
             if kernel.failures:
                 for row, error in kernel.failures:
                     self.outcomes[self.point[row]] = error
-                failed = {row for row, _ in kernel.failures}
-                self._keep([row for row in range(len(self.point)) if row not in failed])
+                self._drop({row for row, _ in kernel.failures})
                 if not self.point:
                     break
-            self.max_mass_residual = list(map(max, self.max_mass_residual, kernel.last_mass_residual))
-            self.l1_observed = [max(l1, m * volume) for l1, m in zip(self.l1_observed, kernel.mass)]
 
             # (row, record, status, target error) of every row that logs a
             # row or stops
             events = []
-            for row, t in enumerate(kernel.t):
-                if t >= self.snap_at[row]:
+            for row, point in enumerate(self.point):
+                t, spec = kernel.t[row], specs[point]
+                self.max_mass_residual[point] = max(self.max_mass_residual[point],
+                                                    kernel.last_mass_residual[row])
+                self.l1_observed[point] = max(self.l1_observed[point], kernel.mass[row] * volume)
+                pending = self.pending[point]
+                if pending and t >= pending[0] - 1e-12:
                     self._take_snapshots(row)
-                done = t >= self.stop[row]
-                record = steps % self.interval[row] == 0 or done
+                done = t >= spec.horizon * (1.0 - 1e-12)
+                record = steps % self.interval[point] == 0 or done
                 status = "ReachedHorizon" if done else None
-                target, error = self.target[row], None
-                if target is not None:
-                    error = _target_error(kernel.linf_u[row], kernel.u_min[row], target)
+                error = None if spec.target is None else _target_error(
+                    kernel.linf_u[row], kernel.u_min[row], float(spec.target))
                 if error is not None and error < TARGET_TOL:
                     status = "Converged"
                 elif kernel.linf_u[row] > BLOWUP_LINF:
@@ -583,9 +569,8 @@ class _BatchRun:
                 if error is not None and (record or status == "Converged"):
                     self.target_errors[point].append((kernel.t[row], error))
                 if status:
-                    norms = (float(rows[row, 2]), float(rows[row, 3])) if status == "BlowUp" else None
-                    self._finish(row, status, norms)
+                    self._finish(row, status)
             stopped = {row for row, _, status, _ in events if status}
             if stopped:
-                self._keep([row for row in range(len(self.point)) if row not in stopped])
+                self._drop(stopped)
         return self.outcomes

@@ -157,6 +157,12 @@ classify.dim = 3
         assert (tmp_path / "o" / "regimes.csv").exists()
         assert (tmp_path / "o" / "manifest.txt").exists()
 
+    def test_steep_power_envelope_classifies(self, tmp_path, capsys):
+        cfg = _write(tmp_path, BASE.replace("model.theta = 2", "model.theta = 17")
+                     + "kinetics.f_kind = power-envelope\n")
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert "theta - kappa > 1: 17 - 1 = 16 -> True" in capsys.readouterr().out
+
 
 class TestSimulateCommand:
     def _config(self, tmp_path):
@@ -432,6 +438,34 @@ compare.u0_max = 1.5
         assert lines[0] == "t,ubar,ulow,log_ratio"
 
 
+class TestFailedCommandManifest:
+    """A command that fails after writing an artifact still lists it."""
+
+    @pytest.mark.parametrize("command, text, artifact, reason", [
+        ("compare-ode", BASE.replace("model.kappa = 1", "model.kappa = 2") + """
+kinetics.f_kind = polynomial
+kinetics.poly_coeffs = 1, 0, -1
+compare.horizon = 40
+compare.u0_min = 0.5
+compare.u0_max = 1.5
+compare.envelopes = on
+""", "trajectory.csv", "error: upper envelope escaped beyond 1e+06 at t = "),
+        ("stability", BASE.replace("model.chi = 0.4", "model.chi = 5") + """
+stability.count = 3
+stability.chi_lo = 0.5
+stability.chi_hi = 8
+stability.chi_samples = 0
+""", "bifurcation.csv", "config error: stability.chi_samples: must be >= 1 (got 0)"),
+    ], ids=["compare-ode", "stability"])
+    def test_manifest_lists_the_written_artifact(self, tmp_path, capsys, command, text,
+                                                 artifact, reason):
+        out = tmp_path / "o"
+        assert main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == 1
+        assert reason in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == sorted([artifact, "manifest.txt"])
+        assert f"artifact: {artifact}" in (out / "manifest.txt").read_text().splitlines()
+
+
 class TestSteadyCommand:
     def test_single_point_with_validators(self, tmp_path):
         cfg = _write(
@@ -521,6 +555,34 @@ steady.steps = 3
         assert len(residuals) >= 2 and residuals[-1] >= NEWTON_TOL
         assert all(b <= a for a, b in zip(residuals, residuals[1:]))
         assert "artifact: newton_history.csv" in (out / "manifest.txt").read_text()
+
+    def test_branch_terminated_early_exits_zero(self, tmp_path, capsys):
+        # the Allee branch, continued downwards in chi, folds near 3.3135
+        # after four recorded points; validate_steady finds two of its rows
+        # not applicable to this growth
+        cfg = _write(
+            tmp_path,
+            BASE
+            + """
+kinetics.f_kind = allee
+kinetics.allee_c = 0.3
+grid.nx = 64
+steady.chi_start = 3.39
+steady.chi_stop = 3.27
+steady.steps = 7
+""",
+        )
+        out = tmp_path / "o"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "branch points: 4," in captured.out
+        assert "branch terminated early: continuation stalled at chi = 3.313" in captured.err
+        assert len((out / "branch.csv").read_text().splitlines()) == 5
+        assert "artifact: newton_history.csv" in (out / "manifest.txt").read_text()
+        with open(out / "validation.csv", newline="") as fh:
+            notes = {row["name"]: row["note"] for row in csv.DictReader(fh)}
+        assert notes["two_sided_exp_bound"].startswith("not applicable")
+        assert notes["stationary_mass_identity"].startswith("not applicable")
 
     def test_complete_branch_writes_no_newton_history(self, tmp_path):
         cfg = _write(

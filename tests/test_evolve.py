@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import chemolab as cl
 from chemolab import evolve
 from chemolab.errors import ChemolabError, NegativeOvershoot, OutOfRange, StalledDt
-from chemolab.evolve import DT_MAX_FACTOR, DT_MIN, RunReport, RunSpec, SimState, run_batch
+from chemolab.evolve import BLOWUP_LINF, DT_MAX_FACTOR, DT_MIN, RunReport, RunSpec, SimState, run_batch
 from chemolab.grid import Field, face_gradients, integrate
 
 
@@ -217,7 +217,7 @@ class TestRun:
         p, k, g = _setup()
         report = cl.run(p, k, Field.constant(g, 1.5e6), 1.0)
         assert report.status == "BlowUp"
-        assert report.blowup_norms is not None
+        assert report.column("linf_u")[-1] > BLOWUP_LINF
 
     def test_stalled_dt_status(self):
         # a near-singular spike drives the advective step below the floor
@@ -226,7 +226,7 @@ class TestRun:
         u[5] = 1e13
         report = cl.run(p, k, Field(u, g), 1.0)
         assert report.status == "StalledDt"
-        assert report.blowup_norms is not None
+        assert report.column("linf_u")[-1] == 1e13
 
     def test_rejects_negative_u0(self):
         p, k, g = _setup()
@@ -482,8 +482,23 @@ class TestRunBatch:
         u0 = Field(1.0 + 0.5 * np.cos(g.coordinates[0]), g)
         specs = [RunSpec(p, k, u0, 0.5), RunSpec(p2, k2, u0, 0.5),
                  RunSpec(p, k, Field(u0.values[:8], cl.make_grid(p, 8)), 0.5),
-                 RunSpec(p, k, u0, -1.0), RunSpec(p, k, u0, 0.5, eps=1.5)]
+                 RunSpec(p, k, u0, -1.0), RunSpec(p, k, u0, 0.5, eps=1.5),
+                 RunSpec(p, k, u0, 0.5, rows=0)]
         # kappa, the grid and the monitor exponent each split the batch
         assert len({spec.batch_key for spec in specs}) == 4
         outcomes = _assert_batch_equals_alone(specs)
-        assert isinstance(outcomes[3], OutOfRange)
+        assert isinstance(outcomes[3], OutOfRange) and isinstance(outcomes[5], OutOfRange)
+
+    def test_only_point_is_kept_per_row(self):
+        # the run's state lives per point, so dropping a row shortens point
+        # and the kernel and no other list of the run
+        p, k, g = _setup(nx=16)
+        u0 = Field(1.0 + 0.5 * np.cos(g.coordinates[0]), g)
+        specs = [RunSpec(replace(p, chi=chi), k, u0, 0.5, target=1.0, snapshot_times=(0.0, 0.2))
+                 for chi in (0.1, 0.2, 0.3)]
+        batch = evolve._BatchRun(specs, [spec.initial_state() for spec in specs])
+        batch._drop({1})
+        assert batch.point == [0, 2] and len(batch.kernel.t) == 2
+        lengths = {name: len(value) for name, value in vars(batch).items()
+                   if isinstance(value, list) and name != "point"}
+        assert len(lengths) >= 8 and set(lengths.values()) == {3}, lengths

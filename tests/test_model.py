@@ -139,6 +139,16 @@ class TestGrowthEnvelope:
             a_env, b_env, th_env = k.envelope
             assert cl.verify_growth_envelope(k, a_env, b_env, th_env).ok
 
+    @pytest.mark.parametrize("kind, theta, kappa", [
+        ("power-envelope", 17, 1), ("power-envelope", 20, 1), ("power-envelope", 40, 1),
+        ("power-envelope", 2000, 1), ("generalized-logistic", 17, 16),
+    ])
+    def test_steep_envelopes_verify_within_the_float_range(self, kind, theta, kappa):
+        # S_max stops doubling before b*s**theta or f(s) overflows
+        k = cl.make_kinetics(_params(theta=theta, kappa=kappa), kind)
+        assert k.envelope[2] == theta
+        assert cl.verify_growth_envelope(k, *k.envelope).ok
+
     @pytest.mark.parametrize("c", [0.0, 0.3, 0.5])
     def test_allee_is_the_cubic_polynomial(self, c):
         p = _params(theta=3)

@@ -783,3 +783,12 @@ class TestValidateSteady:
         report = cl.validate_steady(fake, replace(p, chi=pattern.chi), k)
         assert not report.row("pointwise_exp_bound").passed
         assert not report.all_pass
+
+    def test_nonpositive_v_fails_the_elliptic_identity(self, setup, pattern):
+        p, k, g, eq = setup
+        v = pattern.v.values.copy()
+        v.flat[0] = 0.0
+        fake = cl.SteadyState(u=pattern.u.copy(), v=Field(v, g), chi=pattern.chi,
+                              residual_norm=pattern.residual_norm, iterations=pattern.iterations)
+        row = cl.validate_steady(fake, replace(p, chi=pattern.chi), k).row("elliptic_identity")
+        assert (row.passed, row.observed, row.note) == (False, np.inf, "v not positive")
