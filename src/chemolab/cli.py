@@ -178,7 +178,6 @@ def _simulate_inputs(cfg: Config, args) -> evolve.RunSpec:
     return evolve.RunSpec(
         p, k, u0, horizon,
         target=target,
-        eps=cfg.number("run.eps", evolve.MONITOR_EPS),
         rows=rows,
         snapshot_times=snap_times,
     )

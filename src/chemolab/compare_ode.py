@@ -37,6 +37,7 @@ ORDER_TOL = 1e-9           # sandwich ordering along outputs
 MONOTONE_SLACK = 1e-12     # log-ratio decrease between consecutive outputs
 Z_CAP = 1e6
 STATIONARY_TOL = 1e-10
+N_OUT = 2001               # output times of every ODE trajectory
 
 
 def sandwich_contraction_rate(p: ModelParams, ulow0: float, ubar0: float) -> float:
@@ -83,7 +84,7 @@ class SandwichTrajectory:
         return self.kappa * (np.log(self.ubar) - np.log(self.w))
 
 
-def _integrate_sandwich(p: ModelParams, y0, horizon, rtol, n_out):
+def _integrate_sandwich(p: ModelParams, y0, horizon, rtol):
     # Imported here: scipy.integrate costs about as much as the rest of
     # chemolab to import, and most commands never integrate an ODE.
     from scipy.integrate import solve_ivp
@@ -106,7 +107,7 @@ def _integrate_sandwich(p: ModelParams, y0, horizon, rtol, n_out):
         rtol=rtol,
         atol=rtol * 1e-2,
         dense_output=True,
-        t_eval=np.linspace(0.0, horizon, n_out),
+        t_eval=np.linspace(0.0, horizon, N_OUT),
     )
     if not sol.success:
         raise InvariantBreach(f"sandwich integration failed: {sol.message}")
@@ -131,7 +132,6 @@ def solve_sandwich(
     u0_min: float,
     u0_max: float,
     horizon: float,
-    n_out: int = 2001,
 ) -> SandwichTrajectory:
     """Integrate the sandwich pair from the initial-data extremes.
 
@@ -151,7 +151,7 @@ def solve_sandwich(
     y0 = [max(u0_max, eq), min(u0_min, eq)]
     breach = None
     for rtol in (ODE_RTOL, ODE_RTOL_RETRY):
-        sol = _integrate_sandwich(p, y0, horizon, rtol, n_out)
+        sol = _integrate_sandwich(p, y0, horizon, rtol)
         ubar, w = sol.y
         breach = _check_sandwich_invariants(p, sol.t, ubar, w)
         if breach is None:
@@ -235,7 +235,6 @@ def envelope_odes(
     u0_min: float,
     u0_max: float,
     horizon: float,
-    n_out: int = 2001,
 ) -> EnvelopeTrajectories:
     """Upper envelope z' = f(z) + chi*z**(kappa+1) from max u0, then the lower
     envelope y' = f(y) + chi*y**(kappa+1) - chi*z_inf**kappa*y from min u0.
@@ -261,7 +260,7 @@ def envelope_odes(
     escape.terminal = True
     sol_z = solve_ivp(
         z_rhs, (0.0, horizon), [u0_max], method="RK45", rtol=ODE_RTOL,
-        atol=1e-12, events=escape, t_eval=np.linspace(0.0, horizon, n_out),
+        atol=1e-12, events=escape, t_eval=np.linspace(0.0, horizon, N_OUT),
     )
     if sol_z.t_events[0].size > 0 or (sol_z.y.size and sol_z.y[0].max() >= Z_CAP):
         raise ZUnbounded(
@@ -285,7 +284,7 @@ def envelope_odes(
 
     sol_y = solve_ivp(
         y_rhs, (0.0, horizon), [u0_min], method="RK45", rtol=ODE_RTOL,
-        atol=1e-12, t_eval=np.linspace(0.0, horizon, n_out),
+        atol=1e-12, t_eval=np.linspace(0.0, horizon, N_OUT),
     )
     tail = sol_y.y[0][sol_y.t >= 0.5 * horizon]
     return EnvelopeTrajectories(

@@ -22,11 +22,11 @@ from .model import Kinetics, ModelParams, build_params, make_kinetics
 
 KNOWN_KEYS = {
     "model.chi", "model.a", "model.b", "model.theta", "model.kappa",
-    "model.beta", "model.dim", "model.L", "model.lengths",
+    "model.beta", "model.dim", "model.L",
     "kinetics.f_kind", "kinetics.allee_c", "kinetics.poly_coeffs",
     "grid.nx", "grid.ny",
     "init.kind", "init.base", "init.amplitude", "init.mode",
-    "run.horizon", "run.target", "run.eps", "run.rows", "run.snapshots",
+    "run.horizon", "run.target", "run.rows", "run.snapshots",
     "steady.chi", "steady.chi_start", "steady.chi_stop", "steady.steps",
     "steady.mode",
     "stability.u0", "stability.count",
@@ -166,13 +166,8 @@ def params_from_config(cfg: Config) -> ModelParams:
         for name in ("chi", "a", "b", "theta", "kappa", "beta")
     }
     raw["dim"] = cfg.integer("model.dim")
-    if cfg.has("model.lengths"):
-        raw["lengths"] = cfg.numbers("model.lengths")
-    elif cfg.has("model.L"):
-        vals = cfg.numbers("model.L")
-        raw["L"] = vals[0] if len(vals) == 1 else vals
-    else:
-        raise MissingKey("model.L")
+    vals = cfg.numbers("model.L")
+    raw["L"] = vals[0] if len(vals) == 1 else vals
     return build_params(raw)
 
 

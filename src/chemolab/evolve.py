@@ -110,23 +110,23 @@ class _Stepper:
     u and v have shape (B, *grid.shape).  The per-point scalars -- t, dt,
     step_count, clamp_count, clamped_mass, last_mass_residual, mass (the
     cell sum of u, the next step's old mass), linf_u (max |u|), u_min
-    (min u), chi, the growth coefficients and beta -- are lists, one entry
-    per point, and go through the same float arithmetic as a lone point
-    would: numpy calls on a few entries cost far more than that arithmetic.
-    chi, the growth coefficients and beta also enter the array arithmetic as
-    columns (see _column).  The grid, f_kind, the growth exponent and kappa
-    are shared, because numpy's x**2.0 and x**0.5 take fast paths that an
-    array of exponents does not.
+    (min u) and chi -- are lists, one entry per point, and go through the
+    same float arithmetic as a lone point would: numpy calls on a few
+    entries cost far more than that arithmetic.  chi, the growth
+    coefficients and beta enter the array arithmetic as columns (see
+    _column).  The grid, f_kind, the growth exponent and kappa are shared,
+    because numpy's x**2.0 and x**0.5 take fast paths that an array of
+    exponents does not.
 
     grad_v holds the face gradients of v and grad_v_inf their largest
     magnitude per point, both refreshed with v: the flux, the dt rule and
     the diagnostics row of the same v share them.  A point whose step raises
     a ChemolabError keeps its old u through that step and lands in
-    failures as (row, error); the caller drops it with keep.
+    failures as (row, error).  Only the constructor builds kernel state:
+    when points leave, the caller builds a new kernel from state(row) of the
+    rest, which recomputes every other value bit for bit.  So per-point state
+    that must survive that is a SimState field; the rest lives in the caller.
     """
-
-    _LISTS = ("t", "dt", "step_count", "clamp_count", "clamped_mass", "last_mass_residual",
-              "mass", "linf_u", "u_min", "grad_v_inf", "chi", "coeffs", "beta")
 
     def __init__(self, states: Sequence[SimState], params: Sequence[ModelParams],
                  kinetics: Sequence[Kinetics]):
@@ -136,9 +136,9 @@ class _Stepper:
         self.h_min = min(grid.spacings)
         self.dt_cap = DT_MAX_FACTOR * self.h_min**2
         self.chi = [p.chi for p in params]
-        self.coeffs = [k.coeffs for k in kinetics]
-        self.beta = [k.beta for k in kinetics]
-        self._set_columns()
+        self.chi_col = _column(self.chi, grid)
+        self.coeff_cols = tuple(_column(c, grid) for c in zip(*(k.coeffs for k in kinetics)))
+        self.beta_col = _column([k.beta for k in kinetics], grid)
         self.t = [s.t for s in states]
         self.dt = [s.dt for s in states]
         self.step_count = [s.step_count for s in states]
@@ -153,28 +153,11 @@ class _Stepper:
         self._implicit: tuple = (None, None)   # (dt, screened_symbol at dt)
         self._set_v(np.stack([s.v.values for s in states]))
 
-    def _set_columns(self) -> None:
-        self.chi_col = _column(self.chi, self.grid)
-        self.coeff_cols = tuple(_column(c, self.grid) for c in zip(*self.coeffs))
-        self.beta_col = _column(self.beta, self.grid)
-
     def _set_v(self, v: np.ndarray) -> None:
         self.v = v
         self.grad_v = face_gradients(v, self.grid)
         per_axis = [_cell_max(np.abs(g), self.grid) for g in self.grad_v]
         self.grad_v_inf = [max(axes) for axes in zip(*per_axis)]
-
-    def keep(self, rows: list[int]) -> None:
-        """Keep only the given rows of the batch, in that order."""
-        for name in self._LISTS:
-            values = getattr(self, name)
-            setattr(self, name, [values[row] for row in rows])
-        self.u, self.v = self.u[rows], self.v[rows]
-        self.grad_v = [g[rows] for g in self.grad_v]
-        self.failures = []
-        self._implicit = (None, None)
-        if rows:
-            self._set_columns()
 
     def state(self, row: int) -> SimState:
         return SimState(
@@ -342,7 +325,6 @@ class RunSpec:
     u0: Field
     horizon: float
     target: float | None = None
-    eps: float = MONITOR_EPS
     rows: int = 500
     snapshot_times: Sequence[float] = ()
 
@@ -350,7 +332,7 @@ class RunSpec:
     def p_star(self) -> float:
         # monitored norm exponent; floored at 1 so sublinear secretion in 1D
         # still logs a valid (stronger) norm
-        return max(1.0, self.p.kappa * self.p.dim / 2.0 + self.eps)
+        return max(1.0, self.p.kappa * self.p.dim / 2.0 + MONITOR_EPS)
 
     @property
     def batch_key(self) -> tuple:
@@ -378,7 +360,6 @@ def run(
     u0: Field,
     horizon: float,
     target: float | None = None,
-    eps: float = MONITOR_EPS,
     rows: int = 500,
     snapshot_times=(),
 ) -> RunReport:
@@ -389,7 +370,7 @@ def run(
     first time t reaches each requested snapshot time.  This is run_batch of
     one point, and raises the point's error.
     """
-    (outcome,) = run_batch([RunSpec(p, k, u0, horizon, target, eps, rows, snapshot_times)])
+    (outcome,) = run_batch([RunSpec(p, k, u0, horizon, target, rows, snapshot_times)])
     if isinstance(outcome, ChemolabError):
         raise outcome
     return outcome
@@ -425,14 +406,14 @@ def run_batch(specs: Sequence[RunSpec]) -> list[RunReport | ChemolabError]:
 class _BatchRun:
     """run's loop over a batch of points that share a batch_key.
 
-    The kernel advances one row per live point, and point, the index in
-    specs of each row's point, is the only list indexed by row: _drop takes
-    finished rows out of the kernel and point together.  Everything else the
-    run keeps is indexed by point (diagnostics-row interval, pending
-    snapshot times, mass-residual and L1 maxima, and what the report is
-    built from) or read from the point's RunSpec (horizon, target).  The
-    per-row logic is run's, point by point; only the diagnostics rows are
-    computed for the whole batch at once.
+    The kernel advances one row per live point.  point, the index in specs
+    of each row's point, is the only list indexed by row: _drop, called at
+    most twice a step, takes finished rows out of point and rebuilds the
+    kernel from the states of the rest.  Everything else is indexed by point
+    (diagnostics-row interval, pending snapshot times, mass-residual and L1
+    maxima, what the report is built from) or read from the point's RunSpec
+    (horizon, target).  Only the diagnostics rows are computed for the whole
+    batch at once.
     """
 
     def __init__(self, specs: Sequence[RunSpec], states: Sequence[SimState]):
@@ -457,11 +438,14 @@ class _BatchRun:
         for row in range(len(specs)):
             self._take_snapshots(row)
 
-    def _drop(self, rows: set[int]) -> None:
-        """Take the given rows out of the kernel and of point."""
+    def _drop(self, rows: list[int]) -> None:
+        """Take the given rows out of point and rebuild the kernel without them."""
         live = [row for row in range(len(self.point)) if row not in rows]
-        self.kernel.keep(live)
         self.point = [self.point[row] for row in live]
+        if live:
+            kernel, specs = self.kernel, [self.specs[point] for point in self.point]
+            self.kernel = _Stepper([kernel.state(row) for row in live],
+                                   [s.p for s in specs], [s.k for s in specs])
 
     def _log(self, row: int, values: np.ndarray) -> None:
         point = self.point[row]
@@ -512,18 +496,17 @@ class _BatchRun:
         )
 
     def run(self) -> list[RunReport | ChemolabError]:
-        kernel, specs, volume = self.kernel, self.specs, self.grid.cell_volume
+        specs, volume = self.specs, self.grid.cell_volume
         steps = 0
         while self.point:
-            dt = kernel.adapt_dt()
+            dt = self.kernel.adapt_dt()
             if min(dt) < DT_MIN:
-                stalled = {row for row, d in enumerate(dt) if d < DT_MIN}
+                stalled = [row for row, d in enumerate(dt) if d < DT_MIN]
                 for row in stalled:
                     self._finish(row, "StalledDt")
                 self._drop(stalled)
-                dt = [d for d in dt if not d < DT_MIN]
-                if not dt:
-                    break
+                continue  # the rebuilt kernel gives the other rows the same dt
+            kernel = self.kernel
             if steps == 0:
                 for point, d in zip(self.point, dt):
                     spec = specs[point]
@@ -531,17 +514,17 @@ class _BatchRun:
             kernel.step([min(d, specs[point].horizon - t)
                          for d, point, t in zip(dt, self.point, kernel.t)])
             steps += 1
+
+            # a failed row ends with its error; events holds (row, record,
+            # status, target error) of every other row that logs a row or stops
+            live = enumerate(self.point)
             if kernel.failures:
                 for row, error in kernel.failures:
                     self.outcomes[self.point[row]] = error
-                self._drop({row for row, _ in kernel.failures})
-                if not self.point:
-                    break
-
-            # (row, record, status, target error) of every row that logs a
-            # row or stops
+                failed = {row for row, _ in kernel.failures}
+                live = [(row, point) for row, point in live if row not in failed]
             events = []
-            for row, point in enumerate(self.point):
+            for row, point in live:
                 t, spec = kernel.t[row], specs[point]
                 self.max_mass_residual[point] = max(self.max_mass_residual[point],
                                                     kernel.last_mass_residual[row])
@@ -560,17 +543,19 @@ class _BatchRun:
                     status = "BlowUp"
                 if record or status:
                     events.append((row, record, status, error))
-            if not events:
+            if events:
+                rows = self._rows()
+                for row, record, status, error in events:
+                    point = self.point[row]
+                    self._log(row, rows[row])
+                    if error is not None and (record or status == "Converged"):
+                        self.target_errors[point].append((kernel.t[row], error))
+                    if status:
+                        self._finish(row, status)
+            elif not kernel.failures:
                 continue
-            rows = self._rows()
-            for row, record, status, error in events:
-                point = self.point[row]
-                self._log(row, rows[row])
-                if error is not None and (record or status == "Converged"):
-                    self.target_errors[point].append((kernel.t[row], error))
-                if status:
-                    self._finish(row, status)
-            stopped = {row for row, _, status, _ in events if status}
-            if stopped:
-                self._drop(stopped)
+            ended = [row for row, _ in kernel.failures] + [
+                row for row, _, status, _ in events if status]
+            if ended:
+                self._drop(ended)
         return self.outcomes

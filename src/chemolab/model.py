@@ -107,19 +107,16 @@ _REQUIRED_KEYS = ("chi", "a", "b", "theta", "kappa", "beta", "dim")
 def build_params(raw: dict) -> ModelParams:
     """Validate a key/value map into ModelParams.
 
-    Domain lengths come in either as ``lengths`` (sequence) or ``L``
-    (scalar applied to every axis, or sequence).
+    The domain lengths come in as ``L``: one value for every axis, or a
+    sequence with one per axis.
     """
     raw = dict(raw)
     for key in _REQUIRED_KEYS:
         if key not in raw:
             raise MissingKey(key)
-    if "lengths" in raw:
-        lengths = raw.pop("lengths")
-    elif "L" in raw:
-        lengths = raw.pop("L")
-    else:
-        raise MissingKey("lengths (or L)")
+    if "L" not in raw:
+        raise MissingKey("L")
+    lengths = raw.pop("L")
     dim = int(raw["dim"])
     if isinstance(lengths, (int, float)):
         lengths = (float(lengths),) * max(dim, 1)
@@ -477,11 +474,15 @@ def classify_regime(p: ModelParams, k: Kinetics, dim: int | None = None) -> Regi
     tolerance EQUALITY_RTOL and the condition string carries the signed
     margin.  ``dim`` overrides the spatial dimension in the inequalities
     only (the formulas are valid for any n >= 1); the pattern-onset check
-    always uses the params' own domain geometry.
+    always uses the params' own domain geometry.  b and theta are read
+    from f's leading term -b*u**theta, since only power-envelope growth
+    reads p.theta and polynomial growth reads neither p.b nor p.theta.
     """
     n = p.dim if dim is None else int(dim)
     if n < 1:
         raise OutOfRange("dim", f"must be >= 1 (got {n})")
+    b = -k.coeffs[-1] if k.f_kind == "polynomial" else k.coeffs[1]
+    theta = k.exponent + 1.0 if k.f_kind == "generalized-logistic" else k.exponent
     verdicts: list[Verdict] = []
 
     ok = p.kappa < 2.0 / n
@@ -493,38 +494,38 @@ def classify_regime(p: ModelParams, k: Kinetics, dim: int | None = None) -> Regi
         )
     )
 
-    ok = p.theta - p.kappa > 1.0
+    ok = theta - p.kappa > 1.0
     verdicts.append(
         Verdict(
             "Subcritical",
-            f"theta - kappa > 1: {p.theta:g} - {p.kappa:g} = {p.theta - p.kappa:g} -> {ok}",
+            f"theta - kappa > 1: {theta:g} - {p.kappa:g} = {theta - p.kappa:g} -> {ok}",
             ok,
         )
     )
 
     threshold = (p.kappa * n - 2.0) / (p.kappa * n) * p.beta * p.chi
-    crit_margin = p.theta - (p.kappa + 1.0)
-    on_line = _almost_equal(p.theta, p.kappa + 1.0)
-    b_margin = p.b - threshold
+    crit_margin = theta - (p.kappa + 1.0)
+    on_line = _almost_equal(theta, p.kappa + 1.0)
+    b_margin = b - threshold
 
-    ok = on_line and p.b > threshold and not _almost_equal(p.b, threshold)
+    ok = on_line and b > threshold and not _almost_equal(b, threshold)
     verdicts.append(
         Verdict(
             "StrictBorderlineInequality",
             f"theta = kappa+1 (margin {crit_margin:.3e}) and "
-            f"b > (kappa*n-2)/(kappa*n)*beta*chi: {p.b:g} > {threshold:g} "
+            f"b > (kappa*n-2)/(kappa*n)*beta*chi: {b:g} > {threshold:g} "
             f"(margin {b_margin:.3e}) -> {ok}",
             ok,
         )
     )
 
     # g = beta*u**kappa holds by construction of Kinetics
-    ok = on_line and _almost_equal(p.b, threshold)
+    ok = on_line and _almost_equal(b, threshold)
     verdicts.append(
         Verdict(
             "Borderline",
             f"theta = kappa+1 (margin {crit_margin:.3e}) and "
-            f"b = (kappa*n-2)/(kappa*n)*beta*chi: {p.b:g} vs {threshold:g} "
+            f"b = (kappa*n-2)/(kappa*n)*beta*chi: {b:g} vs {threshold:g} "
             f"(margin {b_margin:.3e}) and g = beta*u**kappa -> {ok}",
             ok,
         )

@@ -75,6 +75,11 @@ class TestExitCodes:
         cfg = _write(tmp_path, BASE + "run.target = 1\n")  # no run.horizon
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    def test_missing_domain_length(self, tmp_path, capsys):
+        cfg = _write(tmp_path, BASE.replace("model.L = pi\n", ""))
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "config error: missing required key: model.L\n"
+
     @pytest.mark.parametrize("command, extra, reason", [
         ("simulate", "run.snapshots = 1/0", "cannot parse number '1/0'"),
         ("simulate", "model.chi = 2.0**10000", "cannot parse number '2.0**10000'"),
@@ -85,6 +90,7 @@ class TestExitCodes:
         ("simulate", "init.kind = cosine\ninit.mode = 1, 1.5", "init.mode: expected an integer (got 1.5)"),
         ("simulate", "init.kind = cosine\ninit.mode = 1, 2", "init.mode: more entries (2) than grid axes (1)"),
         ("simulate", "run.rows = 0", "run.rows: must be >= 1 (got 0)"),
+        ("simulate", "init.kind = bogus", "init.kind: must be constant, cosine or random (got bogus)"),
         ("simulate", "run.rows = -3", "run.rows: must be >= 1 (got -3)"),
         ("simulate", "run.horizon = 0", "run.horizon: must be > 0 (got 0.0)"),
         ("simulate", "grid.nx = 4", "grid.nx: need >= 8 cells per axis (got 4)"),
@@ -118,6 +124,9 @@ class TestExitCodes:
          "compare.u0_max: must be >= u0_min (got 0.25 < 0.5)"),
         ("classify", "classify.dim = 0", "classify.dim: must be >= 1 (got 0)"),
         ("sweep", "sweep.count = -1", "sweep.count: grid is empty (got -1)"),
+        ("sweep", "sweep.count = 2\nsweep.command = bogus",
+         "sweep.command: must be one of ['classify', 'compare-ode', 'simulate', 'stability', "
+         "'steady'] (got bogus)"),
         ("sweep", "sweep.count = 2\nsweep.parameter2 = model.b\nsweep.start2 = 1\n"
          "sweep.stop2 = 2\nsweep.count2 = -1", "sweep.count2: grid is empty (got -1)"),
     ])
@@ -156,6 +165,17 @@ classify.dim = 3
         assert "StrictBorderlineInequality" in out
         assert (tmp_path / "o" / "regimes.csv").exists()
         assert (tmp_path / "o" / "manifest.txt").exists()
+
+    def test_theta_is_read_from_f(self, tmp_path, capsys):
+        # f = u*(1 - u) has theta = kappa + 1 = 2, not model.theta = 3
+        text = BASE.replace("model.theta = 2", "model.theta = 3")
+        cfg = _write(tmp_path, text.replace("model.dim = 1", "model.dim = 2")
+                     .replace("model.chi = 0.4", "model.chi = 1"))
+        assert main(["classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "Subcritical" not in out and "beta*chi: 1 > 0 (margin 1.000e+00) -> True" in out
+        regimes = (tmp_path / "o" / "regimes.csv").read_text(encoding="utf-8")
+        assert "Subcritical,false,theta - kappa > 1: 2 - 1 = 1 -> False" in regimes
 
     def test_steep_power_envelope_classifies(self, tmp_path, capsys):
         cfg = _write(tmp_path, BASE.replace("model.theta = 2", "model.theta = 17")

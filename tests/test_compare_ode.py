@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import chemolab as cl
+from chemolab.compare_ode import N_OUT
 from chemolab.errors import OutOfRange, ZUnbounded
 from chemolab.grid import Field
 
@@ -74,7 +76,7 @@ class TestSolveSandwich:
         # columns must read back as the trajectory's own arrays.
         from chemolab.cli import _Manifest
 
-        traj = cl.solve_sandwich(_params(), 0.5, 1.5, 5.0, n_out=20)
+        traj = cl.solve_sandwich(_params(), 0.5, 1.5, 5.0)
         manifest = _Manifest(tmp_path, "compare-ode", "cfg", 0, config_sha="0")
         manifest.write_csv(
             "traj.csv", ("t", "ubar", "ulow", "log_ratio"),
@@ -82,7 +84,7 @@ class TestSolveSandwich:
         )
         lines = (tmp_path / "traj.csv").read_text().splitlines()
         assert lines[0] == "t,ubar,ulow,log_ratio"
-        assert len(lines) == 21
+        assert len(lines) == N_OUT + 1
         table = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
         for column, values in zip(table.T, (traj.times, traj.ubar, traj.ulow, traj.log_ratio)):
             np.testing.assert_array_equal(column, values)
@@ -116,6 +118,16 @@ class TestContractionRate:
         with pytest.raises(OutOfRange):
             cl.sandwich_contraction_rate(_params(chi=0.7), 0.5, 2.0)
 
+    @pytest.mark.parametrize("ulow0, ubar0, reason", [
+        (0.0, 2.0, "ulow0: must be > 0 (got 0.0)"),
+        (1.5, 2.0, "ulow0: must be <= a/b = 1.0 (got 1.5)"),
+        (0.5, 0.5, "ubar0: must be >= (a/b)**(1/kappa) = 1.0 (got 0.5)"),
+    ])
+    def test_rejects_unordered_extremes(self, ulow0, ubar0, reason):
+        with pytest.raises(OutOfRange) as info:
+            cl.sandwich_contraction_rate(_params(), ulow0, ubar0)
+        assert str(info.value) == reason
+
     def test_fitted_decay_beats_rate(self):
         p = _params()
         traj = cl.solve_sandwich(p, 0.5, 1.5, 50.0)
@@ -146,6 +158,22 @@ class TestCheckSandwich:
         )
         traj = cl.solve_sandwich(p, report.u0_min, report.u0_max, 10.0)
         assert cl.check_sandwich(traj, report) <= 10.0 * g.spacings[0] ** 2
+
+    @pytest.mark.parametrize("chi, change, reason", [
+        (0.4, {"f_kind": "power-envelope"},
+         "run: growth must be u*(a - b*u**kappa) (got power-envelope)"),
+        (0.5, {}, "b: the comparison needs b > 2*chi"),
+        (0.4, {"snapshots": []}, "run: no snapshots recorded"),
+    ], ids=["growth", "weak-damping", "no-snapshots"])
+    def test_refuses_what_it_cannot_compare(self, chi, change, reason):
+        p = _params(chi=chi)
+        g = cl.make_grid(p, 8)
+        report = cl.run(p, cl.make_kinetics(p), Field.constant(g, 1.0), 0.1,
+                        snapshot_times=(0.0,))
+        traj = cl.solve_sandwich(p, report.u0_min, report.u0_max, 0.1)
+        with pytest.raises(OutOfRange) as info:
+            cl.check_sandwich(traj, dataclasses.replace(report, **change))
+        assert str(info.value) == reason
 
     def test_mismatched_chi_rejected(self):
         p = _params()
@@ -181,6 +209,11 @@ class TestEnvelopeOdes:
         k = cl.make_kinetics(p, "generalized-logistic")
         with pytest.raises(ZUnbounded):
             cl.envelope_odes(p, k, 0.5, 1.5, 200.0)
+
+    def test_rejects_nonpositive_minimum(self):
+        p = _params()
+        with pytest.raises(OutOfRange, match=r"^u0_min: must be > 0 \(got 0.0\)$"):
+            cl.envelope_odes(p, cl.make_kinetics(p), 0.0, 1.5, 60.0)
 
     def test_short_horizon_flagged_as_not_stationary(self):
         p = _params()

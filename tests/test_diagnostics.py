@@ -92,6 +92,16 @@ class TestFitExponentialDecay:
         with pytest.raises(NonPositiveValues):
             cl.fit_exponential_decay(t, values)
 
+    @pytest.mark.parametrize("values, window_fraction, reason", [
+        (np.ones(49), 0.5, "series: times and values must be equal-length 1D"),
+        (np.ones(50), 0.0, "window_fraction: must be in (0, 1] (got 0.0)"),
+        (np.ones(50), 1.5, "window_fraction: must be in (0, 1] (got 1.5)"),
+    ])
+    def test_rejects_bad_series_or_window(self, values, window_fraction, reason):
+        with pytest.raises(OutOfRange) as info:
+            cl.fit_exponential_decay(np.linspace(0, 10, 50), values, window_fraction)
+        assert str(info.value) == reason
+
     def test_needs_ten_window_points(self):
         t = np.linspace(0, 10, 12)
         with pytest.raises(OutOfRange):

@@ -396,7 +396,7 @@ def _bits(x):
 def _alone(spec):
     try:
         return cl.run(spec.p, spec.k, spec.u0, spec.horizon, target=spec.target,
-                      eps=spec.eps, rows=spec.rows, snapshot_times=spec.snapshot_times)
+                      rows=spec.rows, snapshot_times=spec.snapshot_times)
     except ChemolabError as exc:
         return exc
 
@@ -482,12 +482,11 @@ class TestRunBatch:
         u0 = Field(1.0 + 0.5 * np.cos(g.coordinates[0]), g)
         specs = [RunSpec(p, k, u0, 0.5), RunSpec(p2, k2, u0, 0.5),
                  RunSpec(p, k, Field(u0.values[:8], cl.make_grid(p, 8)), 0.5),
-                 RunSpec(p, k, u0, -1.0), RunSpec(p, k, u0, 0.5, eps=1.5),
-                 RunSpec(p, k, u0, 0.5, rows=0)]
-        # kappa, the grid and the monitor exponent each split the batch
-        assert len({spec.batch_key for spec in specs}) == 4
+                 RunSpec(p, k, u0, -1.0), RunSpec(p, k, u0, 0.5, rows=0)]
+        # kappa and the grid each split the batch
+        assert len({spec.batch_key for spec in specs}) == 3
         outcomes = _assert_batch_equals_alone(specs)
-        assert isinstance(outcomes[3], OutOfRange) and isinstance(outcomes[5], OutOfRange)
+        assert isinstance(outcomes[3], OutOfRange) and isinstance(outcomes[4], OutOfRange)
 
     def test_only_point_is_kept_per_row(self):
         # the run's state lives per point, so dropping a row shortens point

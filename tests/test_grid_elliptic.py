@@ -32,7 +32,7 @@ def _grid_1d(nx, length=math.pi):
 def _grid_2d(nx, ny=None, lengths=(math.pi, math.pi)):
     p = cl.build_params(
         {"chi": 1, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1,
-         "dim": 2, "lengths": lengths}
+         "dim": 2, "L": lengths}
     )
     return cl.make_grid(p, (nx, ny or nx))
 
@@ -66,6 +66,16 @@ class TestMakeGrid:
     def test_resolution_floor(self):
         with pytest.raises(OutOfRange):
             _grid_1d(4)
+
+    def test_one_count_per_axis(self):
+        p = cl.build_params({"chi": 1, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1,
+                             "dim": 2, "L": math.pi})
+        with pytest.raises(OutOfRange, match=r"^resolution: need 2 entries \(got 3\)$"):
+            cl.make_grid(p, (8, 8, 8))
+
+    def test_field_takes_the_grid_shape(self):
+        with pytest.raises(OutOfRange, match=r"^field: values shape \(7,\) != grid shape \(8,\)$"):
+            Field(np.ones(7), _grid_1d(8))
 
 
 def _modes(g, count):

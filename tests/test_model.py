@@ -33,14 +33,32 @@ class TestBuildParams:
         with pytest.raises(MissingKey):
             cl.build_params({"chi": 0.4})
 
+    def test_missing_length(self):
+        raw = {"chi": 0.4, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1, "dim": 1}
+        with pytest.raises(MissingKey, match="^missing required key: L$"):
+            cl.build_params(raw)
+
     def test_unknown_key(self):
         with pytest.raises(UnknownKey):
             _params(extra=1)
 
+    @pytest.mark.parametrize("overrides, reason", [
+        ({"a": -1}, "a: must be >= 0 (got -1.0)"),
+        ({"b": 0}, "b: must be > 0 (got 0.0)"),
+        ({"kappa": 0}, "kappa: must be > 0 (got 0.0)"),
+        ({"beta": -1}, "beta: must be > 0 (got -1.0)"),
+        ({"L": (1.0, 2.0)}, "lengths: need 1 entries (got 2)"),
+        ({"dim": 2, "L": (1.0, 0.0)}, "lengths: all sides must be > 0 (got (1.0, 0.0))"),
+    ])
+    def test_out_of_range_value_names_its_key(self, overrides, reason):
+        with pytest.raises(OutOfRange) as info:
+            _params(**overrides)
+        assert str(info.value) == reason
+
     def test_lengths_match_dim(self):
         p = cl.build_params(
             {"chi": 1, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1,
-             "dim": 2, "lengths": (1.0, 2.0)}
+             "dim": 2, "L": (1.0, 2.0)}
         )
         assert p.volume == pytest.approx(2.0)
 
@@ -173,6 +191,24 @@ class TestGrowthEnvelope:
         with pytest.raises(OutOfRange, match="f"):
             cl.make_kinetics(_params(), "polynomial", poly_coeffs=(-1.0, 0.0, 0.0, -1.0))
 
+    def test_logistic_without_linear_growth(self):
+        # f = -u**2: the envelope constant is the 1e-12 margin alone
+        k = cl.make_kinetics(_params(a=0))
+        assert k.envelope == (1e-12, 0.5, 2.0)
+        assert cl.verify_growth_envelope(k, *k.envelope).ok
+
+    @pytest.mark.parametrize("build, error, reason", [
+        (lambda p: cl.Kinetics("bogus", (1.0, 1.0), 2.0, 1.0, 1.0), OutOfRange,
+         "f_kind: must be one of ('generalized-logistic', 'power-envelope', 'polynomial') "
+         "(got bogus)"),
+        (lambda p: cl.make_kinetics(p, "bogus"), OutOfRange, "f_kind: must be one of"),
+        (lambda p: cl.make_kinetics(p, "polynomial"), MissingKey, "poly_coeffs"),
+    ], ids=["Kinetics", "make_kinetics", "no-coefficients"])
+    def test_unknown_family_or_missing_coefficients(self, build, error, reason):
+        with pytest.raises(error) as info:
+            build(_params())
+        assert reason in str(info.value)
+
 
 class TestStrongDissipativity:
     def test_logistic_closed_form(self, logistic_kinetics):
@@ -253,6 +289,37 @@ class TestClassifyRegime:
         assert verdict.satisfied
         assert verdict.data[0] == pytest.approx(4.0)
         assert verdict.data[1] == pytest.approx(6.25)
+
+    def test_dimension_below_one_rejected(self, logistic_params, logistic_kinetics):
+        with pytest.raises(OutOfRange, match=r"^dim: must be >= 1 \(got 0\)$"):
+            cl.classify_regime(logistic_params, logistic_kinetics, dim=0)
+
+    def test_no_positive_equilibrium_no_pattern(self):
+        # f = -u**3 vanishes only at 0
+        p = _params(a=0, theta=3)
+        report = cl.classify_regime(p, cl.make_kinetics(p, "power-envelope"))
+        verdict = next(v for v in report.verdicts if v.tag == "PatternCapableAt")
+        assert not verdict.satisfied and verdict.data == ()
+        assert verdict.condition == "no positive equilibrium with pattern thresholds -> False"
+
+    @pytest.mark.parametrize("overrides, kind, kw, dim, numbers", [
+        # f = u*(1 - u) has theta = kappa + 1 = 2 whatever model.theta says
+        ({"theta": 3, "kappa": 1}, "generalized-logistic", {}, 2, ("2 - 1 = 1", "1 > 0 ")),
+        # the Allee cubic u*(1 - u)*(u - c) has b = 1 and theta = 3
+        ({"theta": 5, "kappa": 2}, "allee", {"allee_c": 0.3}, 2, ("3 - 2 = 1", "1 > 0.5 ")),
+        # f = 2u - u**2 has b = 1 and theta = 2, and model.b = 0.2 is below
+        # the threshold 1/3 at n = 3
+        ({"theta": 3, "kappa": 1, "b": 0.2}, "polynomial", {"poly_coeffs": (0.0, 2.0, -1.0)},
+         3, ("2 - 1 = 1", "1 > 0.333333 ")),
+    ], ids=["logistic", "allee", "polynomial"])
+    def test_theta_and_b_come_from_f(self, overrides, kind, kw, dim, numbers):
+        p = _params(chi=1, dim=2, L=(math.pi, math.pi), **overrides)
+        report = cl.classify_regime(p, cl.make_kinetics(p, kind, **kw), dim=dim)
+        conditions = {v.tag: v.condition for v in report.verdicts}
+        assert "Subcritical" not in report and "StrictBorderlineInequality" in report
+        assert f"theta - kappa > 1: {numbers[0]} -> False" == conditions["Subcritical"]
+        assert "theta = kappa+1 (margin 0.000e+00)" in conditions["StrictBorderlineInequality"]
+        assert f"*beta*chi: {numbers[1]}" in conditions["StrictBorderlineInequality"]
 
     def test_unclassified_fallback(self):
         # supercritical, not borderline, not convergent

@@ -1,6 +1,7 @@
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 import types
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import chemolab as cl
-from chemolab import errors
+from chemolab import config, errors
 
 
 def test_all_lists_every_public_name_and_no_module():
@@ -49,6 +50,15 @@ def test_one_module_owns_the_face_rule():
                for path in Path(cl.__file__).resolve().parent.glob("*.py")}
     assert [name for name, text in sources.items() if "face_averages" in text] == ["grid.py"]
     assert not [name for name, text in sources.items() if "solve_screened_array" in text]
+
+
+def test_every_config_key_is_set_by_a_test():
+    # a key that no test config sets is a knob that nothing exercises
+    tests = "\n".join(path.read_text(encoding="utf-8")
+                      for path in Path(__file__).resolve().parent.glob("*.py"))
+    unset = sorted(key for key in config.KNOWN_KEYS
+                   if not re.search(rf"(?<![\w.]){re.escape(key)} *=", tests))
+    assert unset == []
 
 
 # the classes whose __init__ takes more than the message, with their attributes

@@ -58,6 +58,13 @@ class TestEquilibriumInfo:
         with pytest.raises(OutOfRange):
             cl.equilibrium_info(logistic_kinetics, 0.0)
 
+    def test_rejects_vanishing_secretion_slope(self):
+        # f = 0.1*u - u**2 vanishes at 0.1, where g' = 400*0.1**399 underflows to 0
+        p = _params(kappa=400)
+        k = cl.make_kinetics(p, "polynomial", poly_coeffs=(0.0, 0.1, -1.0))
+        with pytest.raises(OutOfRange, match=r"^g'\(u0\): must be > 0 \(got 0.0\)$"):
+            cl.equilibrium_info(k, 0.1)
+
 
 class TestLinearizationEigenvalues:
     def test_perfect_square_for_zero_fprime(self):
@@ -83,6 +90,11 @@ class TestLinearizationEigenvalues:
     def test_undefined_below_floor(self, damped_eq):
         with pytest.raises(UndefinedForThisChi):
             cl.linearization_eigenvalues(damped_eq, 3.0)
+
+    @pytest.mark.parametrize("chi", [0.0, -1.0])
+    def test_rejects_nonpositive_chi(self, damped_eq, chi):
+        with pytest.raises(OutOfRange, match=r"^chi: must be > 0"):
+            cl.linearization_eigenvalues(damped_eq, chi)
 
     def test_vieta_identities(self, damped_eq, growing_eq):
         for e in (damped_eq, growing_eq):
@@ -134,6 +146,19 @@ class TestCriticalChi:
     def test_below_branch_point(self, damped_eq):
         with pytest.raises(NotOnPlusBranch):
             cl.critical_chi(damped_eq, 1.5)
+
+    def test_negative_inversion_is_not_on_the_branch(self, growing_eq):
+        # f'(u0) = 1/4 > sigma - 1 makes the inverted chi negative
+        with pytest.raises(NotOnPlusBranch, match="is not positive"):
+            cl.critical_chi(growing_eq, 1.1)
+
+    def test_rounded_branch_point_is_not_on_the_branch(self):
+        # logistic a = 1/2: at sigma = 1 + sqrt(-f'(u0)) the two branches
+        # meet, and the discriminant at the inverted chi rounds below zero
+        p = _params(a=0.5)
+        e = cl.equilibrium_info(cl.make_kinetics(p), 0.5)
+        with pytest.raises(NotOnPlusBranch, match="^discriminant .* < 0"):
+            cl.critical_chi(e, 1.0 + math.sqrt(-e.fprime))
 
     def test_requires_sigma_above_one(self, damped_eq):
         with pytest.raises(OutOfRange):

@@ -354,7 +354,7 @@ def _random_state(dim):
     else:
         p = cl.build_params(
             {"chi": 1.3, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1,
-             "dim": 2, "lengths": (1.0, 1.6)}
+             "dim": 2, "L": (1.0, 1.6)}
         )
         g = cl.make_grid(p, (8, 10))
     k = cl.make_kinetics(p, "generalized-logistic")
@@ -510,7 +510,7 @@ class TestPreconditioner:
         dim = len(shape)
         p = cl.build_params(
             {"chi": chi, "a": a, "b": b, "theta": 2, "kappa": 1, "beta": 1,
-             "dim": dim, "lengths": (math.pi, 2.0)[:dim]}
+             "dim": dim, "L": (math.pi, 2.0)[:dim]}
         )
         k = cl.make_kinetics(p, "generalized-logistic")
         g = cl.make_grid(p, shape)
