@@ -1,18 +1,18 @@
 """Spatially homogeneous ODE systems that sandwich the PDE dynamics.
 
-For the growth family f(u) = u*(a - b*u**kappa) with secretion u**kappa, the
-pair (ubar, ulow) solving
+For the growth family f(u) = u*(a - b*u**kappa) with secretion beta*u**kappa,
+the pair (ubar, ulow) solving
 
-    ubar' = chi*ubar*(ubar**kappa - ulow) + f(ubar)
-    w'    = chi*w*(ulow - ubar**kappa) + f(w),      ulow = w**kappa
+    ubar' = chi*beta*ubar*(ubar**kappa - ulow) + f(ubar)
+    w'    = chi*beta*w*(ulow - ubar**kappa) + f(w),      ulow = w**kappa
 
 from the extremes of the initial data traps the PDE solution between them:
 ulow(t) <= u(x,t)**kappa <= ubar(t)**kappa.  The gap log(ubar**kappa/ulow)
 contracts at least at the explicit rate
 
-    eps0 = kappa * (ulow(0)/ubar(0)**kappa) * (a/b) * (b - 2*chi)
+    eps0 = kappa * (ulow(0)/ubar(0)**kappa) * (a/b) * (b - 2*chi*beta)
 
-whenever b > 2*chi.  The transformed variable w = ulow**(1/kappa) is the
+whenever b > 2*chi*beta.  The transformed variable w = ulow**(1/kappa) is the
 integration state, which keeps the fractional power regular near zero.
 
 For general growth functions, ``envelope_odes`` integrates the upper
@@ -43,11 +43,12 @@ N_OUT = 2001               # output times of every ODE trajectory
 def sandwich_contraction_rate(p: ModelParams, ulow0: float, ubar0: float) -> float:
     """The explicit contraction rate eps0 of the sandwich gap.
 
-    Requires b >= 2*chi (zero at equality, which is the degenerate case) and
-    the ordering ubar0 >= (a/b)**(1/kappa) >= ulow0**(1/kappa) > 0.
+    Requires b >= 2*chi*beta (zero at equality, which is the degenerate case)
+    and the ordering ubar0 >= (a/b)**(1/kappa) >= ulow0**(1/kappa) > 0.
     """
-    if p.b < 2.0 * p.chi:
-        raise OutOfRange("b", f"need b >= 2*chi (got b = {p.b}, chi = {p.chi})")
+    chi = p.chi * p.beta
+    if p.b < 2.0 * chi:
+        raise OutOfRange("b", f"need b >= 2*chi*beta (got b = {p.b}, chi*beta = {chi})")
     eqk = p.a / p.b
     if not ulow0 > 0:
         raise OutOfRange("ulow0", f"must be > 0 (got {ulow0})")
@@ -57,7 +58,7 @@ def sandwich_contraction_rate(p: ModelParams, ulow0: float, ubar0: float) -> flo
         raise OutOfRange(
             "ubar0", f"must be >= (a/b)**(1/kappa) = {eqk ** (1.0 / p.kappa)} (got {ubar0})"
         )
-    return p.kappa * (ulow0 / ubar0**p.kappa) * eqk * (p.b - 2.0 * p.chi)
+    return p.kappa * (ulow0 / ubar0**p.kappa) * eqk * (p.b - 2.0 * chi)
 
 
 @dataclass
@@ -65,10 +66,7 @@ class SandwichTrajectory:
     times: np.ndarray
     ubar: np.ndarray
     w: np.ndarray              # lower solution in the transformed variable
-    chi: float
-    a: float
-    b: float
-    kappa: float
+    params: ModelParams
     u0_min: float
     u0_max: float
     eps0: float | None
@@ -76,12 +74,12 @@ class SandwichTrajectory:
 
     @property
     def ulow(self) -> np.ndarray:
-        return self.w**self.kappa
+        return self.w**self.params.kappa
 
     @property
     def log_ratio(self) -> np.ndarray:
         """log(ubar**kappa / ulow), the contracting gap."""
-        return self.kappa * (np.log(self.ubar) - np.log(self.w))
+        return self.params.kappa * (np.log(self.ubar) - np.log(self.w))
 
 
 def _integrate_sandwich(p: ModelParams, y0, horizon, rtol):
@@ -90,6 +88,7 @@ def _integrate_sandwich(p: ModelParams, y0, horizon, rtol):
     from scipy.integrate import solve_ivp
 
     kap = p.kappa
+    chi = p.chi * p.beta
 
     def f(s):
         return s * (p.a - p.b * s**kap)
@@ -97,7 +96,7 @@ def _integrate_sandwich(p: ModelParams, y0, horizon, rtol):
     def rhs(_t, y):
         ub, w = y
         gap = ub**kap - w**kap
-        return [p.chi * ub * gap + f(ub), -p.chi * w * gap + f(w)]
+        return [chi * ub * gap + f(ub), -chi * w * gap + f(w)]
 
     sol = solve_ivp(
         rhs,
@@ -114,13 +113,12 @@ def _integrate_sandwich(p: ModelParams, y0, horizon, rtol):
     return sol
 
 
-def _check_sandwich_invariants(p: ModelParams, t, ubar, w):
-    eq = (p.a / p.b) ** (1.0 / p.kappa)
+def _check_sandwich_invariants(p: ModelParams, eq, ubar, w):
     if np.any(w <= 0.0):
         return "lower solution touched zero"
     if np.any(w > eq + ORDER_TOL) or np.any(ubar < eq - ORDER_TOL):
         return "ordering ulow**(1/kappa) <= (a/b)**(1/kappa) <= ubar failed"
-    if p.b > 2.0 * p.chi:
+    if p.b > 2.0 * p.chi * p.beta:
         lr = p.kappa * (np.log(ubar) - np.log(w))
         if np.any(np.diff(lr) > MONOTONE_SLACK):
             return "log-ratio increased"
@@ -139,8 +137,9 @@ def solve_sandwich(
     ordering invariants are asserted along the trajectory and a breach
     triggers one retry at 1e-12 before raising InvariantBreach.
     """
-    if not p.b > p.chi:
-        raise OutOfRange("b", f"need b > chi for boundedness (got b = {p.b}, chi = {p.chi})")
+    chi = p.chi * p.beta
+    if not p.b > chi:
+        raise OutOfRange("b", f"need b > chi*beta = {chi} for boundedness (got b = {p.b})")
     if not horizon > 0:
         raise OutOfRange("horizon", f"must be > 0 (got {horizon})")
     if not u0_min > 0:
@@ -153,22 +152,19 @@ def solve_sandwich(
     for rtol in (ODE_RTOL, ODE_RTOL_RETRY):
         sol = _integrate_sandwich(p, y0, horizon, rtol)
         ubar, w = sol.y
-        breach = _check_sandwich_invariants(p, sol.t, ubar, w)
+        breach = _check_sandwich_invariants(p, eq, ubar, w)
         if breach is None:
             break
     if breach is not None:
         raise InvariantBreach(breach)
     eps0 = None
-    if p.b > 2.0 * p.chi:
+    if p.b > 2.0 * chi:
         eps0 = sandwich_contraction_rate(p, y0[1] ** p.kappa, y0[0])
     return SandwichTrajectory(
         times=sol.t,
         ubar=ubar,
         w=w,
-        chi=p.chi,
-        a=p.a,
-        b=p.b,
-        kappa=p.kappa,
+        params=p,
         u0_min=float(u0_min),
         u0_max=float(u0_max),
         eps0=eps0,
@@ -187,29 +183,25 @@ def check_sandwich(traj: SandwichTrajectory, report: RunReport) -> float:
     if report.f_kind != "generalized-logistic":
         raise OutOfRange("run", f"growth must be u*(a - b*u**kappa) (got {report.f_kind})")
     for name, got, want in (
-        ("chi", traj.chi, p.chi),
-        ("a", traj.a, p.a),
-        ("b", traj.b, p.b),
-        ("kappa", traj.kappa, p.kappa),
-        ("beta", 1.0, p.beta),
+        *((name, getattr(traj.params, name), getattr(p, name))
+          for name in ("chi", "a", "b", "kappa", "beta")),
         ("u0_min", traj.u0_min, report.u0_min),
         ("u0_max", traj.u0_max, report.u0_max),
     ):
         if abs(got - want) > 1e-12 * max(1.0, abs(got), abs(want)):
             raise OutOfRange(name, f"ODE/PDE mismatch: {got} vs {want}")
-    if not p.b > 2.0 * p.chi:
-        raise OutOfRange("b", "the comparison needs b > 2*chi")
+    if not p.b > 2.0 * p.chi * p.beta:
+        raise OutOfRange("b", "the comparison needs b > 2*chi*beta")
     if not report.snapshots:
         raise OutOfRange("run", "no snapshots recorded")
     worst = 0.0
     for t, u, _v in report.snapshots:
         ub, w = traj.dense(t)
-        ulow = w**traj.kappa
-        uk = u**traj.kappa
+        uk = u**p.kappa
         worst = max(
             worst,
-            float(ulow - uk.min()),
-            float(uk.max() - ub**traj.kappa),
+            float(w**p.kappa - uk.min()),
+            float(uk.max() - ub**p.kappa),
         )
     return max(worst, 0.0)
 
@@ -236,8 +228,8 @@ def envelope_odes(
     u0_max: float,
     horizon: float,
 ) -> EnvelopeTrajectories:
-    """Upper envelope z' = f(z) + chi*z**(kappa+1) from max u0, then the lower
-    envelope y' = f(y) + chi*y**(kappa+1) - chi*z_inf**kappa*y from min u0.
+    """Upper envelope z' = f(z) + c*z**(kappa+1) from max u0, then the lower
+    envelope y' = f(y) + c*y**(kappa+1) - c*z_inf**kappa*y from min u0, c = chi*beta.
 
     z must settle (|z'| < 1e-10 at the horizon) for z_inf to be meaningful;
     escape beyond Z_CAP raises ZUnbounded.  y_inf is the infimum over the
@@ -250,9 +242,10 @@ def envelope_odes(
     from scipy.integrate import solve_ivp
 
     kap = p.kappa
+    chi = p.chi * p.beta
 
     def z_rhs(_t, z):
-        return [float(k.f(np.array(z))[0]) + p.chi * z[0] ** (kap + 1.0)]
+        return [float(k.f(np.array(z))[0]) + chi * z[0] ** (kap + 1.0)]
 
     def escape(_t, z):
         return z[0] - Z_CAP
@@ -278,8 +271,8 @@ def envelope_odes(
     def y_rhs(_t, y):
         return [
             float(k.f(np.array(y))[0])
-            + p.chi * y[0] ** (kap + 1.0)
-            - p.chi * z_inf**kap * y[0]
+            + chi * y[0] ** (kap + 1.0)
+            - chi * z_inf**kap * y[0]
         ]
 
     sol_y = solve_ivp(

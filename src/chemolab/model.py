@@ -401,19 +401,20 @@ def verify_growth_envelope(k: Kinetics, a: float, b: float, theta: float) -> Env
 
 
 def check_strong_dissipativity(k: Kinetics, chi: float, z_j: float) -> float:
-    """Margin eta0 in f(s)/s - f(r)/r <= -(2*chi + eta0)*(s**kappa - r**kappa),
-    kappa the secretion exponent k.kappa.
+    """Margin eta0 in f(s)/s - f(r)/r <= -(2*chi*beta + eta0)*(s**kappa - r**kappa),
+    kappa and beta the secretion exponent and factor k.kappa and k.beta.
 
     The supremum of the difference quotient is taken over pairs r <= z_j <= s
     bracketing the equilibrium between its neighbouring zeros
     (DISSIPATIVITY_GRID log-spaced distances on each side).  For the
     generalized-logistic family the quotient is identically -b, so the
-    closed form b - 2*chi is returned directly.  Raises DissipativityFail
+    closed form b - 2*chi*beta is returned directly.  Raises DissipativityFail
     when the margin is nonpositive.
     """
     if not z_j > 0:
         raise OutOfRange("z_j", f"equilibrium must be > 0 (got {z_j})")
     kappa = k.kappa
+    chi = chi * k.beta
     if k.f_kind == "generalized-logistic" and kappa == k.exponent:
         _, b = k.coeffs
         eta0 = b - 2.0 * chi

@@ -109,20 +109,19 @@ def characteristic_chi(e: EquilibriumInfo, sigma: float) -> float:
 def critical_chi(e: EquilibriumInfo, sigma: float) -> float:
     """The sensitivity where lam+ crosses the mode eigenvalue sigma.
 
-    Closed-form inversion of the characteristic quadratic, accepted only if
-    the growing branch actually attains sigma there (NotOnPlusBranch when
-    sigma sits below the branch point or behind the decaying branch).
+    Closed-form inversion of the characteristic quadratic.  At the inverted
+    chi, sigma is one of its two roots, whose sum is the trace, so sigma is
+    lam+ exactly when 2*sigma >= trace; the branch point, where the roots
+    meet, is accepted.  NotOnPlusBranch when the inverted chi is not
+    positive or 2*sigma < trace - BRANCH_RTOL*max(1, sigma) (sigma is lam-).
     """
     chi_hat = characteristic_chi(e, sigma)
     if not chi_hat > 0:
         raise NotOnPlusBranch(f"inverted chi = {chi_hat:g} is not positive")
-    try:
-        _, lam_plus = linearization_eigenvalues(e, chi_hat)
-    except UndefinedForThisChi as exc:
-        raise NotOnPlusBranch(str(exc)) from exc
-    if abs(lam_plus - sigma) > BRANCH_RTOL * max(1.0, abs(sigma)):
+    trace = e.slope * chi_hat + e.fprime + 1.0
+    if 2.0 * sigma < trace - BRANCH_RTOL * max(1.0, sigma):
         raise NotOnPlusBranch(
-            f"lam+({chi_hat:g}) = {lam_plus:.12g} != sigma = {sigma:.12g}"
+            f"sigma = {sigma:.12g} is lam-({chi_hat:g}): below trace/2 = {0.5 * trace:.12g}"
         )
     return chi_hat
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import chemolab as cl
-from chemolab.compare_ode import N_OUT
-from chemolab.errors import OutOfRange, ZUnbounded
+from chemolab import compare_ode
+from chemolab.compare_ode import N_OUT, ODE_RTOL, ODE_RTOL_RETRY
+from chemolab.errors import InvariantBreach, OutOfRange, ZUnbounded
 from chemolab.grid import Field
 
 
@@ -70,6 +71,21 @@ class TestSolveSandwich:
     def test_rejects_nonpositive_minimum(self):
         with pytest.raises(OutOfRange):
             cl.solve_sandwich(_params(), 0.0, 1.5, 10.0)
+
+    def test_breach_is_retried_once_then_raised(self, monkeypatch):
+        rtols = []
+        integrate = compare_ode._integrate_sandwich
+
+        def counted(p, y0, horizon, rtol):
+            rtols.append(rtol)
+            return integrate(p, y0, horizon, rtol)
+
+        monkeypatch.setattr(compare_ode, "_integrate_sandwich", counted)
+        monkeypatch.setattr(compare_ode, "_check_sandwich_invariants",
+                            lambda p, eq, ubar, w: "log-ratio increased")
+        with pytest.raises(InvariantBreach, match="^log-ratio increased$"):
+            cl.solve_sandwich(_params(), 0.5, 1.5, 1.0)
+        assert rtols == [ODE_RTOL, ODE_RTOL_RETRY]
 
     def test_csv(self, tmp_path):
         # The trajectory goes to disk through the CLI's one CSV writer; the
@@ -159,10 +175,24 @@ class TestCheckSandwich:
         traj = cl.solve_sandwich(p, report.u0_min, report.u0_max, 10.0)
         assert cl.check_sandwich(traj, report) <= 10.0 * g.spacings[0] ** 2
 
+    def test_secretion_factor_is_compared(self):
+        # beta = 2 at chi = 0.2 is the chi*beta = 0.4 system; a trajectory
+        # solved at beta = 1 is a different model and is refused
+        p = _params(chi=0.2, beta=2)
+        g = cl.make_grid(p, 64)
+        report = cl.run(p, cl.make_kinetics(p), Field(1.0 + 0.5 * np.cos(g.coordinates[0]), g),
+                        10.0, snapshot_times=np.linspace(0, 10, 21))
+        traj = cl.solve_sandwich(p, report.u0_min, report.u0_max, 10.0)
+        assert cl.check_sandwich(traj, report) <= 10.0 * g.spacings[0] ** 2
+        other = cl.solve_sandwich(_params(chi=0.2), report.u0_min, report.u0_max, 10.0)
+        with pytest.raises(OutOfRange) as info:
+            cl.check_sandwich(other, report)
+        assert str(info.value) == "beta: ODE/PDE mismatch: 1.0 vs 2.0"
+
     @pytest.mark.parametrize("chi, change, reason", [
         (0.4, {"f_kind": "power-envelope"},
          "run: growth must be u*(a - b*u**kappa) (got power-envelope)"),
-        (0.5, {}, "b: the comparison needs b > 2*chi"),
+        (0.5, {}, "b: the comparison needs b > 2*chi*beta"),
         (0.4, {"snapshots": []}, "run: no snapshots recorded"),
     ], ids=["growth", "weak-damping", "no-snapshots"])
     def test_refuses_what_it_cannot_compare(self, chi, change, reason):

@@ -203,7 +203,11 @@ class TestGrowthEnvelope:
          "(got bogus)"),
         (lambda p: cl.make_kinetics(p, "bogus"), OutOfRange, "f_kind: must be one of"),
         (lambda p: cl.make_kinetics(p, "polynomial"), MissingKey, "poly_coeffs"),
-    ], ids=["Kinetics", "make_kinetics", "no-coefficients"])
+        (lambda p: cl.Kinetics("generalized-logistic", (1.0, 1.0), 1.0, 0.0, 1.0), OutOfRange,
+         "beta: must be > 0 (got 0.0)"),
+        (lambda p: cl.Kinetics("generalized-logistic", (1.0, 1.0), 1.0, 1.0, -1.0), OutOfRange,
+         "kappa: must be > 0 (got -1.0)"),
+    ], ids=["Kinetics", "make_kinetics", "no-coefficients", "beta", "kappa"])
     def test_unknown_family_or_missing_coefficients(self, build, error, reason):
         with pytest.raises(error) as info:
             build(_params())
@@ -219,6 +223,22 @@ class TestStrongDissipativity:
             cl.check_strong_dissipativity(logistic_kinetics, 0.6, 1.0)
         assert err.value.eta0 == pytest.approx(-0.2)
         assert len(err.value.pair) == 2
+
+    def test_secretion_factor_scales_chi(self):
+        # beta = 2 doubles the sensitivity: b = 1 < 2*chi*beta = 1.6
+        k = cl.make_kinetics(_params(beta=2), "generalized-logistic")
+        with pytest.raises(DissipativityFail) as err:
+            cl.check_strong_dissipativity(k, 0.4, 1.0)
+        assert err.value.eta0 == pytest.approx(-0.6)
+
+    def test_sampled_path_refuses(self):
+        # f = u - u**2 as a raw polynomial: the sampled quotient is -1 > -2*chi
+        k = cl.make_kinetics(_params(), "polynomial", poly_coeffs=(0.0, 1.0, -1.0))
+        with pytest.raises(DissipativityFail) as err:
+            cl.check_strong_dissipativity(k, 0.6, 1.0)
+        assert err.value.eta0 == pytest.approx(-0.2, abs=1e-10)
+        r, s = err.value.pair
+        assert r <= 1.0 <= s
 
     def test_sampled_path_matches_closed_form(self):
         # Same f = u - u**2 expressed as a raw polynomial forces the sampler.

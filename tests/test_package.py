@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import os
 import pickle
 import re
@@ -8,6 +9,8 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import chemolab as cl
 from chemolab import config, errors
@@ -91,3 +94,62 @@ def test_errors_survive_copy_and_pickle(cls, duplicate):
     assert str(again) == str(error)
     assert again.args == error.args
     assert vars(again) == vars(error)
+
+
+def test_sandwich_trajectory_keeps_its_model_in_one_record():
+    trajectory = {f.name for f in dataclasses.fields(cl.SandwichTrajectory)}
+    assert not trajectory & {f.name for f in dataclasses.fields(cl.ModelParams)}
+
+
+def _outcome(call):
+    """What a call returns, or the type and reason of what it raises.
+
+    A RuntimeWarning counts: for fractional kappa and b < 2*chi*beta a trial
+    stage of the lower envelope can step below zero, and where warnings are
+    errors both sides of a comparison must then raise it alike.
+    """
+    try:
+        return call()
+    except (errors.ChemolabError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+
+
+@seed(24)
+@settings(max_examples=20, deadline=None)
+@given(
+    share=st.floats(0.02, 0.98), beta=st.floats(0.25, 4.0), b=st.floats(0.5, 2.0),
+    kappa=st.floats(0.5, 2.0), low=st.floats(0.3, 1.0), high=st.floats(1.0, 2.0),
+)
+def test_claim_4_tools_read_chi_times_beta(share, beta, b, kappa, low, high):
+    # v -> v/beta turns the (chi, beta) system into the (chi*beta, 1) one, so
+    # every tool of the convergence claim gives the same bits at both;
+    # chi*beta = share*b covers b > 2*chi*beta and b in (chi*beta, 2*chi*beta]
+    chi = share * b / beta
+
+    def build(chi, beta):
+        p = cl.build_params({"chi": chi, "a": 1, "b": b, "theta": kappa + 1, "kappa": kappa,
+                             "beta": beta, "dim": 1, "L": 3.0})
+        return (p, cl.make_kinetics(p),
+                cl.make_kinetics(p, "polynomial", poly_coeffs=(0.0, 1.0, -b)))
+
+    def outputs(p, logistic, polynomial):
+        eq = (1.0 / b) ** (1.0 / kappa)
+        u0_min, u0_max = low * eq, high * eq
+
+        def sandwich():
+            traj = cl.solve_sandwich(p, u0_min, u0_max, 5.0)
+            return [traj.times.tobytes(), traj.ubar.tobytes(), traj.w.tobytes(), traj.eps0]
+
+        def envelopes():
+            env = cl.envelope_odes(p, logistic, u0_min, u0_max, 60.0)
+            return [env.z.tobytes(), env.y.tobytes(), env.z_inf, env.y_inf]
+
+        return [
+            _outcome(sandwich),
+            _outcome(lambda: cl.sandwich_contraction_rate(p, u0_min**kappa, u0_max)),
+            _outcome(envelopes),
+            _outcome(lambda: cl.check_strong_dissipativity(logistic, p.chi, eq)),
+            _outcome(lambda: cl.check_strong_dissipativity(polynomial, p.chi, 1.0 / b)),
+        ]
+
+    assert outputs(*build(chi, beta)) == outputs(*build(chi * beta, 1.0))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import chemolab as cl
 from _reference import continuum_groups, helmholtz_matrix
 from chemolab.errors import NotOnPlusBranch, OutOfRange, UndefinedForThisChi
 from chemolab.grid import mode_groups
-from chemolab.stability import characteristic_chi
+from chemolab.stability import BRANCH_RTOL, characteristic_chi
 
 
 def _params(**overrides):
@@ -152,13 +153,33 @@ class TestCriticalChi:
         with pytest.raises(NotOnPlusBranch, match="is not positive"):
             cl.critical_chi(growing_eq, 1.1)
 
-    def test_rounded_branch_point_is_not_on_the_branch(self):
-        # logistic a = 1/2: at sigma = 1 + sqrt(-f'(u0)) the two branches
-        # meet, and the discriminant at the inverted chi rounds below zero
-        p = _params(a=0.5)
-        e = cl.equilibrium_info(cl.make_kinetics(p), 0.5)
-        with pytest.raises(NotOnPlusBranch, match="^discriminant .* < 0"):
-            cl.critical_chi(e, 1.0 + math.sqrt(-e.fprime))
+    @pytest.mark.parametrize("a", [0.1, 0.13, 0.2, 0.3, 0.5, 0.7, 2.0, 3.0])
+    def test_branch_point_is_on_the_branch(self, a):
+        # logistic u*(a - u) at u0 = a: at sigma = 1 + sqrt(-f'(u0)) the two
+        # roots meet, and the discriminant at the inverted chi rounds to
+        # either side of zero; the order of the roots does not depend on it
+        e = cl.equilibrium_info(cl.make_kinetics(_params(a=a)), a)
+        sigma = 1.0 + math.sqrt(-e.fprime)
+        assert cl.critical_chi(e, sigma) == characteristic_chi(e, sigma)
+
+    @seed(24)
+    @settings(max_examples=300, deadline=None)
+    @given(fprime=st.floats(-5.0, 3.0), slope=st.floats(0.1, 10.0),
+           sigma=st.floats(1.01, 12.0))
+    def test_branch_rule_matches_exact_arithmetic(self, fprime, slope, sigma):
+        # exact inversion and trace on the same floats: sigma is lam+ iff
+        # 2*sigma >= trace, decided outside the BRANCH_RTOL band
+        e = cl.EquilibriumInfo(u0=1.0, v0=1.0, fprime=fprime, gprime=slope, chi_floor=None)
+        fp, sl, sg = Fraction(fprime), Fraction(e.slope), Fraction(sigma)
+        chi = sg * (sg - fp - 1) / (sl * (sg - 1))
+        assume(chi > 0)
+        gap = 2 * sg - (sl * chi + fp + 1)
+        assume(abs(gap) > 2 * Fraction(BRANCH_RTOL) * max(1, sg))
+        if gap > 0:
+            assert cl.critical_chi(e, sigma) == characteristic_chi(e, sigma)
+        else:
+            with pytest.raises(NotOnPlusBranch, match="is lam-"):
+                cl.critical_chi(e, sigma)
 
     def test_requires_sigma_above_one(self, damped_eq):
         with pytest.raises(OutOfRange):

@@ -23,6 +23,8 @@ from chemolab.steady import (
     FORCING_MAX,
     KRYLOV_BUDGET,
     NEWTON_TOL,
+    CheckRow,
+    ValidationReport,
     _gmres,
     _jvp,
     _krylov_direction,
@@ -764,6 +766,11 @@ class TestValidateSteady:
         assert ident.observed == pytest.approx(0.0, abs=1e-12)
         min_row = report.row("min_u_below_largest_zero")
         assert min_row.observed == pytest.approx(min_row.bound)
+
+    def test_unknown_row_name(self):
+        report = ValidationReport((CheckRow("elliptic_identity", 1e-8, 0.0, True),))
+        with pytest.raises(KeyError, match="no_such_check"):
+            report.row("no_such_check")
 
     def test_pattern_passes_all_checks(self, setup, pattern):
         p, k, g, eq = setup
