@@ -215,7 +215,10 @@ def _cmd_steady(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
     _, u0 = growth_zeros(k)
     eq = stability.equilibrium_info(k, u0)
     mode = cfg.integer("steady.mode", 1)
+    cfg.needs("steady.chi_start", "steady.chi_stop", "steady.steps")
     if cfg.has("steady.chi_start"):
+        if cfg.has("steady.chi"):
+            raise OutOfRange("steady.chi", "conflicts with steady.chi_start")
         chi_range = (cfg.number("steady.chi_start"), cfg.number("steady.chi_stop"))
         steps = cfg.integer("steady.steps")
     else:
@@ -262,6 +265,8 @@ def _cmd_steady(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
 @_config_keys(count="stability.count", n_points="stability.scan_points",
               chi_hi="stability.scan_hi")
 def _cmd_stability(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
+    cfg.needs("stability.chi_lo", "stability.chi_hi", "stability.chi_samples")
+    cfg.needs("stability.scan", "stability.scan_lo", "stability.scan_hi", "stability.scan_points")
     p = params_from_config(cfg)
     k = kinetics_from_config(cfg, p)
     if cfg.has("stability.u0"):
@@ -385,6 +390,7 @@ def _sweep_axis(cfg: Config, suffix: str = "") -> np.ndarray:
 
 
 def _sweep_points(cfg: Config) -> tuple[list[str], list[tuple[float, ...]]]:
+    cfg.needs("sweep.parameter2", "sweep.start2", "sweep.stop2", "sweep.count2")
     names = [cfg.raw("sweep.parameter")]
     axes = [_sweep_axis(cfg)]
     if cfg.has("sweep.parameter2"):

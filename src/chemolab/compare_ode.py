@@ -244,8 +244,10 @@ def envelope_odes(
     kap = p.kappa
     chi = p.chi * p.beta
 
+    # u >= 0 is invariant (f(0) >= 0), so a trial stage below zero reads 0
     def z_rhs(_t, z):
-        return [float(k.f(np.array(z))[0]) + chi * z[0] ** (kap + 1.0)]
+        z = max(z[0], 0.0)
+        return [float(k.f(np.array([z]))[0]) + chi * z ** (kap + 1.0)]
 
     def escape(_t, z):
         return z[0] - Z_CAP
@@ -269,22 +271,21 @@ def envelope_odes(
         )
 
     def y_rhs(_t, y):
-        return [
-            float(k.f(np.array(y))[0])
-            + chi * y[0] ** (kap + 1.0)
-            - chi * z_inf**kap * y[0]
-        ]
+        y = max(y[0], 0.0)
+        return [float(k.f(np.array([y]))[0]) + chi * y ** (kap + 1.0) - chi * z_inf**kap * y]
 
     sol_y = solve_ivp(
         y_rhs, (0.0, horizon), [u0_min], method="RK45", rtol=ODE_RTOL,
         atol=1e-12, t_eval=np.linspace(0.0, horizon, N_OUT),
     )
-    tail = sol_y.y[0][sol_y.t >= 0.5 * horizon]
+    # where y decays to 0, a long step within atol can still land below it
+    y = np.maximum(sol_y.y[0], 0.0)
+    tail = y[sol_y.t >= 0.5 * horizon]
     return EnvelopeTrajectories(
         times_z=sol_z.t,
         z=sol_z.y[0],
         z_inf=z_inf,
         times_y=sol_y.t,
-        y=sol_y.y[0],
+        y=y,
         y_inf=float(tail.min()),
     )

@@ -121,6 +121,13 @@ class Config:
     def has(self, key: str) -> bool:
         return key in self.entries
 
+    def needs(self, trigger: str, *keys: str) -> None:
+        """Refuse any of keys given without trigger, the key that has them read."""
+        if trigger not in self.entries:
+            for key in keys:
+                if key in self.entries:
+                    raise OutOfRange(key, f"is read only with {trigger}, which is missing")
+
     def raw(self, key: str, default: str | None = None) -> str:
         if key in self.entries:
             return self.entries[key]

@@ -384,76 +384,66 @@ def run_batch(specs: Sequence[RunSpec]) -> list[RunReport | ChemolabError]:
     at most BATCH_CELLS cells at a time, and each report is bit for bit the
     one run gives the point alone.
     """
-    outcomes: list = [None] * len(specs)
-    groups: dict[tuple, list[tuple[int, SimState]]] = {}
-    for i, spec in enumerate(specs):
+    points = [_Point(spec, sorted(float(t) for t in spec.snapshot_times)) for spec in specs]
+    groups: dict[tuple, list[tuple[_Point, SimState]]] = {}
+    for point in points:
         try:
-            state = spec.initial_state()
+            state = point.spec.initial_state()
         except ChemolabError as exc:
-            outcomes[i] = exc
+            point.outcome = exc
             continue
-        groups.setdefault(spec.batch_key, []).append((i, state))
+        groups.setdefault(point.spec.batch_key, []).append((point, state))
     for members in groups.values():
         size = max(1, BATCH_CELLS // members[0][1].u.grid.n_cells)
         for start in range(0, len(members), size):
-            chunk = members[start:start + size]
-            batch = _BatchRun([specs[i] for i, _ in chunk], [s for _, s in chunk])
-            for (i, _), outcome in zip(chunk, batch.run()):
-                outcomes[i] = outcome
-    return outcomes
+            _BatchRun(*zip(*members[start:start + size])).run()
+    return [point.outcome for point in points]
+
+
+@dataclass(eq=False, slots=True)
+class _Point:
+    """One point of run_batch: its spec and what its outcome is built from.
+    pending holds the snapshot times not reached yet, interval the steps
+    between diagnostics rows, and rows those rows so far."""
+
+    spec: RunSpec
+    pending: list[float]
+    interval: int = 1
+    max_mass_residual: float = 0.0
+    l1_observed: float = 0.0
+    rows: list[np.ndarray] = field(default_factory=list)
+    target_errors: list[tuple[float, float]] = field(default_factory=list)
+    snapshots: list[tuple[float, np.ndarray, np.ndarray]] = field(default_factory=list)
+    outcome: RunReport | ChemolabError | None = None
 
 
 class _BatchRun:
     """run's loop over a batch of points that share a batch_key.
 
-    The kernel advances one row per live point.  point, the index in specs
-    of each row's point, is the only list indexed by row: _drop, called at
-    most twice a step, takes finished rows out of point and rebuilds the
-    kernel from the states of the rest.  Everything else is indexed by point
-    (diagnostics-row interval, pending snapshot times, mass-residual and L1
-    maxima, what the report is built from) or read from the point's RunSpec
-    (horizon, target).  Only the diagnostics rows are computed for the whole
-    batch at once.
+    The kernel advances one row per live point, and live, the _Point of each
+    row, is the only list the run keeps: _drop, called at most twice a step,
+    takes finished rows out of live and rebuilds the kernel from the rest.
     """
 
-    def __init__(self, specs: Sequence[RunSpec], states: Sequence[SimState]):
-        self.specs = specs
-        self.kernel = kernel = _Stepper(states, [s.p for s in specs], [s.k for s in specs])
+    def __init__(self, points: Sequence[_Point], states: Sequence[SimState]):
+        self.live = list(points)
+        self.kernel = kernel = _Stepper(states, [q.spec.p for q in points],
+                                        [q.spec.k for q in points])
         self.grid = kernel.grid
-        self.p_star = specs[0].p_star
-        self.point = list(range(len(specs)))
-        self.interval = [1] * len(specs)
-        self.pending = [sorted(float(t) for t in s.snapshot_times) for s in specs]
-        self.max_mass_residual = [0.0] * len(specs)
-        self.l1_observed = [m * self.grid.cell_volume for m in kernel.mass]
-        # per point, its diagnostics rows so far: a buffer that doubles when
-        # full, and the count in use
-        self.series = [np.empty((64, len(SERIES_COLUMNS))) for _ in specs]
-        self.series_len = [0] * len(specs)
-        for row, values in enumerate(self._rows()):
-            self._log(row, values)
-        self.target_errors: list[list[tuple[float, float]]] = [[] for _ in specs]
-        self.snapshots: list[list[tuple[float, np.ndarray, np.ndarray]]] = [[] for _ in specs]
-        self.outcomes: list = [None] * len(specs)
-        for row in range(len(specs)):
-            self._take_snapshots(row)
+        self.p_star = points[0].spec.p_star
+        rows = self._rows()
+        for row, (point, mass) in enumerate(zip(points, kernel.mass)):
+            point.l1_observed = mass * self.grid.cell_volume
+            point.rows.append(rows[row])
+            self._take_snapshots(row, point)
 
     def _drop(self, rows: list[int]) -> None:
-        """Take the given rows out of point and rebuild the kernel without them."""
-        live = [row for row in range(len(self.point)) if row not in rows]
-        self.point = [self.point[row] for row in live]
-        if live:
-            kernel, specs = self.kernel, [self.specs[point] for point in self.point]
-            self.kernel = _Stepper([kernel.state(row) for row in live],
-                                   [s.p for s in specs], [s.k for s in specs])
-
-    def _log(self, row: int, values: np.ndarray) -> None:
-        point = self.point[row]
-        n = self.series_len[point]
-        if n == len(self.series[point]):
-            self.series[point] = np.concatenate([self.series[point], np.empty_like(self.series[point])])
-        self.series[point][n] = values
-        self.series_len[point] = n + 1
+        """Take the given rows out of live and rebuild the kernel without them."""
+        kept = [row for row in range(len(self.live)) if row not in rows]
+        self.live = [self.live[row] for row in kept]
+        if kept:
+            self.kernel = _Stepper([self.kernel.state(row) for row in kept],
+                                   [q.spec.p for q in self.live], [q.spec.k for q in self.live])
 
     def _rows(self) -> np.ndarray:
         """Every row's diagnostics row, in SERIES_COLUMNS order."""
@@ -463,21 +453,19 @@ class _BatchRun:
                    k.grad_v_inf, k.dt)
         return np.array(columns, dtype=float).T
 
-    def _take_snapshots(self, row: int) -> None:
-        k, point = self.kernel, self.point[row]
-        pending = self.pending[point]
+    def _take_snapshots(self, row: int, point: _Point) -> None:
+        k, pending = self.kernel, point.pending
         while pending and k.t[row] >= pending[0] - 1e-12:
             pending.pop(0)
-            self.snapshots[point].append((k.t[row], k.u[row].copy(), k.v[row].copy()))
+            point.snapshots.append((k.t[row], k.u[row].copy(), k.v[row].copy()))
 
     def _finish(self, row: int, status: str) -> None:
-        k, grid = self.kernel, self.grid
-        point = self.point[row]
-        spec = self.specs[point]
-        self.outcomes[point] = RunReport(
+        k, grid, point = self.kernel, self.grid, self.live[row]
+        spec = point.spec
+        point.outcome = RunReport(
             status=status,
             final_time=k.t[row],
-            series=self.series[point][: self.series_len[point]].copy(),
+            series=np.array(point.rows),
             p_star=self.p_star,
             params=spec.p,
             f_kind=spec.k.f_kind,
@@ -485,20 +473,20 @@ class _BatchRun:
             u0_max=float(spec.u0.values.max()),
             final_u=Field(k.u[row].copy(), grid),
             final_v=Field(k.v[row].copy(), grid),
-            snapshots=self.snapshots[point],
-            target_errors=self.target_errors[point],
+            snapshots=point.snapshots,
+            target_errors=point.target_errors,
             clamp_count=k.clamp_count[row],
             clamped_mass=k.clamped_mass[row],
-            max_mass_residual=self.max_mass_residual[point],
+            max_mass_residual=point.max_mass_residual,
             l1_bound=max(integrate(spec.u0.values, grid), _gronwall_constant(spec.k) * grid.volume),
-            l1_observed=self.l1_observed[point],
+            l1_observed=point.l1_observed,
             steps=k.step_count[row],
         )
 
-    def run(self) -> list[RunReport | ChemolabError]:
-        specs, volume = self.specs, self.grid.cell_volume
+    def run(self) -> None:
+        volume = self.grid.cell_volume
         steps = 0
-        while self.point:
+        while self.live:
             dt = self.kernel.adapt_dt()
             if min(dt) < DT_MIN:
                 stalled = [row for row, d in enumerate(dt) if d < DT_MIN]
@@ -506,34 +494,32 @@ class _BatchRun:
                     self._finish(row, "StalledDt")
                 self._drop(stalled)
                 continue  # the rebuilt kernel gives the other rows the same dt
-            kernel = self.kernel
+            kernel, live = self.kernel, self.live
             if steps == 0:
-                for point, d in zip(self.point, dt):
-                    spec = specs[point]
-                    self.interval[point] = max(1, math.floor(spec.horizon / (spec.rows * d)))
-            kernel.step([min(d, specs[point].horizon - t)
-                         for d, point, t in zip(dt, self.point, kernel.t)])
+                for point, d in zip(live, dt):
+                    point.interval = max(1, math.floor(point.spec.horizon / (point.spec.rows * d)))
+            kernel.step([min(d, point.spec.horizon - t)
+                         for d, point, t in zip(dt, live, kernel.t)])
             steps += 1
 
-            # a failed row ends with its error; events holds (row, record,
+            # a failed row ends with its error; events holds (row, point, record,
             # status, target error) of every other row that logs a row or stops
-            live = enumerate(self.point)
+            going = enumerate(live)
             if kernel.failures:
                 for row, error in kernel.failures:
-                    self.outcomes[self.point[row]] = error
+                    live[row].outcome = error
                 failed = {row for row, _ in kernel.failures}
-                live = [(row, point) for row, point in live if row not in failed]
+                going = [(row, point) for row, point in going if row not in failed]
             events = []
-            for row, point in live:
-                t, spec = kernel.t[row], specs[point]
-                self.max_mass_residual[point] = max(self.max_mass_residual[point],
-                                                    kernel.last_mass_residual[row])
-                self.l1_observed[point] = max(self.l1_observed[point], kernel.mass[row] * volume)
-                pending = self.pending[point]
-                if pending and t >= pending[0] - 1e-12:
-                    self._take_snapshots(row)
+            for row, point in going:
+                t, spec = kernel.t[row], point.spec
+                point.max_mass_residual = max(point.max_mass_residual,
+                                              kernel.last_mass_residual[row])
+                point.l1_observed = max(point.l1_observed, kernel.mass[row] * volume)
+                if point.pending and t >= point.pending[0] - 1e-12:
+                    self._take_snapshots(row, point)
                 done = t >= spec.horizon * (1.0 - 1e-12)
-                record = steps % self.interval[point] == 0 or done
+                record = steps % point.interval == 0 or done
                 status = "ReachedHorizon" if done else None
                 error = None if spec.target is None else _target_error(
                     kernel.linf_u[row], kernel.u_min[row], float(spec.target))
@@ -542,20 +528,18 @@ class _BatchRun:
                 elif kernel.linf_u[row] > BLOWUP_LINF:
                     status = "BlowUp"
                 if record or status:
-                    events.append((row, record, status, error))
+                    events.append((row, point, record, status, error))
             if events:
                 rows = self._rows()
-                for row, record, status, error in events:
-                    point = self.point[row]
-                    self._log(row, rows[row])
+                for row, point, record, status, error in events:
+                    point.rows.append(rows[row])
                     if error is not None and (record or status == "Converged"):
-                        self.target_errors[point].append((kernel.t[row], error))
+                        point.target_errors.append((kernel.t[row], error))
                     if status:
                         self._finish(row, status)
             elif not kernel.failures:
                 continue
             ended = [row for row, _ in kernel.failures] + [
-                row for row, _, status, _ in events if status]
+                row for row, _, _, status, _ in events if status]
             if ended:
                 self._drop(ended)
-        return self.outcomes

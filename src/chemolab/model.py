@@ -532,18 +532,14 @@ def classify_regime(p: ModelParams, k: Kinetics, dim: int | None = None) -> Regi
         )
     )
 
-    unit_secretion = _almost_equal(k.beta, 1.0)
-    ok = (
-        k.f_kind == "generalized-logistic"
-        and unit_secretion
-        and p.b > 2.0 * p.chi
-        and not _almost_equal(p.b, 2.0 * p.chi)
-    )
+    # v -> v/beta leaves chi*beta as the only sensitivity
+    bound = 2.0 * p.chi * p.beta
+    ok = k.f_kind == "generalized-logistic" and b > bound and not _almost_equal(b, bound)
     verdicts.append(
         Verdict(
             "GloballyConvergent",
-            f"f = u*(a - b*u**kappa) [{k.f_kind}] and g = u**kappa "
-            f"(beta = {k.beta:g}) and b > 2*chi: {p.b:g} > {2.0 * p.chi:g} -> {ok}",
+            f"f = u*(a - b*u**kappa) [{k.f_kind}] and g = beta*u**kappa "
+            f"and b > 2*chi*beta: {b:g} > {bound:g} -> {ok}",
             ok,
         )
     )

@@ -129,6 +129,24 @@ class TestExitCodes:
          "'steady'] (got bogus)"),
         ("sweep", "sweep.count = 2\nsweep.parameter2 = model.b\nsweep.start2 = 1\n"
          "sweep.stop2 = 2\nsweep.count2 = -1", "sweep.count2: grid is empty (got -1)"),
+        # a key read only with another one must not be silently ignored
+        ("steady", "steady.chi_stop = 5\nsteady.steps = 3",
+         "steady.chi_stop: is read only with steady.chi_start, which is missing"),
+        ("steady", "steady.steps = 3", "steady.steps: is read only with steady.chi_start"),
+        ("steady", "steady.chi = 4.2\nsteady.chi_start = 4\nsteady.chi_stop = 5\n"
+         "steady.steps = 2",
+         "steady.chi: conflicts with steady.chi_start"),
+        ("stability", "stability.chi_hi = 5", "stability.chi_hi: is read only with stability.chi_lo"),
+        ("stability", "stability.chi_samples = 5",
+         "stability.chi_samples: is read only with stability.chi_lo"),
+        ("stability", "stability.scan_lo = 3\nstability.scan_hi = 5",
+         "stability.scan_lo: is read only with stability.scan, which is missing"),
+        ("stability", "stability.scan_points = 6",
+         "stability.scan_points: is read only with stability.scan"),
+        ("sweep", "sweep.count = 2\nsweep.start2 = 1\nsweep.stop2 = 2\nsweep.count2 = 3",
+         "sweep.start2: is read only with sweep.parameter2, which is missing"),
+        ("sweep", "sweep.count = 2\nsweep.count2 = 3",
+         "sweep.count2: is read only with sweep.parameter2"),
     ])
     def test_bad_value_exits_with_reason(self, tmp_path, capsys, command, extra, reason):
         # main runs in this process, so a traceback would fail the test here

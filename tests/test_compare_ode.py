@@ -234,6 +234,14 @@ class TestEnvelopeOdes:
         assert env.y_inf >= bound * (1 - 1e-3)
         assert env.y_inf > 0
 
+    def test_lower_envelope_decays_to_zero_without_going_below(self):
+        # b < 2*chi*beta: y -> 0, and RK45 trial stages near 0 step below it
+        p = _params(chi=1, b=1.5, theta=2.5, kappa=1.5)
+        eq = (p.a / p.b) ** (1 / p.kappa)
+        env = cl.envelope_odes(p, cl.make_kinetics(p, "generalized-logistic"), eq, eq, 60.0)
+        assert env.z_inf == pytest.approx((p.a / (p.b - p.chi)) ** (1 / p.kappa), rel=1e-8)
+        assert env.y_inf >= 0.0 and env.y.min() >= 0.0 and env.y_inf < 1e-12
+
     def test_unbounded_when_damping_too_weak(self):
         p = _params(chi=1.5)
         k = cl.make_kinetics(p, "generalized-logistic")

@@ -488,16 +488,16 @@ class TestRunBatch:
         outcomes = _assert_batch_equals_alone(specs)
         assert isinstance(outcomes[3], OutOfRange) and isinstance(outcomes[4], OutOfRange)
 
-    def test_only_point_is_kept_per_row(self):
-        # the run's state lives per point, so dropping a row shortens point
-        # and the kernel and no other list of the run
+    def test_one_record_per_live_row(self):
+        # a point's state lives in its _Point, so dropping a row shortens
+        # live and the kernel, and the run keeps no other list
         p, k, g = _setup(nx=16)
         u0 = Field(1.0 + 0.5 * np.cos(g.coordinates[0]), g)
         specs = [RunSpec(replace(p, chi=chi), k, u0, 0.5, target=1.0, snapshot_times=(0.0, 0.2))
                  for chi in (0.1, 0.2, 0.3)]
-        batch = evolve._BatchRun(specs, [spec.initial_state() for spec in specs])
+        points = [evolve._Point(spec, [0.0, 0.2]) for spec in specs]
+        batch = evolve._BatchRun(points, [spec.initial_state() for spec in specs])
         batch._drop({1})
-        assert batch.point == [0, 2] and len(batch.kernel.t) == 2
-        lengths = {name: len(value) for name, value in vars(batch).items()
-                   if isinstance(value, list) and name != "point"}
-        assert len(lengths) >= 8 and set(lengths.values()) == {3}, lengths
+        assert batch.live == [points[0], points[2]] and len(batch.kernel.t) == 2
+        assert [name for name, value in vars(batch).items() if isinstance(value, list)] == ["live"]
+        assert all(len(point.rows) == 1 and point.pending == [0.2] for point in points)

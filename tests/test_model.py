@@ -278,6 +278,14 @@ class TestClassifyRegime:
         report = cl.classify_regime(logistic_params, logistic_kinetics)
         assert "GloballyConvergent" in report
 
+    @pytest.mark.parametrize("b, expected", [(1.0, True), (0.3, False)])
+    def test_globally_convergent_reads_chi_times_beta(self, b, expected):
+        # chi = 0.1, beta = 2: the bound is 2*chi*beta = 0.4, not 2*chi = 0.2
+        p = cl.build_params({"chi": 0.1, "a": 1, "b": b, "theta": 2, "kappa": 1, "beta": 2,
+                             "dim": 1, "L": math.pi})
+        report = cl.classify_regime(p, cl.make_kinetics(p, "generalized-logistic"))
+        assert ("GloballyConvergent" in report) is expected
+
     def test_borderline_equality(self):
         p = cl.build_params(
             {"chi": 1, "a": 1, "b": 0.5, "theta": 3, "kappa": 2, "beta": 1,
