@@ -9,26 +9,40 @@ DCT-II basis, and one exact spectral solve serves the chemical equation
 is projected exactly afterwards, which pins the discrete compatibility
 identity sum(x) = sum(b) to roundoff.
 
-The transforms call the compiled pocketfft kernel behind scipy's public dct
-and idct, one axis per call, with the arguments their orthonormal forms pass
-it.  The public wrappers only check and convert their input (dtype, byte
-order, alignment, normalisation and worker count), which chemolab's float64
-arrays never need; on a 256-cell line that is about half of a call (a
-forward transform took 5.6 against 2.7 us, best of five timeit runs, 2-vCPU
-x86, scipy 1.17), and a step makes four such calls.  The kernel is a
-private scipy name, so tests/test_grid_elliptic.py::TestTransformKernel
-requires both transforms to equal the public ones bit for bit: a scipy
-whose kernel changes fails there instead of drifting silently.
+The transforms call scipy.fft's compiled pocketfft kernel, one axis per
+call with the arguments of the orthonormal dct/idct, and skip wrapper
+checks that float64 input never needs (2.7 against 5.6 us per 256-cell
+transform, 2-vCPU x86, scipy 1.17).  The kernel is loaded from its file,
+as scipy.fft's package __init__ costs 0.35 s of a 0.6 s cold start.  It is
+private to scipy, so tests/test_grid_elliptic.py::TestTransformKernel checks
+that it is scipy.fft's own file and matches the public transforms bitwise.
 """
 
 from __future__ import annotations
 
+import os
+from importlib import machinery, util
+
 import numpy as np
-from scipy.fft._pocketfft.pypocketfft import dct
 
 from .errors import NonpositiveV, OutOfRange
 from .grid import Field, Grid, cell_gradients, cell_sums, integrate
 
+
+def _load_pocketfft():
+    """scipy.fft's pocketfft module, loaded without scipy's package __init__."""
+    where = os.path.join(os.path.dirname(util.find_spec("scipy").origin), "fft", "_pocketfft")
+    spec = machinery.PathFinder.find_spec("pypocketfft", [where])
+    if spec is None:
+        from importlib.metadata import version
+        raise ImportError(f"scipy {version('scipy')} has no pypocketfft extension in {where}")
+    kernel = util.module_from_spec(spec)
+    spec.loader.exec_module(kernel)
+    return kernel
+
+
+_POCKETFFT = _load_pocketfft()
+dct = _POCKETFFT.dct
 _DCT_II, _DCT_III = 2, 3   # the orthonormal DCT-III is the DCT-II's inverse
 _ORTHO = 1                 # pocketfft's normalisation code for norm="ortho"
 

@@ -486,11 +486,12 @@ def classify_regime(p: ModelParams, k: Kinetics, dim: int | None = None) -> Regi
     theta = k.exponent + 1.0 if k.f_kind == "generalized-logistic" else k.exponent
     verdicts: list[Verdict] = []
 
-    ok = p.kappa < 2.0 / n
+    f_zero = not any(k.coeffs)  # each family's f is 0 exactly when all its coefficients are
+    ok = p.kappa < 2.0 / n and f_zero
     verdicts.append(
         Verdict(
             "SublinearSecretion",
-            f"kappa < 2/n: {p.kappa:g} < {2.0 / n:g} -> {ok}",
+            f"kappa < 2/n: {p.kappa:g} < {2.0 / n:g} and f = 0 [{k.f_kind}]: {f_zero} -> {ok}",
             ok,
         )
     )

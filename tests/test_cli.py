@@ -964,13 +964,16 @@ def test_artifact_contract(tmp_path, command):
                 assert {row[col] for row in rows} <= {"true", "false"}, (name, key)
 
 
-def test_commands_do_not_load_scipy_sparse(tmp_path):
-    # the assembled reference matrices live with the tests, so no command
-    # path imports scipy.sparse
+def test_cold_commands_load_no_scipy(tmp_path):
+    # the transforms load scipy's compiled DCT kernel from its file and the
+    # assembled reference matrices live with the tests, so these commands
+    # run without importing any scipy module; compare-ode is the one command
+    # that needs scipy, for scipy.integrate's solve_ivp
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    configs = {"stability": TestStabilityCommand.SCAN_2D, "steady": CONTRACT_RUNS["steady"],
-               "simulate": CONTRACT_RUNS["simulate"]}
+    configs = {"simulate": CONTRACT_RUNS["simulate"], "steady": CONTRACT_RUNS["steady"],
+               "stability": TestStabilityCommand.SCAN_2D, "classify": CONTRACT_RUNS["classify"],
+               "sweep": CONTRACT_RUNS["sweep"]}  # two points of simulate
     runs = [
         [command, "--config", _write(tmp_path, text, f"{command}.cfg"),
          "--out", str(tmp_path / command)]
@@ -979,9 +982,9 @@ def test_commands_do_not_load_scipy_sparse(tmp_path):
     code = (
         "import sys; from chemolab.cli import main; "
         f"codes = [main(argv) for argv in {runs!r}]; "
-        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"

@@ -5,11 +5,13 @@ import pytest
 import scipy
 import scipy.fftpack
 import scipy.linalg
+from scipy.fft._pocketfft import pypocketfft
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import chemolab as cl
 from _reference import helmholtz_matrix, laplacian_matrix
+from chemolab import elliptic
 from chemolab.elliptic import (cell_values, cosine_coefficients, screened_symbol,
                                solve_dct_diagonal, solve_helmholtz_array)
 from chemolab.errors import NonpositiveV, OutOfRange
@@ -292,12 +294,27 @@ class TestHelmholtzSolve:
 
 class TestTransformKernel:
     """cosine_coefficients and cell_values call scipy's private pocketfft
-    kernel directly; they must equal the public scipy.fftpack transforms
-    bit for bit, so a scipy whose kernel changes fails here."""
+    kernel directly, loaded from scipy.fft's own file; they must equal the
+    public scipy.fftpack transforms bit for bit, so a scipy whose kernel
+    changes fails here."""
 
-    @pytest.mark.parametrize("shape, batch", [
-        ((256,), ()), ((64, 64), ()), ((12, 20), ()), ((8, 8, 8), ()), ((64,), (5,)),
-    ])
+    SHAPES = [((256,), ()), ((64, 64), ()), ((12, 20), ()), ((8, 8, 8), ()), ((64,), (5,))]
+    ORIGIN = f"scipy {scipy.__version__}: {pypocketfft.__file__}"
+
+    def test_kernel_is_scipy_fft_own_file(self):
+        assert elliptic._POCKETFFT.__file__ == pypocketfft.__file__, self.ORIGIN
+
+    @pytest.mark.parametrize("shape, batch", SHAPES)
+    def test_kernel_copies_give_the_same_bits(self, shape, batch):
+        # chemolab's copy of the extension and scipy.fft's, loaded in one process
+        values = np.random.default_rng(7).uniform(-1.0, 2.0, batch + shape)
+        for kind in (2, 3):
+            for ax in range(len(batch), values.ndim):
+                ours = elliptic.dct(values, kind, (ax,), 1, None, 1, None)
+                theirs = pypocketfft.dct(values, kind, (ax,), 1, None, 1, None)
+                assert ours.tobytes() == theirs.tobytes(), self.ORIGIN
+
+    @pytest.mark.parametrize("shape, batch", SHAPES)
     def test_transforms_equal_scipy_fftpack(self, shape, batch):
         g = Grid((math.pi, 2.0, 3.0)[: len(shape)], shape)
         values = np.random.default_rng(7).uniform(-1.0, 2.0, batch + shape)

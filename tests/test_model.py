@@ -349,6 +349,19 @@ class TestClassifyRegime:
         assert "theta = kappa+1 (margin 0.000e+00)" in conditions["StrictBorderlineInequality"]
         assert f"*beta*chi: {numbers[1]}" in conditions["StrictBorderlineInequality"]
 
+    @pytest.mark.parametrize("kind, kw", [
+        ("generalized-logistic", {}), ("power-envelope", {}),
+        ("polynomial", {"poly_coeffs": (0.0, 2.0, -1.0)}),
+    ])
+    def test_sublinear_secretion_needs_f_zero(self, kind, kw):
+        # case (i) of the paper is kappa < 2/n together with f = 0, and no
+        # growth family can be 0: kappa = 0.5 < 2/n = 1 alone does not hold it
+        p = _params(kappa=0.5, theta=1.5, dim=2, L=(math.pi, math.pi))
+        report = cl.classify_regime(p, cl.make_kinetics(p, kind, **kw))
+        verdict = next(v for v in report.verdicts if v.tag == "SublinearSecretion")
+        assert not verdict.satisfied
+        assert verdict.condition == f"kappa < 2/n: 0.5 < 1 and f = 0 [{kind}]: False -> False"
+
     def test_unclassified_fallback(self):
         # supercritical, not borderline, not convergent
         p = _params(chi=5.0, b=0.1, theta=1.5, kappa=2, beta=2)
