@@ -6,9 +6,9 @@ __version__ = "0.1.0"
 
 from .compare_ode import (EnvelopeTrajectories, SandwichTrajectory, check_sandwich,
                           envelope_odes, sandwich_contraction_rate, solve_sandwich)
-from .diagnostics import SeriesFit, fit_exponential_decay, lp_norm, monitor_exponent
+from .diagnostics import SeriesFit, fit_exponential_decay, lp_norm
 from .elliptic import elliptic_identity_residual, solve_helmholtz
-from .evolve import RunReport, SimState, adapt_dt, detect_blowup, run, step
+from .evolve import RunReport, SimState, adapt_dt, run, step
 from .grid import Field, Grid, make_grid
 from .model import (Kinetics, ModelParams, RegimeReport, build_params, check_strong_dissipativity,
                     classify_regime, growth_zeros, make_kinetics, verify_growth_envelope)
@@ -23,9 +23,9 @@ from .steady import (Branch, SteadyState, ValidationReport, continuation, solve_
 __all__ = [
     "EnvelopeTrajectories", "SandwichTrajectory", "check_sandwich", "envelope_odes",
     "sandwich_contraction_rate", "solve_sandwich",
-    "SeriesFit", "fit_exponential_decay", "lp_norm", "monitor_exponent",
+    "SeriesFit", "fit_exponential_decay", "lp_norm",
     "elliptic_identity_residual", "solve_helmholtz",
-    "RunReport", "SimState", "adapt_dt", "detect_blowup", "run", "step",
+    "RunReport", "SimState", "adapt_dt", "run", "step",
     "Field", "Grid", "make_grid",
     "Kinetics", "ModelParams", "RegimeReport", "build_params", "check_strong_dissipativity",
     "classify_regime", "growth_zeros", "make_kinetics", "verify_growth_envelope",

@@ -31,22 +31,6 @@ def lp_norms(values: np.ndarray, grid: Grid, p: float) -> list[float]:
     return [(s * grid.cell_volume) ** (1.0 / p) for s in sums]
 
 
-def monitor_exponent(n: int, kappa: float, eps: float = 0.5) -> tuple[float, float]:
-    """The boundedness-monitor exponent p* = kappa*n/2 + eps and the
-    companion elliptic-embedding exponent q' = n*r/(kappa*n - r) with r = p*.
-
-    eps must be positive and small enough that r < kappa*n, else the
-    embedding exponent is undefined and the pair is rejected.
-    """
-    if not eps > 0:
-        raise OutOfRange("eps", f"must be > 0 (got {eps})")
-    r = kappa * n / 2.0 + eps
-    if r >= kappa * n:
-        raise OutOfRange("eps", f"p* = {r} >= kappa*n = {kappa * n}; embedding undefined")
-    q_prime = n * r / (kappa * n - r)
-    return r, q_prime
-
-
 @dataclass(frozen=True)
 class SeriesFit:
     """Log-linear least-squares fit over a trailing window of a time series."""

@@ -97,7 +97,14 @@ class InvariantBreach(ChemolabError):
 
 
 class ZUnbounded(ChemolabError):
-    """The upper envelope ODE escaped to infinity (hypotheses fail)."""
+    """The upper envelope ODE escaped to infinity (hypotheses fail).
+
+    Carries ``t``, the time at which the envelope reached the cap.
+    """
+
+    def __init__(self, message, t):
+        super().__init__(message)
+        self.t = t
 
 
 class NonPositiveValues(ChemolabError):

@@ -258,16 +258,6 @@ def step(s: SimState, p: ModelParams, k: Kinetics) -> SimState:
     return kernel.state(0)
 
 
-def detect_blowup(s: SimState) -> bool:
-    """Heuristic evidence only: sup-norm beyond BLOWUP_LINF.
-
-    A stalled step is not judged here: adapt_dt raises StalledDt when the
-    admissible step falls below DT_MIN, while a step that run clamps to
-    reach the horizon exactly may be shorter than DT_MIN without any stall.
-    """
-    return float(np.max(np.abs(s.u.values))) > BLOWUP_LINF
-
-
 SERIES_COLUMNS = ("t", "mass", "linf_u", "lp_u", "linf_v", "linf_gradv", "dt")
 
 

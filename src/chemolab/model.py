@@ -373,11 +373,14 @@ def verify_growth_envelope(k: Kinetics, a: float, b: float, theta: float) -> Env
     Samples f(s) - (a - b*s**theta) at s = 0 and ENVELOPE_SAMPLES - 1
     log-spaced points up to S_max, which doubles from
     max(1, 4*(max(a, 1)/b)**(1/theta)) up to 60 times until the damping term
-    dominates f, so any asymptotic violation lands inside the sampled range.
-    S_max starts at no more than half the s where b*s**theta overflows, and
-    the doubling stops at the last S_max where b*S_max**theta and f(S_max)
-    are finite floats.  Pure check: returns the verdict and the worst
-    (largest) sampled value, never raises on violation.
+    b*S_max**theta reaches a quarter of |f(S_max)| + a + 1.  The envelopes
+    Kinetics builds have b*s**theta near |f(s)|/2 or |f(s)| for large s, so
+    they stop within a few doublings; a violation that starts only beyond
+    that S_max is not sampled.  S_max starts at no more than half the s
+    where b*s**theta overflows, and the doubling stops at the last S_max
+    where b*S_max**theta and f(S_max) are finite floats.  Pure check:
+    returns the verdict and the worst (largest) sampled value, never raises
+    on violation.
     """
     s_overflow = math.exp((math.log(np.finfo(float).max) - math.log(b)) / theta)
     s_max = min(max(1.0, 4.0 * (max(a, 1.0) / b) ** (1.0 / theta)), 0.5 * s_overflow)
@@ -391,7 +394,7 @@ def verify_growth_envelope(k: Kinetics, a: float, b: float, theta: float) -> Env
             if not (math.isfinite(damping) and math.isfinite(f_s)):
                 s_max /= 2.0
                 break
-            if doublings == 60 or damping >= 2.0 * (abs(f_s) + a + 1.0):
+            if doublings == 60 or 4.0 * damping >= abs(f_s) + a + 1.0:
                 break
             s_max *= 2.0
     samples = np.concatenate([[0.0], np.geomspace(1e-9, s_max, ENVELOPE_SAMPLES - 1)])

@@ -965,15 +965,16 @@ def test_artifact_contract(tmp_path, command):
 
 
 def test_cold_commands_load_no_scipy(tmp_path):
-    # the transforms load scipy's compiled DCT kernel from its file and the
-    # assembled reference matrices live with the tests, so these commands
-    # run without importing any scipy module; compare-ode is the one command
-    # that needs scipy, for scipy.integrate's solve_ivp
+    # the transforms load scipy's compiled DCT kernel from its file, the ODEs
+    # are integrated by chemolab's own Dormand-Prince pair and the assembled
+    # reference matrices live with the tests, so no command imports any
+    # scipy module
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     configs = {"simulate": CONTRACT_RUNS["simulate"], "steady": CONTRACT_RUNS["steady"],
                "stability": TestStabilityCommand.SCAN_2D, "classify": CONTRACT_RUNS["classify"],
-               "sweep": CONTRACT_RUNS["sweep"]}  # two points of simulate
+               "sweep": CONTRACT_RUNS["sweep"],  # two points of simulate
+               "compare-ode": CONTRACT_RUNS["compare-ode"]}  # with compare.envelopes = true
     runs = [
         [command, "--config", _write(tmp_path, text, f"{command}.cfg"),
          "--out", str(tmp_path / command)]
@@ -987,4 +988,4 @@ def test_cold_commands_load_no_scipy(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"

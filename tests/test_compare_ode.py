@@ -258,3 +258,89 @@ class TestEnvelopeOdes:
         k = cl.make_kinetics(p, "generalized-logistic")
         with pytest.raises(OutOfRange, match="horizon"):
             cl.envelope_odes(p, k, 0.5, 1.5, 0.5)
+
+
+class TestAgainstScipyRK45:
+    """The integrator takes RK45's steps: scipy's solve_ivp is the reference."""
+
+    # the converge-1d model and extremes, to its convergence time
+    P = dict(chi=0.4, a=1, b=1, kappa=1)
+    U0_MIN, U0_MAX, HORIZON = 0.5, 1.5, 10.83
+
+    @staticmethod
+    def _reference(rhs, y0, horizon, rtol, atol, **kwargs):
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp(lambda _t, y: rhs(list(y)), (0.0, horizon), y0, method="RK45",
+                         rtol=rtol, atol=atol, dense_output=True,
+                         t_eval=np.linspace(0.0, horizon, N_OUT), **kwargs)
+
+    @staticmethod
+    def _assert_same(dense, ref):
+        assert dense.steps == ref.sol.n_segments
+        np.testing.assert_allclose(dense(ref.t), ref.y, rtol=0, atol=1e-13)
+        # between the output times, where the quartics are read alone
+        between = 0.5 * (ref.t[1:] + ref.t[:-1])
+        np.testing.assert_allclose(dense(between), ref.sol(between), rtol=0, atol=1e-13)
+        for t in between[::500]:
+            np.testing.assert_allclose(dense(t), ref.sol(t), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("rtol", [ODE_RTOL, ODE_RTOL_RETRY])
+    def test_sandwich_pair(self, rtol):
+        p = _params(**self.P)
+        kap, chi = p.kappa, p.chi * p.beta
+
+        def rhs(y):
+            ub, w = y
+            gap = ub**kap - w**kap
+            return [chi * ub * gap + ub * (p.a - p.b * ub**kap),
+                    -chi * w * gap + w * (p.a - p.b * w**kap)]
+
+        y0 = [self.U0_MAX, self.U0_MIN]
+        dense = compare_ode._integrate_sandwich(p, y0, self.HORIZON, rtol)
+        ref = self._reference(rhs, y0, self.HORIZON, rtol, rtol * 1e-2)
+        self._assert_same(dense, ref)
+        if rtol == ODE_RTOL:
+            traj = cl.solve_sandwich(p, self.U0_MIN, self.U0_MAX, self.HORIZON)
+            np.testing.assert_allclose(np.array([traj.ubar, traj.w]), ref.y, rtol=0, atol=1e-13)
+
+    def test_envelope_odes(self, monkeypatch):
+        p = _params(**self.P)
+        k = cl.make_kinetics(p, "generalized-logistic")
+        runs = []
+        dopri5 = compare_ode._dopri5
+
+        def recorded(rhs, y0, horizon, rtol, atol, **kwargs):
+            runs.append((rhs, y0, horizon, rtol, atol, dopri5(rhs, y0, horizon, rtol, atol,
+                                                                **kwargs)))
+            return runs[-1][-1]
+
+        monkeypatch.setattr(compare_ode, "_dopri5", recorded)
+        horizon = 60.0
+        env = cl.envelope_odes(p, k, self.U0_MIN, self.U0_MAX, horizon)
+        assert [run[1] for run in runs] == [[self.U0_MAX], [self.U0_MIN]]
+        for (rhs, y0, _, rtol, atol, dense), out in zip(runs, (env.z, env.y)):
+            assert (rtol, atol) == (ODE_RTOL, 1e-12)
+            ref = self._reference(rhs, y0, horizon, rtol, atol)
+            self._assert_same(dense, ref)
+            np.testing.assert_allclose(out, ref.y[0], rtol=0, atol=1e-13)
+
+    def test_escape_time(self):
+        from scipy.integrate import solve_ivp
+
+        p = _params(chi=1.5)
+        k = cl.make_kinetics(p, "generalized-logistic")
+        with pytest.raises(ZUnbounded) as info:
+            cl.envelope_odes(p, k, 0.5, 1.5, 200.0)
+
+        def escape(_t, z):
+            return z[0] - compare_ode.Z_CAP
+
+        escape.terminal = True
+        ref = solve_ivp(
+            lambda _t, z: [float(k.f(z)[0]) + p.chi * z[0] ** 2], (0.0, 200.0), [1.5],
+            method="RK45", rtol=ODE_RTOL, atol=1e-12, events=escape,
+        )
+        t_escape = ref.t_events[0][0]
+        assert info.value.t == pytest.approx(t_escape, rel=1e-9, abs=0)
+        assert str(info.value) == f"upper envelope escaped beyond 1e+06 at t = {t_escape:.6g}"

@@ -52,26 +52,6 @@ class TestLpNorm:
         assert norms == sorted(norms)
 
 
-class TestMonitorExponent:
-    def test_2d_linear_secretion(self):
-        p_star, q_prime = cl.monitor_exponent(2, 1.0, 0.5)
-        assert p_star == pytest.approx(1.5)
-        assert q_prime == pytest.approx(6.0)
-
-    def test_3d_quadratic_secretion(self):
-        p_star, _ = cl.monitor_exponent(3, 2.0, 0.5)
-        assert p_star == pytest.approx(3.5)
-
-    def test_rejects_zero_eps(self):
-        with pytest.raises(OutOfRange):
-            cl.monitor_exponent(2, 1.0, 0.0)
-
-    def test_rejects_eps_reaching_embedding_limit(self):
-        # kappa*n/2 + eps >= kappa*n leaves the embedding exponent undefined
-        with pytest.raises(OutOfRange):
-            cl.monitor_exponent(1, 1.0, 0.5)
-
-
 class TestFitExponentialDecay:
     def test_exact_exponential(self):
         t = np.linspace(0, 40, 200)

@@ -171,27 +171,39 @@ class TestAdaptDt:
             cl.adapt_dt(s, p, k)
 
 
-class TestDetectBlowup:
-    def test_bounded_state(self):
-        p, k, g = _setup()
-        s = SimState.initial(p, k, Field.constant(g, 1.0), dt=1e-3)
-        assert not cl.detect_blowup(s)
+class TestBlowupThreshold:
+    """The run loop ends a point as BlowUp once its sup-norm passes BLOWUP_LINF."""
 
-    def test_sup_norm_threshold(self):
-        p, k, g = _setup()
-        s = SimState(
-            t=0.0, u=Field.constant(g, 2e6), v=Field.constant(g, 1.0), dt=1e-3
-        )
-        assert cl.detect_blowup(s)
+    @pytest.mark.parametrize("threshold, status", [(0.99, "BlowUp"), (1.01, "ReachedHorizon")])
+    def test_strictly_above_the_threshold(self, monkeypatch, threshold, status):
+        # the equilibrium u = 1 holds to roundoff, so only the threshold decides
+        p, k, g = _setup(nx=32)
+        monkeypatch.setattr(evolve, "BLOWUP_LINF", threshold)
+        report = cl.run(p, k, Field.constant(g, 1.0), 0.1)
+        assert report.status == status
+        assert (report.steps == 1) == (status == "BlowUp")
 
-    def test_stalled_dt_counts(self):
-        # a step below DT_MIN is not blow-up evidence: stalls raise StalledDt
-        # in adapt_dt, and run may clamp the last step below DT_MIN
-        p, k, g = _setup()
-        s = SimState(
-            t=0.0, u=Field.constant(g, 1.0), v=Field.constant(g, 1.0), dt=1e-13
-        )
-        assert not cl.detect_blowup(s)
+    def test_short_last_step_is_not_blowup(self):
+        # a step that run clamps to reach the horizon may be shorter than
+        # DT_MIN; that is neither a stall nor blow-up evidence
+        p, k, g = _setup(nx=32)
+        report = cl.run(p, k, Field.constant(g, 1.0), 0.5 * DT_MIN)
+        assert report.status == "ReachedHorizon" and report.steps == 1
+
+
+class TestMonitorExponent:
+    @pytest.mark.parametrize("dim, kappa, p_star", [
+        (2, 1.0, 1.5),   # kappa*n/2 + MONITOR_EPS
+        (3, 2.0, 3.5),
+        (1, 0.5, 1.0),   # floored at 1: sublinear secretion in 1D
+    ])
+    def test_kappa_n_over_two_plus_eps(self, dim, kappa, p_star):
+        p, _, _ = _setup(dim=dim, kappa=kappa, theta=kappa + 1)
+        k = cl.make_kinetics(p, "generalized-logistic")
+        g = cl.make_grid(p, 8)
+        spec = RunSpec(p, k, Field.constant(g, 1.0), 1e-3)
+        assert spec.p_star == p_star
+        assert cl.run(p, k, Field.constant(g, 1.0), 1e-3).p_star == p_star
 
 
 class TestRun:

@@ -157,6 +157,20 @@ class TestGrowthEnvelope:
             a_env, b_env, th_env = k.envelope
             assert cl.verify_growth_envelope(k, a_env, b_env, th_env).ok
 
+    @pytest.mark.parametrize("kind, kw", [
+        ("generalized-logistic", {}), ("power-envelope", {}), ("allee", {"allee_c": 0.3}),
+        ("polynomial", {"poly_coeffs": (0.0, 1.0, 0.5, -1.0)}),
+    ], ids=["generalized-logistic", "power-envelope", "allee", "polynomial"])
+    @pytest.mark.parametrize("theta, kappa", [(2, 1), (3, 2), (17, 16)])
+    def test_build_evaluates_f_a_few_times(self, monkeypatch, kind, kw, theta, kappa):
+        # f(0), the S_max doublings and the samples; the envelope check used
+        # to double S_max 60 times, 63 evaluations of f per build
+        calls = []
+        f = cl.Kinetics.f
+        monkeypatch.setattr(cl.Kinetics, "f", lambda k, u: calls.append(u) or f(k, u))
+        cl.make_kinetics(_params(theta=theta, kappa=kappa), kind, **kw)
+        assert len(calls) <= 6
+
     @pytest.mark.parametrize("kind, theta, kappa", [
         ("power-envelope", 17, 1), ("power-envelope", 20, 1), ("power-envelope", 40, 1),
         ("power-envelope", 2000, 1), ("generalized-logistic", 17, 16),

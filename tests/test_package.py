@@ -69,6 +69,7 @@ _ERRORS = {
     errors.OutOfRange: lambda: errors.OutOfRange("chi", "must be > 0 (got -1)"),
     errors.DissipativityFail: lambda: errors.DissipativityFail(-0.25, 0.5, 2.0),
     errors.NoConvergence: lambda: errors.NoConvergence("stalled", best=(1.0, 2), history=[1.0, 0.5]),
+    errors.ZUnbounded: lambda: errors.ZUnbounded("escaped", 0.85),
 }
 
 
