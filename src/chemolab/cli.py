@@ -36,7 +36,7 @@ from .config import (
     params_from_config,
 )
 from .errors import ChemolabError, ConfigError, OutOfRange, UndefinedForThisChi
-from .grid import Field
+from .grid import Grid
 from .model import classify_regime, growth_zeros
 
 EXIT_OK = 0
@@ -115,10 +115,10 @@ def _cell(x) -> str:
     return str(x)
 
 
-def write_snapshot_csv(manifest: _Manifest, name: str, u: Field, v: Field) -> None:
-    """Snapshot file: one row x[,y[,z]],u,v per cell centre."""
-    grid = u.grid
-    columns = [c.ravel() for c in grid.coordinates] + [u.values.ravel(), v.values.ravel()]
+def write_snapshot_csv(manifest: _Manifest, name: str, grid: Grid, u: np.ndarray,
+                       v: np.ndarray) -> None:
+    """Snapshot file: one row x[,y[,z]],u,v per cell centre of ``grid``."""
+    columns = [c.ravel() for c in grid.coordinates] + [u.ravel(), v.ravel()]
     manifest.write_csv(name, grid.axis_names + ("u", "v"), np.column_stack(columns))
 
 
@@ -192,10 +192,8 @@ def _simulate_outputs(report, manifest: _Manifest) -> tuple[int, float]:
     footer = f"# status={report.status} final_time={report.final_time:.17g}"
     manifest.write_csv("series.csv", evolve.SERIES_COLUMNS, report.series, [[footer]])
     for i, (t, u_vals, v_vals) in enumerate(report.snapshots):
-        write_snapshot_csv(
-            manifest, f"snapshot_{i:03d}.csv", Field(u_vals, grid), Field(v_vals, grid)
-        )
-    write_snapshot_csv(manifest, "final.csv", report.final_u, report.final_v)
+        write_snapshot_csv(manifest, f"snapshot_{i:03d}.csv", grid, u_vals, v_vals)
+    write_snapshot_csv(manifest, "final.csv", grid, report.final_u.values, report.final_v.values)
     print(f"status: {report.status} at t = {report.final_time:.6g} "
           f"({report.steps} steps, max mass residual {report.max_mass_residual:.3e})")
     code = EXIT_BLOWUP if report.status in ("BlowUp", "StalledDt") else EXIT_OK
@@ -244,7 +242,7 @@ def _cmd_steady(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:
         )
     if branch.states:
         last = branch.states[-1]
-        write_snapshot_csv(manifest, "steady_state.csv", last.u, last.v)
+        write_snapshot_csv(manifest, "steady_state.csv", last.u.grid, last.u.values, last.v.values)
         report = steady.validate_steady(last, dataclasses.replace(p, chi=last.chi), k)
         manifest.write_csv(
             "validation.csv", ("name", "bound", "observed", "pass", "note"),

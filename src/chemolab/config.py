@@ -91,7 +91,8 @@ _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 class Config:
-    """Validated flat key/value map with typed accessors."""
+    """Validated flat key/value map with typed accessors.  For a key that the
+    file sets on more than one line, the last line wins."""
 
     def __init__(self, entries: dict[str, str]):
         for key in entries:

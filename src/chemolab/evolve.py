@@ -268,8 +268,8 @@ class RunReport:
     status is one of Converged / ReachedHorizon / BlowUp / StalledDt.  The
     series rows carry SERIES_COLUMNS; lp_u is the boundedness-monitor norm
     with exponent p_star = kappa*n/2 + eps.  l1_bound records the a-priori
-    mass bound max(int u0, c*|domain|) built from the verified damping
-    envelope together with the observed supremum of int u.
+    mass bound max(int u0, c*|domain|) built from the damping envelope,
+    exact by construction, together with the observed supremum of int u.
     """
 
     status: str

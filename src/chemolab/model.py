@@ -10,8 +10,9 @@ sensitivity ``chi``, the damping envelope ``(a, b, theta)`` bounding the
 growth source from above by ``a - b*u**theta``, and the secretion pair
 ``(beta, kappa)`` with ``g(u) = beta * u**kappa``.  ``Kinetics`` turns a
 named growth-function family into evaluators with derivatives, zeros and a
-verified damping envelope; it is the one description of f, and the positive
-equilibrium of every command is its largest zero (``growth_zeros``).
+damping envelope that is exact by construction; it is the one description
+of f, and the positive equilibrium of every command is its largest zero
+(``growth_zeros``).
 ``classify_regime`` evaluates every known parameter condition (boundedness,
 borderline, global convergence, pattern onset) and reports each inequality
 with the numbers substituted.
@@ -19,7 +20,6 @@ with the numbers substituted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -43,7 +43,6 @@ EQUALITY_RTOL = 1e-12      # regime conditions testing exact parameter equalitie
 ZERO_ATOL = 1e-12          # |f(z)| at reported zeros whose bracket did not close
 ZERO_SCAN_SAMPLES = 4096   # uniform pre-scan before bisection
 DISSIPATIVITY_GRID = 256   # log-spaced sample pairs per side of the equilibrium
-ENVELOPE_SAMPLES = 512     # samples of the envelope check, s = 0 included
 
 # Axis names of a simulated domain; their count bounds ModelParams.dim and Grid.
 AXIS_NAMES = ("x", "y", "z")
@@ -136,21 +135,14 @@ def build_params(raw: dict) -> ModelParams:
 
 
 @dataclass(frozen=True)
-class EnvelopeCheck:
-    ok: bool
-    worst_violation: float
-    at: float
-
-
-@dataclass(frozen=True)
 class Kinetics:
     """A growth function family plus the power secretion g(u) = beta*u**kappa.
 
     ``coeffs`` holds the family parameters: (a, b) for generalized-logistic
     u*(a - b*u**kappa) and power-envelope a - b*u**theta, or the ascending
-    coefficient list of a polynomial.  ``envelope`` is the verified triple
+    coefficient list of a polynomial.  ``envelope`` is the triple
     (a_env, b_env, theta_env) with f(s) <= a_env - b_env*s**theta_env for
-    all s >= 0, built from the family.
+    all s >= 0, exact by construction from the family (see _build_envelope).
     """
 
     f_kind: str
@@ -171,14 +163,6 @@ class Kinetics:
         if not f0 >= 0:
             raise OutOfRange("f(0)", f"must be >= 0 (got {f0})")
         object.__setattr__(self, "envelope", self._build_envelope())
-        a_env, b_env, th_env = self.envelope
-        check = verify_growth_envelope(self, a_env, b_env, th_env)
-        if not check.ok:
-            raise OutOfRange(
-                "envelope",
-                f"f(s) <= {a_env} - {b_env}*s**{th_env} violated by "
-                f"{check.worst_violation} at s = {check.at}",
-            )
 
     # -- growth function ---------------------------------------------------
 
@@ -201,6 +185,14 @@ class Kinetics:
     # -- envelope construction ----------------------------------------------
 
     def _build_envelope(self) -> tuple[float, float, float]:
+        """The envelope triple, exact by construction.  Power-envelope: the
+        envelope is f itself.  Logistic: a_env is the maximum of
+        a*s - (b/2)*s**(kappa+1), taken at s* = (2a/(b(kappa+1)))**(1/kappa),
+        plus a relative slack of 1e-12.  Polynomial: a_env is _poly_max of
+        the surplus f + b_env*s**deg, plus 1e-12.  Any maximum on s > 0 is a
+        root of odd multiplicity of the surplus's derivative; complex
+        companion eigenvalues come in conjugate pairs, so at least one
+        eigenvalue there comes back exactly real, and _poly_max keeps it."""
         if self.f_kind == "power-envelope":
             a, b = self.coeffs
             return (a, b, self.exponent)
@@ -303,8 +295,8 @@ def growth_zeros(k: Kinetics) -> tuple[list[float], float]:
     positive equilibrium of the model.  The scan uses ZERO_SCAN_SAMPLES
     uniform samples on [0, upper], upper four times
     (a_env/b_env)**(1/theta_env): every zero z satisfies
-    b_env*z**theta_env <= a_env under the verified envelope, so this covers
-    all of them while keeping the sampling dense.  The list is never empty:
+    b_env*z**theta_env <= a_env (the envelope is exact by construction), so
+    this covers all of them with dense sampling.  The list is never empty:
     f(0) = 0 is an exact zero sample, and f(0) > 0 changes sign before
     upper, where the envelope gives f <= a_env*(1 - 4**theta_env) < 0.  A
     zero is reported when |f| < ZERO_ATOL there or its bisection bracket
@@ -363,44 +355,8 @@ def _bisect(f, lo: float, hi: float) -> tuple[float, bool]:
 
 
 # ---------------------------------------------------------------------------
-# envelope and dissipativity checks
+# dissipativity check
 # ---------------------------------------------------------------------------
-
-
-def verify_growth_envelope(k: Kinetics, a: float, b: float, theta: float) -> EnvelopeCheck:
-    """Sampled check of f(s) <= a - b*s**theta for all s >= 0.
-
-    Samples f(s) - (a - b*s**theta) at s = 0 and ENVELOPE_SAMPLES - 1
-    log-spaced points up to S_max, which doubles from
-    max(1, 4*(max(a, 1)/b)**(1/theta)) up to 60 times until the damping term
-    b*S_max**theta reaches a quarter of |f(S_max)| + a + 1.  The envelopes
-    Kinetics builds have b*s**theta near |f(s)|/2 or |f(s)| for large s, so
-    they stop within a few doublings; a violation that starts only beyond
-    that S_max is not sampled.  S_max starts at no more than half the s
-    where b*s**theta overflows, and the doubling stops at the last S_max
-    where b*S_max**theta and f(S_max) are finite floats.  Pure check:
-    returns the verdict and the worst (largest) sampled value, never raises
-    on violation.
-    """
-    s_overflow = math.exp((math.log(np.finfo(float).max) - math.log(b)) / theta)
-    s_max = min(max(1.0, 4.0 * (max(a, 1.0) / b) ** (1.0 / theta)), 0.5 * s_overflow)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for doublings in range(61):
-            f_s = float(k.f(np.array([s_max]))[0])
-            try:
-                damping = b * s_max**theta
-            except OverflowError:
-                damping = math.inf
-            if not (math.isfinite(damping) and math.isfinite(f_s)):
-                s_max /= 2.0
-                break
-            if doublings == 60 or 4.0 * damping >= abs(f_s) + a + 1.0:
-                break
-            s_max *= 2.0
-    samples = np.concatenate([[0.0], np.geomspace(1e-9, s_max, ENVELOPE_SAMPLES - 1)])
-    diff = k.f(samples) - (a - b * samples**theta)
-    i = int(np.argmax(diff))
-    return EnvelopeCheck(bool(diff[i] <= 0.0), float(diff[i]), float(samples[i]))
 
 
 def check_strong_dissipativity(k: Kinetics, chi: float, z_j: float) -> float:

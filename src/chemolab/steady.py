@@ -523,10 +523,10 @@ class ValidationReport:
 def validate_steady(s: SteadyState, p: ModelParams, k: Kinetics) -> ValidationReport:
     """Run every steady-state estimate against a converged state.
 
-    Integral bounds use the verified damping envelope of the kinetics;
-    exact identities are held to EXACT_TOL, discretization-limited bounds to
-    DISCRETE_TOL.  Pure report: rows carry (bound, observed, pass), nothing
-    raises on failure.
+    Integral bounds use the damping envelope of the kinetics, exact by
+    construction; exact identities are held to EXACT_TOL,
+    discretization-limited bounds to DISCRETE_TOL.  Pure report: rows carry
+    (bound, observed, pass), nothing raises on failure.
     """
     grid = s.u.grid
     u = s.u.values
