@@ -16,6 +16,7 @@ from chemolab import cli, evolve
 from chemolab.cli import EXIT_NOCONV, main
 from chemolab.config import Config, eval_number
 from chemolab.errors import OutOfRange, UnknownKey
+from chemolab.grid import Grid
 from chemolab.steady import NEWTON_TOL
 
 BASE = """
@@ -58,6 +59,11 @@ class TestConfigFormat:
     def test_malformed_line(self):
         with pytest.raises(OutOfRange):
             Config.parse("model.chi\n")
+
+    def test_repeated_key_takes_its_last_line(self):
+        cfg = Config.parse("model.chi = 0.4\nmodel.a = 1\nmodel.chi = 2*pi  # again\n")
+        assert cfg.number("model.chi") == 2 * math.pi
+        assert cfg.number("model.a") == 1.0
 
 
 class TestExitCodes:
@@ -376,6 +382,22 @@ class TestArtifactWriter:
         manifest.write_csv("bools.csv", ["b"], np.array([[True], [False]]))
         assert (tmp_path / "ints.csv").read_text() == "n\n1000000000000000000\n-3\n"
         assert (tmp_path / "bools.csv").read_text() == "b\ntrue\nfalse\n"
+
+    def test_snapshot_rows_are_cell_centres_with_u_and_v(self, tmp_path):
+        grid = Grid((2.0, 5.0), (8, 10))
+        u = np.arange(80.0).reshape(grid.shape) / 7
+        v = -u**2
+        manifest = cli._Manifest(tmp_path, "simulate", "<test>", 0, config_sha="none")
+        cli.write_snapshot_csv(manifest, "snap.csv", grid, u, v)
+        with open(tmp_path / "snap.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["x", "y", "u", "v"]
+        table = np.array(rows[1:], dtype=float)
+        x, y = grid.coordinates
+        np.testing.assert_array_equal(table, np.column_stack(
+            [x.ravel(), y.ravel(), u.ravel(), v.ravel()]))
+        assert table[1, :2].tolist() == [0.125, 0.75]  # x-major: y runs fastest
+        assert manifest.artifacts == ["snap.csv"]
 
 
 class TestStabilityCommand:

@@ -247,6 +247,11 @@ class TestGrowthEnvelope:
         with pytest.raises(OutOfRange):
             cl.make_kinetics(_params(), "polynomial", poly_coeffs=(0.0, 1.0, 1.0))
 
+    def test_polynomial_needs_degree_two(self):
+        # f = 1 - u has a negative leading coefficient but no damping power
+        with pytest.raises(OutOfRange, match="degree >= 2"):
+            cl.make_kinetics(_params(), "polynomial", poly_coeffs=(1.0, -1.0))
+
     def test_f0_must_be_nonnegative(self):
         with pytest.raises(OutOfRange, match="f"):
             cl.make_kinetics(_params(), "polynomial", poly_coeffs=(-1.0, 0.0, 0.0, -1.0))
