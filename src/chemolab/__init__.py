@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .compare_ode import (EnvelopeTrajectories, SandwichTrajectory, check_sandwich,
                           envelope_odes, sandwich_contraction_rate, solve_sandwich)
-from .diagnostics import SeriesFit, fit_exponential_decay, lp_norm
+from .diagnostics import SeriesFit, fit_exponential_decay
 from .elliptic import elliptic_identity_residual, solve_helmholtz
 from .evolve import RunReport, SimState, adapt_dt, run, step
 from .grid import Field, Grid, make_grid
@@ -23,7 +23,7 @@ from .steady import (Branch, SteadyState, ValidationReport, continuation, solve_
 __all__ = [
     "EnvelopeTrajectories", "SandwichTrajectory", "check_sandwich", "envelope_odes",
     "sandwich_contraction_rate", "solve_sandwich",
-    "SeriesFit", "fit_exponential_decay", "lp_norm",
+    "SeriesFit", "fit_exponential_decay",
     "elliptic_identity_residual", "solve_helmholtz",
     "RunReport", "SimState", "adapt_dt", "run", "step",
     "Field", "Grid", "make_grid",

@@ -1,27 +1,18 @@
-"""Norms, monitor exponents, and exponential-rate fitting shared by all modules."""
+"""The run monitor's Lp norms and the exponential-rate fit of a time series."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPositiveValues, OutOfRange
-from .grid import Field, Grid, cell_sums
-
-
-def lp_norm(field: Field, p: float) -> float:
-    """Midpoint-rule Lp norm, (sum |u|**p h**n)**(1/p); max-abs for p = inf."""
-    if p == math.inf or p == np.inf:
-        return float(np.max(np.abs(field.values)))
-    if not p >= 1:
-        raise OutOfRange("p", f"exponent must be >= 1 or inf (got {p})")
-    return lp_norms(field.values, field.grid, p)[0]
+from .grid import Grid, cell_sums
 
 
 def lp_norms(values: np.ndarray, grid: Grid, p: float) -> list[float]:
-    """lp_norm of each field along a leading batch axis, finite p >= 1.
+    """Midpoint-rule Lp norm, (sum |u|**p h**n)**(1/p), of each field along
+    a leading batch axis, finite p >= 1.
 
     The root is taken per field in float arithmetic: numpy's vectorised pow
     can differ from the scalar pow in the last bit, and a field's norm must

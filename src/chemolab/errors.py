@@ -40,10 +40,6 @@ class OutOfRange(ConfigError):
         self.reason = message
 
 
-class NoZeroFound(ChemolabError):
-    """The growth function has no nonnegative zero below the search bound."""
-
-
 class DissipativityFail(ChemolabError):
     """Strong dissipativity margin came out nonpositive.
 

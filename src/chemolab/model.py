@@ -9,10 +9,11 @@ with zero-flux boundaries.  ``ModelParams`` holds every scalar: the
 sensitivity ``chi``, the damping envelope ``(a, b, theta)`` bounding the
 growth source from above by ``a - b*u**theta``, and the secretion pair
 ``(beta, kappa)`` with ``g(u) = beta * u**kappa``.  ``Kinetics`` turns a
-named growth-function family into evaluators with derivatives, zeros and a
-damping envelope that is exact by construction; it is the one description
-of f, and the positive equilibrium of every command is its largest zero
-(``growth_zeros``).
+named growth-function family into evaluators with derivatives and a
+damping envelope; it is the one description of f.  ``growth_zeros`` gives
+f's zeros, and the positive equilibrium of every command is the largest.
+Both envelope and zeros are exact by construction: closed forms, or the
+companion-matrix roots of a polynomial, never a sampled scan.
 ``classify_regime`` evaluates every known parameter condition (boundedness,
 borderline, global convergence, pattern onset) and reports each inequality
 with the numbers substituted.
@@ -25,13 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DissipativityFail,
-    MissingKey,
-    NoZeroFound,
-    OutOfRange,
-    UnknownKey,
-)
+from .errors import DissipativityFail, MissingKey, OutOfRange, UnknownKey
 
 # The growth families a Kinetics evaluates.  make_kinetics also takes
 # "allee", the cubic u*(1-u)*(u-c), which it builds as a polynomial.
@@ -40,8 +35,6 @@ F_KINDS = ("generalized-logistic", "power-envelope", "allee", "polynomial")
 
 # Tolerances pinned by the contracts in this module.
 EQUALITY_RTOL = 1e-12      # regime conditions testing exact parameter equalities
-ZERO_ATOL = 1e-12          # |f(z)| at reported zeros whose bracket did not close
-ZERO_SCAN_SAMPLES = 4096   # uniform pre-scan before bisection
 DISSIPATIVITY_GRID = 256   # log-spaced sample pairs per side of the equilibrium
 
 # Axis names of a simulated domain; their count bounds ModelParams.dim and Grid.
@@ -247,11 +240,17 @@ def growth_prime(f_kind: str, coeffs, exponent: float, u: np.ndarray) -> np.ndar
     return np.polynomial.polynomial.polyval(u, dcoef, tensor=False)
 
 
+def _real_roots(coeffs) -> list[float]:
+    """Real roots of a polynomial in ascending coefficients: its companion
+    eigenvalues with |imag| < 1e-12."""
+    roots = np.polynomial.polynomial.polyroots(coeffs)
+    return [float(r.real) for r in roots if abs(r.imag) < 1e-12]
+
+
 def _poly_max(coeffs: tuple[float, ...]) -> float:
     """Max of a polynomial with negative leading coefficient over s >= 0."""
     dcoef = np.polynomial.polynomial.polyder(coeffs)
-    roots = np.polynomial.polynomial.polyroots(dcoef)
-    crit = [0.0] + [float(r.real) for r in roots if abs(r.imag) < 1e-12 and r.real > 0]
+    crit = [0.0] + [r for r in _real_roots(dcoef) if r > 0]
     vals = np.polynomial.polynomial.polyval(np.array(crit), coeffs)
     return float(np.max(vals))
 
@@ -289,69 +288,31 @@ def make_kinetics(
 
 
 def growth_zeros(k: Kinetics) -> tuple[list[float], float]:
-    """Nonnegative zeros of f found by sign-change bracketing plus bisection.
+    """Nonnegative zeros of f, exact by construction, sorted, and the
+    largest one, the positive equilibrium of the model.
 
-    Returns the sorted zero list and its last entry (the largest zero), the
-    positive equilibrium of the model.  The scan uses ZERO_SCAN_SAMPLES
-    uniform samples on [0, upper], upper four times
-    (a_env/b_env)**(1/theta_env): every zero z satisfies
-    b_env*z**theta_env <= a_env (the envelope is exact by construction), so
-    this covers all of them with dense sampling.  The list is never empty:
-    f(0) = 0 is an exact zero sample, and f(0) > 0 changes sign before
-    upper, where the envelope gives f <= a_env*(1 - 4**theta_env) < 0.  A
-    zero is reported when |f| < ZERO_ATOL there or its bisection bracket
-    closed to adjacent floats; NoZeroFound otherwise.
+    Logistic u*(a - b*u**kappa): 0 and (a/b)**(1/kappa), or only 0 when
+    a = 0.  Power-envelope a - b*u**theta: (a/b)**(1/theta).  Polynomial: 0
+    when the constant coefficient is 0, plus the distinct positive real
+    roots (_real_roots) of the rest once its zero low-order coefficients go.
+    f(0) > 0 leaves a positive root of odd multiplicity, and complex
+    eigenvalues come in conjugate pairs, so one there comes back exactly
+    real.  Eigenvalues are accurate to about eps times the largest root
+    modulus: OutOfRange when every positive root is below that.
     """
-    a_env, b_env, th_env = k.envelope
-    upper = max(1e-12, 4.0 * (max(a_env, 1e-30) / b_env) ** (1.0 / th_env))
-    xs = np.linspace(0.0, upper, ZERO_SCAN_SAMPLES)
-    fs = k.f(xs)
-    # (zero, proven): an exact zero sample or a bracket closed by bisection
-    # proves the root whatever the rounding error of f there.
-    zeros: list[tuple[float, bool]] = []
-    for i in range(len(xs)):
-        if fs[i] == 0.0:
-            zeros.append((float(xs[i]), True))
-    # Sign changes between consecutive nonzero samples; samples that are
-    # exactly zero would otherwise mask a crossing right next to them.
-    nz = np.flatnonzero(fs != 0.0)
-    for i, j in zip(nz[:-1], nz[1:]):
-        if fs[i] * fs[j] < 0.0:
-            zeros.append(_bisect(k.f, float(xs[i]), float(xs[j])))
-    zeros.sort()
-    merged: list[tuple[float, bool]] = []
-    merge_tol = max(ZERO_ATOL, 1e-9 * upper)
-    for z, proven in zeros:
-        if not merged or z - merged[-1][0] > merge_tol:
-            merged.append((z, proven))
-    bad = [
-        z for z, proven in merged
-        if not proven and abs(float(k.f(np.array([z]))[0])) >= ZERO_ATOL
-    ]
-    if bad:
-        raise NoZeroFound(f"bisection failed to polish zeros near {bad}")
-    return [z for z, _ in merged], merged[-1][0]
-
-
-def _bisect(f, lo: float, hi: float) -> tuple[float, bool]:
-    """Bisect a sign change of f on [lo, hi].
-
-    The flag is True when an exact zero was hit or the bracket closed to
-    adjacent floats, so the sign change pins the root to the last ulp.
-    """
-    flo = float(f(np.array([lo]))[0])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid, True
-        fm = float(f(np.array([mid]))[0])
-        if fm == 0.0:
-            return mid, True
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi), False
+    if k.f_kind == "generalized-logistic":
+        a, b = k.coeffs
+        zeros = [0.0] if a == 0.0 else [0.0, (a / b) ** (1.0 / k.exponent)]
+    elif k.f_kind == "power-envelope":
+        a, b = k.coeffs
+        zeros = [(a / b) ** (1.0 / k.exponent)]
+    else:
+        lowest = next(i for i, c in enumerate(k.coeffs) if c != 0.0)
+        positive = {r for r in _real_roots(k.coeffs[lowest:]) if r > 0}
+        zeros = ([0.0] if lowest else []) + sorted(positive)
+        if not zeros:
+            raise OutOfRange("poly_coeffs", f"positive zeros of f too small to resolve: {k.coeffs}")
+    return zeros, zeros[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +478,7 @@ def _pattern_verdict(p: ModelParams, k: Kinetics) -> Verdict:
     # Deferred import: stability builds on this module.
     from . import stability
 
-    try:
-        zeros, _ = growth_zeros(k)
-    except NoZeroFound:
-        zeros = []
+    zeros, _ = growth_zeros(k)
     positive = [z for z in zeros if z > 0]
     chi_hats: list[float] = []
     detail = []

@@ -539,7 +539,7 @@ def validate_steady(s: SteadyState, p: ModelParams, k: Kinetics) -> ValidationRe
     bound = (a_env / b_env) * vol
     rows.append(CheckRow("damped_power_integral", bound, obs, obs <= bound * (1 + DISCRETE_TOL)))
 
-    _, largest_zero = growth_zeros(k)
+    zeros, largest_zero = growth_zeros(k)
     obs = float(u.min())
     rows.append(
         CheckRow(
@@ -560,9 +560,10 @@ def validate_steady(s: SteadyState, p: ModelParams, k: Kinetics) -> ValidationRe
         CheckRow("pointwise_exp_bound", roof, obs, obs <= roof * (1 + DISCRETE_TOL))
     )
 
-    probe = np.geomspace(1e-9, roof * (1 - 1e-9), 512)
-    f_positive_below_roof = bool(np.all(k.f(probe) > 0.0))
-    if f_positive_below_roof:
+    # f keeps its sign between zeros; a zero within 1e-9 of the roof is the
+    # roof itself (logistic kappa = 1, up to the envelope's slack)
+    zero_below_roof = any(0.0 < z < roof * (1 - 1e-9) for z in zeros)
+    if not zero_below_roof and float(k.f(np.array([roof / 2]))[0]) > 0.0:
         spread = p.chi * (float(v.max()) - float(v.min()))
         lower = roof * np.exp(-spread)
         upper = roof * np.exp(spread)

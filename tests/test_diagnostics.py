@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import chemolab as cl
+from chemolab.diagnostics import lp_norms
 from chemolab.errors import NonPositiveValues, OutOfRange
-from chemolab.grid import Field
+from chemolab.grid import integrate
 
 
 def _grid(nx=256):
@@ -15,40 +16,42 @@ def _grid(nx=256):
     return cl.make_grid(p, nx)
 
 
-class TestLpNorm:
+class TestLpNorms:
     def test_constant_field(self):
         g = _grid(64)
         for p_exp in (1.0, 2.0, 3.5):
-            assert cl.lp_norm(Field.constant(g, 2.0), p_exp) == pytest.approx(
+            assert lp_norms(np.full(64, 2.0), g, p_exp)[0] == pytest.approx(
                 2.0 * math.pi ** (1 / p_exp)
             )
 
     def test_cosine_l2(self):
         g = _grid(256)
-        u = Field(np.cos(g.coordinates[0]), g)
-        assert cl.lp_norm(u, 2.0) == pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-6)
+        assert lp_norms(np.cos(g.coordinates[0]), g, 2.0)[0] == pytest.approx(
+            math.sqrt(math.pi / 2.0), abs=1e-6
+        )
 
-    def test_infinity(self):
+    def test_batch_rows_equal_single_fields(self):
+        # a field's norm must not depend on its batch
         g = _grid(64)
-        u = Field(-3.0 * np.ones(64), g)
-        assert cl.lp_norm(u, math.inf) == 3.0
+        batch = np.random.default_rng(1).uniform(-2.0, 2.0, (3, 64))
+        for p_exp in (1.0, 1.5, 7.0):
+            assert lp_norms(batch, g, p_exp) == [lp_norms(row, g, p_exp)[0] for row in batch]
 
-    def test_rejects_exponent_below_one(self):
+    def test_l1_norm_of_nonnegative_field_is_its_integral(self):
         g = _grid(64)
-        with pytest.raises(OutOfRange):
-            cl.lp_norm(Field.constant(g, 1.0), 0.5)
+        u = np.random.default_rng(2).uniform(0.0, 3.0, 64)
+        assert lp_norms(u, g, 1.0)[0] == pytest.approx(integrate(u, g), rel=1e-14)
 
     def test_monotone_in_p_on_probability_field(self):
         # on a unit-mass normalized field over a unit-measure domain the
-        # p-norms increase with p
+        # p-norms increase with p, up to the max norm
         p = cl.build_params(
             {"chi": 1, "a": 1, "b": 1, "theta": 2, "kappa": 1, "beta": 1,
              "dim": 1, "L": 1.0}
         )
         g = cl.make_grid(p, 128)
-        rng = np.random.default_rng(0)
-        u = Field(rng.uniform(0.5, 1.5, 128), g)
-        norms = [cl.lp_norm(u, q) for q in (1.0, 2.0, 4.0, 8.0, math.inf)]
+        u = np.random.default_rng(0).uniform(0.5, 1.5, 128)
+        norms = [lp_norms(u, g, q)[0] for q in (1.0, 2.0, 4.0, 8.0)] + [float(np.max(u))]
         assert norms == sorted(norms)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import chemolab as cl
@@ -98,6 +98,27 @@ def _bisect_zeros(f, upper, n=200_000, atol=1e-12):
     return merged
 
 
+@st.composite
+def _zero_cases(draw):
+    """A logistic or power-envelope parameter set, or 2 to 4 distinct roots
+    in [0, 5], the positive ones at least 1e-2 apart and from 0, with 0
+    among them when the count is even so that f = -prod(u - r) has
+    f(0) >= 0."""
+    kind = draw(st.sampled_from(("generalized-logistic", "power-envelope", "polynomial")))
+    if kind == "generalized-logistic":
+        return kind, {"a": draw(st.floats(0.0, 10.0)), "b": draw(st.floats(0.01, 10.0)),
+                      "kappa": draw(st.floats(0.05, 16.0))}, []
+    if kind == "power-envelope":
+        return kind, {"a": draw(st.floats(0.0, 10.0)), "b": draw(st.floats(0.01, 10.0)),
+                      "theta": draw(st.floats(1.01, 2000.0))}, []
+    roots = sorted(draw(st.lists(st.floats(0.0, 5.0), min_size=2, max_size=4, unique=True)))
+    if len(roots) % 2 == 0:
+        roots[0] = 0.0
+    positive = [0.0] + [r for r in roots if r > 0]
+    assume(all(hi - lo >= 1e-2 for lo, hi in zip(positive, positive[1:])))
+    return kind, {}, roots
+
+
 class TestGrowthZeros:
     def test_logistic(self, logistic_kinetics):
         zeros, largest = cl.growth_zeros(logistic_kinetics)
@@ -126,6 +147,48 @@ class TestGrowthZeros:
         zeros, largest = cl.growth_zeros(k)
         assert len(zeros) == 2 and zeros[0] == pytest.approx(0.0, abs=1e-12)
         assert largest == pytest.approx((a / b) ** (1 / kappa), rel=1e-9)
+
+    def test_quartic_finds_both_close_zeros(self):
+        # zeros 1, 2 and 2.002: the last two are closer together than a
+        # sampled scan of [0, 4*roof] resolves
+        k = cl.make_kinetics(_params(), "polynomial", poly_coeffs=(0, 4.004, -8.006, 5.002, -1))
+        _, largest = cl.growth_zeros(k)
+        assert largest == pytest.approx(2.002, rel=1e-9)
+
+    def test_allee_double_zero(self):
+        # c = 1 gives f = -u*(u - 1)**2, which touches 0 at u = 1 without
+        # changing sign
+        k = cl.make_kinetics(_params(theta=3), "allee", allee_c=1.0)
+        zeros, _ = cl.growth_zeros(k)
+        assert any(abs(z - 1.0) < 1e-8 for z in zeros if z > 0)
+
+    def test_unresolvable_positive_zero_is_refused(self):
+        # f = -(u - 1e-40)*(u + 1)*(u + 2): the companion eigenvalue of the
+        # zero at 1e-40 comes back as 0
+        coeffs = tuple(-np.polynomial.polynomial.polyfromroots([1e-40, -1.0, -2.0]))
+        k = cl.make_kinetics(_params(), "polynomial", poly_coeffs=coeffs)
+        with pytest.raises(OutOfRange, match="poly_coeffs: positive zeros of f too small to resolve"):
+            cl.growth_zeros(k)
+
+    @given(case=_zero_cases())
+    @settings(max_examples=200, deadline=None)
+    @seed(29)
+    def test_zeros_are_closed_forms_or_polynomial_roots(self, case):
+        # polynomial roots are companion eigenvalues, accurate to about eps
+        # times the largest root: roots nearer 0, or three 1e-3 apart next
+        # to 5, lose relative digits
+        kind, overrides, roots = case
+        if kind != "polynomial":
+            k = cl.make_kinetics(_params(**overrides), kind)
+            a, b = overrides["a"], overrides["b"]
+            root = (a / b) ** (1.0 / overrides["kappa" if kind == "generalized-logistic" else "theta"])
+            expected = [root] if kind == "power-envelope" else [0.0] if a == 0 else [0.0, root]
+            assert cl.growth_zeros(k) == (expected, expected[-1])
+            return
+        coeffs = tuple(-np.polynomial.polynomial.polyfromroots(roots))
+        zeros, _ = cl.growth_zeros(cl.make_kinetics(_params(), kind, poly_coeffs=coeffs))
+        assert len(zeros) == len(roots)
+        assert zeros == pytest.approx(roots, rel=1e-8, abs=0.0)
 
 
 def _surplus_critical_points(k):
