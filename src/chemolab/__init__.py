@@ -10,8 +10,8 @@ from .diagnostics import SeriesFit, fit_exponential_decay
 from .elliptic import elliptic_identity_residual, solve_helmholtz
 from .evolve import RunReport, SimState, adapt_dt, run, step
 from .grid import Field, Grid, make_grid
-from .model import (Kinetics, ModelParams, RegimeReport, build_params, check_strong_dissipativity,
-                    classify_regime, growth_zeros, make_kinetics)
+from .model import (Kinetics, ModelParams, RegimeReport, build_params, classify_regime,
+                    growth_zeros, make_kinetics)
 from .stability import (BifurcationRow, EquilibriumInfo, bifurcation_table, critical_chi,
                         equilibrium_info, linearization_eigenvalues, mode_eigenvalues,
                         pattern_intervals, singularity_scan)
@@ -27,8 +27,8 @@ __all__ = [
     "elliptic_identity_residual", "solve_helmholtz",
     "RunReport", "SimState", "adapt_dt", "run", "step",
     "Field", "Grid", "make_grid",
-    "Kinetics", "ModelParams", "RegimeReport", "build_params", "check_strong_dissipativity",
-    "classify_regime", "growth_zeros", "make_kinetics",
+    "Kinetics", "ModelParams", "RegimeReport", "build_params", "classify_regime",
+    "growth_zeros", "make_kinetics",
     "BifurcationRow", "EquilibriumInfo", "bifurcation_table", "critical_chi",
     "equilibrium_info", "linearization_eigenvalues", "mode_eigenvalues", "pattern_intervals",
     "singularity_scan",

@@ -330,20 +330,27 @@ def _cmd_compare_ode(cfg: Config, args, manifest: _Manifest) -> tuple[int, float
     horizon = cfg.number("compare.horizon")
     u0_min = cfg.number("compare.u0_min")
     u0_max = cfg.number("compare.u0_max")
-    traj = cmp_ode.solve_sandwich(p, u0_min, u0_max, horizon)
-    manifest.write_csv(
-        "trajectory.csv", ("t", "ubar", "ulow", "log_ratio"),
-        np.column_stack([traj.times, traj.ubar, traj.ulow, traj.log_ratio]),
-    )
-    if traj.eps0 is not None:
-        print(f"contraction rate eps0 = {traj.eps0:.8g}")
-    if cfg.flag("compare.envelopes"):
+    envelopes, eps0 = cfg.flag("compare.envelopes"), math.nan
+    # the sandwich pair is the logistic's; other families have only envelopes
+    if k.f_kind == "generalized-logistic":
+        traj = cmp_ode.solve_sandwich(p, u0_min, u0_max, horizon)
+        manifest.write_csv(
+            "trajectory.csv", ("t", "ubar", "ulow", "log_ratio"),
+            np.column_stack([traj.times, traj.ubar, traj.ulow, traj.log_ratio]),
+        )
+        if traj.eps0 is not None:
+            eps0 = traj.eps0
+            print(f"contraction rate eps0 = {eps0:.8g}")
+    elif not envelopes:
+        raise OutOfRange("kinetics.f_kind", f"{k.f_kind} growth has no sandwich pair; "
+                         "compare-ode needs compare.envelopes")
+    if envelopes:
         env = cmp_ode.envelope_odes(p, k, u0_min, u0_max, horizon)
         manifest.write_csv(
             "envelopes.csv", ("t", "z", "y"), np.column_stack([env.times_z, env.z, env.y])
         )
         print(f"z_inf = {env.z_inf:.8g}, y_inf = {env.y_inf:.8g}")
-    return EXIT_OK, traj.eps0 if traj.eps0 is not None else math.nan
+    return EXIT_OK, eps0
 
 
 def _cmd_classify(cfg: Config, args, manifest: _Manifest) -> tuple[int, float]:

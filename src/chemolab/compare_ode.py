@@ -329,7 +329,6 @@ class EnvelopeTrajectories:
     times_z: np.ndarray
     z: np.ndarray
     z_inf: float
-    times_y: np.ndarray
     y: np.ndarray
     y_inf: float
 
@@ -352,6 +351,8 @@ def envelope_odes(
         raise OutOfRange("horizon", f"must be > 0 (got {horizon})")
     if not u0_min > 0:
         raise OutOfRange("u0_min", f"must be > 0 (got {u0_min})")
+    if u0_max < u0_min:
+        raise OutOfRange("u0_max", f"must be >= u0_min (got {u0_max} < {u0_min})")
     kap = p.kappa
     chi = p.chi * p.beta
     times = np.linspace(0.0, horizon, N_OUT)
@@ -389,7 +390,6 @@ def envelope_odes(
         times_z=times,
         z=z,
         z_inf=z_inf,
-        times_y=times,
         y=y,
         y_inf=float(y[times >= 0.5 * horizon].min()),
     )

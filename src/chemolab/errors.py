@@ -40,20 +40,6 @@ class OutOfRange(ConfigError):
         self.reason = message
 
 
-class DissipativityFail(ChemolabError):
-    """Strong dissipativity margin came out nonpositive.
-
-    Carries the (r, s) pair realizing the worst difference quotient.
-    """
-
-    def __init__(self, eta0, r, s):
-        super().__init__(
-            f"dissipativity margin {eta0:.6g} <= 0 at pair (r, s) = ({r:.6g}, {s:.6g})"
-        )
-        self.eta0 = eta0
-        self.pair = (r, s)
-
-
 class NoConvergence(ChemolabError):
     """An iterative solver ran out of iterations.
 

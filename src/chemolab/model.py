@@ -15,8 +15,8 @@ f's zeros, and the positive equilibrium of every command is the largest.
 Both envelope and zeros are exact by construction: closed forms, or the
 companion-matrix roots of a polynomial, never a sampled scan.
 ``classify_regime`` evaluates every known parameter condition (boundedness,
-borderline, global convergence, pattern onset) and reports each inequality
-with the numbers substituted.
+borderline, global convergence b > 2*chi*beta for logistic growth, pattern
+onset) and reports each inequality with the numbers substituted.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DissipativityFail, MissingKey, OutOfRange, UnknownKey
+from .errors import MissingKey, OutOfRange, UnknownKey
 
 # The growth families a Kinetics evaluates.  make_kinetics also takes
 # "allee", the cubic u*(1-u)*(u-c), which it builds as a polynomial.
@@ -35,7 +35,6 @@ F_KINDS = ("generalized-logistic", "power-envelope", "allee", "polynomial")
 
 # Tolerances pinned by the contracts in this module.
 EQUALITY_RTOL = 1e-12      # regime conditions testing exact parameter equalities
-DISSIPATIVITY_GRID = 256   # log-spaced sample pairs per side of the equilibrium
 
 # Axis names of a simulated domain; their count bounds ModelParams.dim and Grid.
 AXIS_NAMES = ("x", "y", "z")
@@ -179,13 +178,14 @@ class Kinetics:
 
     def _build_envelope(self) -> tuple[float, float, float]:
         """The envelope triple, exact by construction.  Power-envelope: the
-        envelope is f itself.  Logistic: a_env is the maximum of
-        a*s - (b/2)*s**(kappa+1), taken at s* = (2a/(b(kappa+1)))**(1/kappa),
-        plus a relative slack of 1e-12.  Polynomial: a_env is _poly_max of
-        the surplus f + b_env*s**deg, plus 1e-12.  Any maximum on s > 0 is a
-        root of odd multiplicity of the surplus's derivative; complex
-        companion eigenvalues come in conjugate pairs, so at least one
-        eigenvalue there comes back exactly real, and _poly_max keeps it."""
+        envelope is f itself.  Otherwise a_env is the peak of the surplus
+        f + b_env*s**theta_env over s >= 0 plus a relative slack of
+        1e-12*(1 + |peak|).  Logistic: the peak of a*s - (b/2)*s**(kappa+1),
+        taken at s* = (2a/(b(kappa+1)))**(1/kappa).  Polynomial: _poly_max of
+        the surplus.  Any maximum on s > 0 is a root of odd multiplicity of
+        the surplus's derivative; complex companion eigenvalues come in
+        conjugate pairs, so at least one eigenvalue there comes back exactly
+        real, and _poly_max keeps it."""
         if self.f_kind == "power-envelope":
             a, b = self.coeffs
             return (a, b, self.exponent)
@@ -194,23 +194,24 @@ class Kinetics:
             kap = self.exponent
             b_env, th_env = b / 2.0, kap + 1.0
             if a == 0.0:
-                a_env = 0.0
+                peak = 0.0
             else:
                 s_star = (2.0 * a / (b * (kap + 1.0))) ** (1.0 / kap)
-                a_env = a * s_star * kap / (kap + 1.0)
-            return (a_env + 1e-12 * (1.0 + abs(a_env)), b_env, th_env)
-        coeffs = self.coeffs
-        deg = len(coeffs) - 1
-        if deg < 2 or not coeffs[-1] < 0:
-            raise OutOfRange(
-                "coeffs",
-                "polynomial growth needs degree >= 2 with negative leading "
-                f"coefficient (got {list(coeffs)})",
-            )
-        b_env = abs(coeffs[-1]) / 2.0
-        surplus = list(coeffs)
-        surplus[-1] = surplus[-1] + b_env
-        return (_poly_max(tuple(surplus)) + 1e-12, b_env, float(deg))
+                peak = a * s_star * kap / (kap + 1.0)
+        else:
+            coeffs = self.coeffs
+            deg = len(coeffs) - 1
+            if deg < 2 or not coeffs[-1] < 0:
+                raise OutOfRange(
+                    "coeffs",
+                    "polynomial growth needs degree >= 2 with negative leading "
+                    f"coefficient (got {list(coeffs)})",
+                )
+            b_env, th_env = abs(coeffs[-1]) / 2.0, float(deg)
+            surplus = list(coeffs)
+            surplus[-1] = surplus[-1] + b_env
+            peak = _poly_max(tuple(surplus))
+        return (peak + 1e-12 * (1.0 + abs(peak)), b_env, th_env)
 
 
 def growth(f_kind: str, coeffs, exponent: float, u: np.ndarray) -> np.ndarray:
@@ -313,51 +314,6 @@ def growth_zeros(k: Kinetics) -> tuple[list[float], float]:
         if not zeros:
             raise OutOfRange("poly_coeffs", f"positive zeros of f too small to resolve: {k.coeffs}")
     return zeros, zeros[-1]
-
-
-# ---------------------------------------------------------------------------
-# dissipativity check
-# ---------------------------------------------------------------------------
-
-
-def check_strong_dissipativity(k: Kinetics, chi: float, z_j: float) -> float:
-    """Margin eta0 in f(s)/s - f(r)/r <= -(2*chi*beta + eta0)*(s**kappa - r**kappa),
-    kappa and beta the secretion exponent and factor k.kappa and k.beta.
-
-    The supremum of the difference quotient is taken over pairs r <= z_j <= s
-    bracketing the equilibrium between its neighbouring zeros
-    (DISSIPATIVITY_GRID log-spaced distances on each side).  For the
-    generalized-logistic family the quotient is identically -b, so the
-    closed form b - 2*chi*beta is returned directly.  Raises DissipativityFail
-    when the margin is nonpositive.
-    """
-    if not z_j > 0:
-        raise OutOfRange("z_j", f"equilibrium must be > 0 (got {z_j})")
-    kappa = k.kappa
-    chi = chi * k.beta
-    if k.f_kind == "generalized-logistic" and kappa == k.exponent:
-        _, b = k.coeffs
-        eta0 = b - 2.0 * chi
-        if eta0 <= 0.0:
-            raise DissipativityFail(eta0, z_j / 2.0, z_j * 2.0)
-        return eta0
-    zeros, _ = growth_zeros(k)
-    below = [z for z in zeros if z < z_j - 1e-9 * z_j]
-    above = [z for z in zeros if z > z_j + 1e-9 * z_j]
-    left = below[-1] if below else 0.0
-    right = above[0] if above else 8.0 * z_j
-    d_r = np.geomspace(1e-8 * z_j, (z_j - left) * (1.0 - 1e-12), DISSIPATIVITY_GRID)
-    d_s = np.geomspace(1e-8 * z_j, (right - z_j) * (1.0 - 1e-12), DISSIPATIVITY_GRID)
-    r = z_j - d_r
-    s = z_j + d_s
-    qr = (k.f(r) / r)[:, None]
-    qs = (k.f(s) / s)[None, :]
-    quot = (qs - qr) / (s[None, :] ** kappa - r[:, None] ** kappa)
-    i, j = np.unravel_index(np.argmax(quot), quot.shape)
-    eta0 = -2.0 * chi - float(quot[i, j])
-    if eta0 <= 0.0:
-        raise DissipativityFail(eta0, float(r[i]), float(s[j]))
-    return eta0
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,10 @@ class TestExitCodes:
          "compare.u0_min: must be > 0 (got 0.0)"),
         ("compare-ode", "compare.horizon = 1\ncompare.u0_min = 0.5\ncompare.u0_max = 0.25",
          "compare.u0_max: must be >= u0_min (got 0.25 < 0.5)"),
+        # the envelopes alone, without the sandwich pair that also checks it
+        ("compare-ode", "kinetics.f_kind = power-envelope\ncompare.horizon = 1\n"
+         "compare.u0_min = 0.5\ncompare.u0_max = 0.25\ncompare.envelopes = on",
+         "compare.u0_max: must be >= u0_min (got 0.25 < 0.5)"),
         ("classify", "classify.dim = 0", "classify.dim: must be >= 1 (got 0)"),
         ("sweep", "sweep.count = -1", "sweep.count: grid is empty (got -1)"),
         ("sweep", "sweep.count = 2\nsweep.command = bogus",
@@ -497,19 +501,49 @@ compare.u0_max = 1.5
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,ubar,ulow,log_ratio"
 
+    # the sandwich pair reads model.a, model.b and model.kappa as a logistic's,
+    # so it describes neither power-envelope f = 1 - u**2 nor polynomial
+    # f = 2*u - u**2
+    POWER = BASE.replace("model.chi = 0.4", "model.chi = 0.2") + """
+kinetics.f_kind = power-envelope
+compare.horizon = 40
+compare.u0_min = 0.5
+compare.u0_max = 1.5
+"""
+    FAMILIES = pytest.mark.parametrize("family, text", [
+        ("power-envelope", POWER),
+        ("polynomial", POWER.replace("power-envelope", """polynomial
+kinetics.poly_coeffs = 0, 2, -1""")),
+    ], ids=["power-envelope", "polynomial"])
+
+    @FAMILIES
+    def test_other_families_have_no_sandwich_pair(self, tmp_path, capsys, family, text):
+        out = tmp_path / "o"
+        assert main(["compare-ode", "--config", _write(tmp_path, text), "--out", str(out)]) == 1
+        assert (f"config error: kinetics.f_kind: {family} growth has no sandwich pair; "
+                "compare-ode needs compare.envelopes") in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
+
+    @FAMILIES
+    def test_other_families_write_only_envelopes(self, tmp_path, capsys, family, text):
+        out = tmp_path / "o"
+        cfg = _write(tmp_path, text + "compare.envelopes = on\n")
+        assert main(["compare-ode", "--config", cfg, "--out", str(out)]) == 0
+        assert "eps0" not in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["envelopes.csv", "manifest.txt"]
+
 
 class TestFailedCommandManifest:
     """A command that fails after writing an artifact still lists it."""
 
     @pytest.mark.parametrize("command, text, artifact, reason", [
-        ("compare-ode", BASE.replace("model.kappa = 1", "model.kappa = 2") + """
-kinetics.f_kind = polynomial
-kinetics.poly_coeffs = 1, 0, -1
-compare.horizon = 40
+        ("compare-ode", BASE + """
+compare.horizon = 1
 compare.u0_min = 0.5
 compare.u0_max = 1.5
 compare.envelopes = on
-""", "trajectory.csv", "error: upper envelope escaped beyond 1e+06 at t = "),
+""", "trajectory.csv", "config error: compare.horizon: z not stationary at horizon "
+         "(|z'| = 6.288e-02); extend it"),
         ("stability", BASE.replace("model.chi = 0.4", "model.chi = 5") + """
 stability.count = 3
 stability.chi_lo = 0.5
