@@ -130,6 +130,15 @@ class TestContractionRate:
         rate = cl.sandwich_contraction_rate(p, 1.0, 1.0)
         assert rate == pytest.approx(p.kappa * (p.a / p.b) * (p.b - 2 * p.chi))
 
+    def test_secretion_factor_scales_chi(self):
+        # beta = 2 doubles the sensitivity: b = 1 < 2*chi*beta = 1.6 fails,
+        # and chi = 0.2 leaves the margin b - 2*chi*beta = 0.2 at equilibrium
+        with pytest.raises(OutOfRange) as info:
+            cl.sandwich_contraction_rate(_params(beta=2), 1.0, 1.0)
+        assert str(info.value) == "b: need b >= 2*chi*beta (got b = 1.0, chi*beta = 0.8)"
+        rate = cl.sandwich_contraction_rate(_params(chi=0.2, beta=2), 1.0, 1.0)
+        assert rate == pytest.approx(0.2)
+
     def test_rejects_b_below_twice_chi(self):
         with pytest.raises(OutOfRange):
             cl.sandwich_contraction_rate(_params(chi=0.7), 0.5, 2.0)

@@ -313,6 +313,13 @@ class TestGrowthEnvelope:
         with pytest.raises(OutOfRange, match="f"):
             cl.make_kinetics(_params(), "polynomial", poly_coeffs=(-1.0, 0.0, 0.0, -1.0))
 
+    def test_logistic_and_polynomial_share_the_slack_rule(self):
+        # f = u - u**2 in both families: surplus peak 0.5, slack 1e-12*(1 + 0.5)
+        p = _params()
+        logistic = cl.make_kinetics(p)
+        polynomial = cl.make_kinetics(p, "polynomial", poly_coeffs=(0.0, 1.0, -1.0))
+        assert logistic.envelope == polynomial.envelope == (0.5 + 1.5e-12, 0.5, 2.0)
+
     def test_logistic_without_linear_growth(self):
         # f = -u**2: the envelope constant is the 1e-12 margin alone
         k = cl.make_kinetics(_params(a=0))
@@ -357,13 +364,25 @@ class TestClassifyRegime:
         report = cl.classify_regime(logistic_params, logistic_kinetics)
         assert "GloballyConvergent" in report
 
-    @pytest.mark.parametrize("b, expected", [(1.0, True), (0.3, False)])
+    @pytest.mark.parametrize("b, expected", [(1.0, True), (0.3, False), (0.4, False)])
     def test_globally_convergent_reads_chi_times_beta(self, b, expected):
-        # chi = 0.1, beta = 2: the bound is 2*chi*beta = 0.4, not 2*chi = 0.2
+        # chi = 0.1, beta = 2: the bound is 2*chi*beta = 0.4, not 2*chi = 0.2,
+        # and b at the bound is the degenerate case, not a margin
         p = cl.build_params({"chi": 0.1, "a": 1, "b": b, "theta": 2, "kappa": 1, "beta": 2,
                              "dim": 1, "L": math.pi})
         report = cl.classify_regime(p, cl.make_kinetics(p, "generalized-logistic"))
         assert ("GloballyConvergent" in report) is expected
+
+    @pytest.mark.parametrize("kind, kw", [
+        ("power-envelope", {}), ("polynomial", {"poly_coeffs": (0.0, 1.0, -1.0)}),
+    ], ids=["power-envelope", "polynomial"])
+    def test_globally_convergent_needs_logistic_growth(self, kind, kw):
+        # b = 1 > 2*chi*beta = 0.1 holds, but the margin is the logistic's:
+        # for polynomial f = u - u**2 with kappa = 2 the difference quotient
+        # -1/(r + s) has no negative bound below -2*chi*beta
+        p = _params(chi=0.025, beta=2, theta=3, kappa=2)
+        assert "GloballyConvergent" in cl.classify_regime(p, cl.make_kinetics(p))
+        assert "GloballyConvergent" not in cl.classify_regime(p, cl.make_kinetics(p, kind, **kw))
 
     def test_borderline_equality(self):
         p = cl.build_params(
