@@ -19,7 +19,10 @@ import dataclasses
 import datetime
 import functools
 import hashlib
+import io
 import math
+import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -434,9 +437,11 @@ def _point_result(manifest: _Manifest, handler, *handler_args):
     return _POINT_STATUS.get(code, f"exit_{code}"), code, scalar
 
 
-def _sweep_simulate(points, args) -> list:
-    """simulate at every point: inputs first, then the runs as batches
-    (evolve.run_batch), then each point's artifacts in point order."""
+def _sweep_block(points, command, args) -> list:
+    """(status, exit code, scalar) of each (config, manifest) point of a block;
+    simulate runs the block's inputs as batches (evolve.run_batch) first."""
+    if command != "simulate":
+        return [_point_result(m, _HANDLERS[command], c, args, m) for c, m in points]
     outcomes = []
     for point_cfg, _ in points:
         try:
@@ -445,10 +450,69 @@ def _sweep_simulate(points, args) -> list:
             outcomes.append(exc)
     reports = iter(evolve.run_batch([x for x in outcomes if isinstance(x, evolve.RunSpec)]))
     outcomes = [next(reports) if isinstance(x, evolve.RunSpec) else x for x in outcomes]
-    return [
-        _point_result(manifest, _simulate_outputs, outcome, manifest)
-        for outcome, (_, manifest) in zip(outcomes, points)
-    ]
+    return [_point_result(m, _simulate_outputs, o, m) for o, (_, m) in zip(outcomes, points)]
+
+
+def _workers(n_points: int) -> int:
+    """One sweep worker per CPU in the affinity mask, at most one per point."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_points)
+
+
+def _sweep_child(block, command, args, read: int, write: int) -> None:
+    """A forked worker: pickle its block's reply into the pipe ``write``, and exit."""
+    try:
+        os.close(read)
+        out, err = sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+        try:
+            reply = (_sweep_block(block, command, args), out.getvalue(), err.getvalue())
+        except BaseException as exc:  # re-raised in the parent
+            reply = exc
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(reply, pipe)
+        os._exit(0)
+    finally:
+        os._exit(1)  # never return into the caller's frames
+
+
+def _sweep_blocks(points, command, args) -> list:
+    """_sweep_block over contiguous blocks, one per worker, with the output
+    of forked workers replayed in point order.  Fork keeps module state."""
+    n = _workers(len(points))
+    if n == 1:
+        return _sweep_block(points, command, args)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children, results = {}, []
+    try:
+        for i in range(n):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                block = points[len(points) * i // n:len(points) * (i + 1) // n]
+                _sweep_child(block, command, args, read, write)
+            os.close(write)
+            children[pid] = os.fdopen(read, "rb")
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0 or not data:
+                raise RuntimeError(f"sweep worker exited with status {status} without results")
+            reply = pickle.loads(data)
+            if isinstance(reply, BaseException):
+                raise reply
+            results += reply[0]
+            sys.stdout.write(reply[1])
+            sys.stderr.write(reply[2])
+        return results
+    finally:
+        for pid, pipe in children.items():  # no worker outlives the sweep
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
 
 
 def _cmd_sweep(cfg: Config, args, manifest: _Manifest) -> int:
@@ -460,13 +524,7 @@ def _cmd_sweep(cfg: Config, args, manifest: _Manifest) -> int:
         _sweep_point(i, names, v, cfg, args, manifest.out_dir, command)
         for i, v in enumerate(values)
     ]
-    if command == "simulate":
-        results = _sweep_simulate(points, args)
-    else:
-        results = [
-            _point_result(point_manifest, _HANDLERS[command], point_cfg, args, point_manifest)
-            for point_cfg, point_manifest in points
-        ]
+    results = _sweep_blocks(points, command, args)
     manifest.write_csv(
         "sweep_summary.csv", ["index", *names, "status", "exit_code", "scalar"],
         [(i, *v, *result) for i, (v, result) in enumerate(zip(values, results))],

@@ -69,7 +69,9 @@ class SimState:
 
     @classmethod
     def initial(cls, p: ModelParams, k: Kinetics, u0: Field, dt: float = 0.0) -> "SimState":
-        v = Field(solve_helmholtz_array(u0.grid, k.g(u0.values)), u0.grid)
+        with np.errstate(over="ignore"):  # an overflow fails the solver's finite check
+            source = k.g(u0.values)
+        v = Field(solve_helmholtz_array(u0.grid, source), u0.grid)
         return cls(t=0.0, u=u0.copy(), v=v, dt=dt)
 
 

@@ -37,6 +37,17 @@ def _write(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+@pytest.fixture(params=[1, 2], ids=["one-worker", "two-workers"])
+def workers(request, monkeypatch):
+    """Force a sweep's worker count, still at most one per point."""
+    monkeypatch.setattr(cli, "_workers", lambda n_points: min(request.param, n_points))
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):  # no sweep worker outlives main
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestConfigFormat:
     def test_comments_and_blanks(self):
         cfg = Config.parse("# heading\n\nmodel.chi = 0.4  # inline\n")
@@ -750,7 +761,7 @@ run.horizon = 0.5
             rows = list(csv.DictReader(fh))
         assert [r["status"] for r in rows] == ["error: run.rows: must be >= 1 (got 0)", "ok"]
 
-    def test_programming_error_is_not_a_point_failure(self, tmp_path, monkeypatch):
+    def test_programming_error_is_not_a_point_failure(self, tmp_path, monkeypatch, workers):
         def broken(cfg, args, manifest):
             raise TypeError("bug in a handler")
 
@@ -768,6 +779,7 @@ sweep.count = 2
         )
         with pytest.raises(TypeError, match="bug in a handler"):
             main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+        _assert_no_children()
 
     def test_mode_beyond_the_grid_axes_is_a_point_failure(self, tmp_path):
         cfg = _write(
@@ -918,7 +930,7 @@ run.snapshots = 3
             assert point == self._files(alone) if code == 0 else list(point) == ["manifest.txt"]
         assert sweep_lines == status_lines + ["sweep: 4/6 points succeeded"]
 
-    def test_programming_error_in_the_batch_escapes(self, tmp_path, monkeypatch):
+    def test_programming_error_in_the_batch_escapes(self, tmp_path, monkeypatch, workers):
         def broken(*args):
             raise TypeError("bug in the kernel")
 
@@ -926,6 +938,94 @@ run.snapshots = 3
         cfg = _write(tmp_path, self.CONFIG)
         with pytest.raises(TypeError, match="bug in the kernel"):
             main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+        _assert_no_children()
+
+
+class TestSweepWorkers:
+    """A sweep's points run in contiguous blocks, one per worker process; the
+    artifacts and the output do not depend on the number of workers."""
+
+    CLASSIFY = BASE + """
+sweep.command = classify
+sweep.parameter = model.chi
+sweep.start = 0.3
+sweep.stop = 0.6
+sweep.count = 3
+"""
+
+    @staticmethod
+    def _tree(folder):
+        """Every file under folder, the manifests' timestamp lines dropped."""
+        return {
+            str(path.relative_to(folder)): [
+                line for line in path.read_text(encoding="utf-8").splitlines(keepends=True)
+                if not line.startswith("timestamp: ")
+            ]
+            for path in sorted(folder.rglob("*")) if path.is_file()
+        }
+
+    @pytest.mark.parametrize("text", [TestSimulateSweep.CONFIG, CLASSIFY],
+                             ids=["simulate", "classify"])
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, capsys,
+                                                       text):
+        classify = cli._HANDLERS["classify"]
+
+        def classify_and_tell_stderr(cfg, args, manifest):
+            # classify itself writes nothing to stderr
+            print(f"point at chi = {cfg.number('model.chi')!r}", file=sys.stderr)
+            return classify(cfg, args, manifest)
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", classify_and_tell_stderr)
+        cfg = _write(tmp_path, text)
+        runs = []
+        for count in (1, 2):
+            monkeypatch.setattr(cli, "_workers", lambda n_points, count=count: min(count, n_points))
+            out = tmp_path / f"workers_{count}"
+            code = main(["sweep", "--config", cfg, "--out", str(out), "--seed", "5"])
+            runs.append((code, capsys.readouterr(), self._tree(out)))
+            _assert_no_children()
+        assert runs[0] == runs[1]
+        code, output, tree = runs[0]
+        assert code == 0 and output.out.count("\n") > 3
+        points = len(tree["sweep_summary.csv"]) - 1
+        assert {name.split(os.sep)[0] for name in tree} == {
+            "manifest.txt", "sweep_summary.csv", *(f"point_{i:04d}" for i in range(points))}
+        if "simulate" in text:
+            assert any(",error: " in row for row in tree["sweep_summary.csv"])
+        else:
+            assert output.err.count("point at chi = ") == points
+
+    def test_worker_that_exits_without_results_is_an_error(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        classify = cli._HANDLERS["classify"]
+
+        def exits_in_a_worker(cfg, args, manifest):
+            if os.getpid() != parent and cfg.number("model.chi") > 0.5:
+                os._exit(7)
+            return classify(cfg, args, manifest)
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", exits_in_a_worker)
+        monkeypatch.setattr(cli, "_workers", lambda n_points: min(2, n_points))
+        cfg = _write(tmp_path, self.CLASSIFY)
+        with pytest.raises(RuntimeError, match="exited with status 7"):
+            main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+        _assert_no_children()
+
+    def test_piped_status_lines_appear_once_in_point_order(self, tmp_path, monkeypatch, capsys):
+        # the CLI picks its own worker count here: one per CPU it may run on
+        cfg = _write(tmp_path, TestSimulateSweep.CONFIG)
+        monkeypatch.setattr(cli, "_workers", lambda n_points: 1)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "inline")]) == 0
+        expected = capsys.readouterr().out
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        piped = subprocess.run(
+            [sys.executable, "-m", "chemolab.cli", "sweep", "--config", cfg,
+             "--out", str(tmp_path / "piped")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert expected.count("status: ") == 4
+        assert piped.stdout == expected
 
 
 # one tiny run of each subcommand, with every optional artifact switched on

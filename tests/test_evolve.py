@@ -101,6 +101,17 @@ class TestNonfiniteSource:
             for f in dataclasses.fields(SimState):
                 assert _bits(getattr(batched, f.name)) == _bits(getattr(alone, f.name)), f.name
 
+    def test_overflowing_initial_source_fails_its_point_alone(self):
+        # under filterwarnings = error an overflow warning would escape
+        # run_batch and lose the good point's report
+        p, k, g = _setup(nx=16)
+        big_p, big_k, _ = _setup(nx=16, beta=1e308)
+        outcomes = run_batch([RunSpec(p, k, Field.constant(g, 1.0), 0.1),
+                              RunSpec(big_p, big_k, Field.constant(g, 10.0), 0.1)])
+        assert isinstance(outcomes[0], RunReport)
+        assert isinstance(outcomes[1], OutOfRange)
+        assert str(outcomes[1]) == "source: must be finite"
+
 
 # cell values for the target-error identity: mixed signs, signed zeros,
 # subnormals and magnitudes up to 1e6

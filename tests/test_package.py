@@ -28,15 +28,17 @@ def test_all_lists_every_public_name_and_no_module():
     assert exported == public
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy_and_no_process_pool():
     # a fresh import pays only for what chemolab uses: the transforms load
     # scipy's compiled DCT kernel from its file, so neither scipy's package
-    # __init__ nor scipy.fft's (scipy.special, the array-API layer) runs
+    # __init__ nor scipy.fft's (scipy.special, the array-API layer) runs; a
+    # sweep forks its workers itself, with no multiprocessing or executor
     src = str(Path(cl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, chemolab, chemolab.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
