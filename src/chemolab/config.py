@@ -48,10 +48,17 @@ _BINOPS = {
     ast.Pow: operator.pow,
 }
 _NAMES = {"pi": math.pi, "e": math.e}
+# a longer text is refused before ast.parse, whose recursion and memory a
+# long enough expression exhausts (RecursionError, MemoryError)
+MAX_NUMBER_CHARS = 100
 
 
 def eval_number(text: str) -> float:
-    """Evaluate a constant arithmetic expression (numbers, + - * / **, pi, e)."""
+    """Evaluate a constant arithmetic expression (numbers, + - * / **, pi, e)
+    of at most MAX_NUMBER_CHARS characters."""
+    if len(text) > MAX_NUMBER_CHARS:
+        raise OutOfRange("value", f"a number has at most {MAX_NUMBER_CHARS} characters "
+                                  f"(got {len(text)})")
     def walk(node):
         if isinstance(node, ast.Expression):
             return walk(node.body)

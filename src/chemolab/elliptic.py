@@ -51,8 +51,8 @@ def cosine_coefficients(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II per axis of a float64 array; entry k pairs with
     grid.laplacian_eigenvalues[k].
 
-    The transforms run along the trailing grid axes, so a leading batch axis
-    passes through; pocketfft transforms each line alone, so every field of a
+    The transforms run along the trailing grid axes, so leading batch axes
+    pass through; pocketfft transforms each line alone, so every field of a
     batch gets the bits it would get alone.
     """
     # Per-axis transforms: one call over all axes applies the orthonormal
@@ -91,10 +91,35 @@ def solve_dct_diagonal(grid: Grid, rhs: np.ndarray, symbol: np.ndarray) -> np.nd
     x = cosine_coefficients(grid, rhs)
     x /= symbol
     x = cell_values(grid, x)
-    # Constants are eigenvectors with eigenvalue 1, so shifting by the mass
-    # defect restores sum(x) = sum(rhs) exactly without degrading the residual.
-    x += (cell_sums(rhs, grid, keepdims=True) - cell_sums(x, grid, keepdims=True)) / grid.n_cells
+    return shift_to_sums(grid, x, cell_sums(rhs, grid, keepdims=True))
+
+
+def shift_to_sums(grid: Grid, x: np.ndarray, sums) -> np.ndarray:
+    """Shift each field of x, in place, by the constant that makes its cell
+    sum ``sums``.  Constants are eigenvectors of every symbol with eigenvalue
+    1, so a solve shifted by its mass defect keeps its residual and meets
+    sum(x) = sum(rhs) to roundoff."""
+    x += (sums - cell_sums(x, grid, keepdims=True)) / grid.n_cells
     return x
+
+
+def solve_dct_stack(grid: Grid, rhs: np.ndarray, symbol: np.ndarray,
+                    factors: np.ndarray) -> np.ndarray:
+    """For each factor f in ``factors`` (F, *rhs.shape), the cell values of f
+    times the coefficients of x, the solve of (I - c*lap_h) x = rhs, shifted
+    to sum f's constant-mode entry times sum(rhs); one stacked inverse.
+
+    A factor of ones gives x bit for bit as solve_dct_diagonal does: the
+    product by 1.0 is exact and pocketfft transforms each line alone.  A
+    factor beta/grid.helmholtz_symbol gives y with (I - lap_h) y = beta*x
+    and sum(y) = beta*sum(rhs): a linear chemical from the same forward
+    transform.
+    """
+    coeffs = cosine_coefficients(grid, rhs)
+    coeffs /= symbol
+    out = cell_values(grid, factors * coeffs)
+    constant = factors[(Ellipsis,) + (slice(0, 1),) * grid.dim]
+    return shift_to_sums(grid, out, cell_sums(rhs, grid, keepdims=True) * constant)
 
 
 def solve_helmholtz_array(grid: Grid, source: np.ndarray) -> np.ndarray:

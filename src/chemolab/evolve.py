@@ -9,13 +9,21 @@ and diffusion implicitly, then refreshes the chemical by an elliptic solve
     (I - dt*lap_h) u_new = u*
     (I -    lap_h) v_new = g(u_new)
 
-Both linear systems go through the one exact DCT-II solve of
-elliptic.solve_dct_diagonal.  Interior fluxes telescope and the implicit
-operator preserves cell sums, so the discrete mass law
-sum(u_new) = sum(u) + dt*sum(f(u))  holds to roundoff; each step records its
-relative mass residual.  Tiny negative densities are clamped and counted;
-overshoot beyond 1e-8 of the max is a hard error because it signals
-under-resolution.
+Both linear systems are diagonal in the DCT-II basis (elliptic).  Interior
+fluxes telescope and the implicit operator preserves cell sums, so the
+discrete mass law  sum(u_new) = sum(u) + dt*sum(f(u))  holds to roundoff;
+each step records its relative mass residual.  Tiny negative densities are
+clamped and counted; overshoot beyond 1e-8 of the max is a hard error
+because it signals under-resolution.
+
+For linear secretion, kappa = 1, v_new's DCT coefficients are beta/sigma_h
+times u_new's, DCT(u*)/sigma_dt, where sigma_h and sigma_dt are the symbols
+of the two operators.  So one forward transform and one stacked inverse give
+both (elliptic.solve_dct_stack): u_new has the bits of the implicit solve
+alone, and  sum(v_new) = beta*sum(u_new)  to roundoff.  A row that clamps,
+or whose beta*sum(u_new) could overflow, is solved directly, as every row is
+for kappa != 1: beta*u_new**kappa goes through
+elliptic.solve_helmholtz_array, whose finite check fails the point.
 
 Thousands of steps per run make per-step Python overhead the cost, so runs
 advance plain arrays through one private kernel, _Stepper, with a leading
@@ -39,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import lp_norms
-from .elliptic import screened_symbol, solve_dct_diagonal, solve_helmholtz_array
+from .elliptic import screened_symbol, solve_dct_diagonal, solve_dct_stack, solve_helmholtz_array
 from .errors import ChemolabError, NegativeOvershoot, OutOfRange, StalledDt
 from .grid import Field, Grid, cell_sums, chemotaxis_divergence, face_gradients, integrate
 from .model import Kinetics, ModelParams, growth, growth_prime
@@ -116,9 +124,10 @@ class _Stepper:
     same float arithmetic as a lone point would: numpy calls on a few
     entries cost far more than that arithmetic.  chi, the growth
     coefficients and beta enter the array arithmetic as columns (see
-    _column).  The grid, f_kind, the growth exponent and kappa are shared,
-    because numpy's x**2.0 and x**0.5 take fast paths that an array of
-    exponents does not.
+    _column); for kappa = 1, beta also enters _factors, the stacked solve's
+    factors of ones and beta/sigma_h.  The grid, f_kind, the growth exponent
+    and kappa are shared, because numpy's x**2.0 and x**0.5 take fast paths
+    that an array of exponents does not.
 
     grad_v holds the face gradients of v and grad_v_inf their largest
     magnitude per point, both refreshed with v: the flux, the dt rule and
@@ -140,7 +149,12 @@ class _Stepper:
         self.chi = [p.chi for p in params]
         self.chi_col = _column(self.chi, grid)
         self.coeff_cols = tuple(_column(c, grid) for c in zip(*(k.coeffs for k in kinetics)))
-        self.beta_col = _column([k.beta for k in kinetics], grid)
+        self.beta = [k.beta for k in kinetics]
+        self.beta_col = _column(self.beta, grid)
+        self._factors = None
+        if self.kappa == 1.0:
+            v_factor = np.reshape(self.beta, (-1,) + (1,) * grid.dim) / grid.helmholtz_symbol
+            self._factors = np.stack((np.ones_like(v_factor), v_factor))
         self.t = [s.t for s in states]
         self.dt = [s.dt for s in states]
         self.step_count = [s.step_count for s in states]
@@ -190,7 +204,12 @@ class _Stepper:
         # dt repeats while it sits at its cap, and so does the implicit symbol
         if dt != self._implicit[0]:
             self._implicit = (dt, screened_symbol(grid, dt_col))
-        u_new = solve_dct_diagonal(grid, u_star, self._implicit[1])
+        if self._factors is None:
+            u_new, v = solve_dct_diagonal(grid, u_star, self._implicit[1]), None
+        else:
+            # a row whose v overflows is one that _chemical solves directly
+            with np.errstate(over="ignore", invalid="ignore"):
+                u_new, v = solve_dct_stack(grid, u_star, self._implicit[1], self._factors)
 
         mass = cell_sums(u_new, grid).tolist()
         self.last_mass_residual = [
@@ -204,25 +223,47 @@ class _Stepper:
             if m < 0.0:
                 self._clamp(row, u_new, m, u_max[row], mass, dt[row])
 
-        # an overflow is reported by the finite check, as the point's error
-        with np.errstate(over="ignore"):
-            source = self.beta_col * u_new**self.kappa
-        try:
-            v = solve_helmholtz_array(grid, source)
-        except OutOfRange as error:
-            finite = np.logical_and.reduce(np.isfinite(source), axis=grid.cell_axes)
-            for row in np.flatnonzero(~finite).tolist():
-                # one error object per failing point
-                self.failures.append((row, OutOfRange(error.name, error.reason)))
-                u_new[row], source[row] = u[row], 0.0
-            v = solve_helmholtz_array(grid, source)
-        self._set_v(v)
+        self._set_v(self._chemical(u_new, v, mass, u_min))
         self.t = [t + d for t, d in zip(self.t, dt)]
         self.step_count = [n + 1 for n in self.step_count]
         # u >= 0 after the clamp, so its clamp bound max(u, 0) is max |u|, and
         # a clamped row's minimum is 0
         self.u, self.dt, self.mass, self.linf_u = u_new, dt, mass, u_max
         self.u_min = [max(m, 0.0) for m in u_min]
+
+    def _chemical(self, u_new, v, mass, u_min) -> np.ndarray:
+        """The new v: solve_helmholtz_array of beta*u_new**kappa, as each point
+        alone gets it, but for kappa = 1 the v that came with u_new from
+        solve_dct_stack.  A row that clamped, or whose beta*mass times the
+        cell count is not finite, is solved directly: below that bound no
+        value in its stacked solve can overflow.  A row whose source is not
+        finite fails and keeps its old u.
+        """
+        grid = self.grid
+        if v is None:
+            rows, beta, u_rows = range(len(mass)), self.beta_col, u_new
+        else:
+            rows = [row for row, (b, m, lo) in enumerate(zip(self.beta, mass, u_min))
+                    if lo < 0.0 or not math.isfinite(b * m * grid.n_cells)]
+            if not rows:
+                return v
+            beta, u_rows = _column([self.beta[row] for row in rows], grid), u_new[rows]
+        # an overflow is reported by the finite check, as the point's error
+        with np.errstate(over="ignore"):
+            source = beta * u_rows**self.kappa
+        try:
+            direct = solve_helmholtz_array(grid, source)
+        except OutOfRange as error:
+            finite = np.logical_and.reduce(np.isfinite(source), axis=grid.cell_axes)
+            for i in np.flatnonzero(~finite).tolist():
+                # one error object per failing point
+                self.failures.append((rows[i], OutOfRange(error.name, error.reason)))
+                u_new[rows[i]], source[i] = self.u[rows[i]], 0.0
+            direct = solve_helmholtz_array(grid, source)
+        if v is None:
+            return direct
+        v[rows] = direct
+        return v
 
     def _clamp(self, row, u_new, u_min, u_max, mass, dt) -> None:
         """Zero the routine negatives of one row, counting them, and refresh

@@ -182,6 +182,15 @@ class TestExitCodes:
         assert err.startswith(("config error: ", "error: ")) and err.count("\n") == 1, err
         assert reason in err
 
+    @pytest.mark.parametrize("value", ["1" + "+0" * 100000, "-" * 50000 + "1"],
+                             ids=["deep-sum", "deep-negation"])
+    def test_overlong_number_exits_with_reason(self, tmp_path, capsys, value):
+        # long enough, each exhausts ast.parse: RecursionError, MemoryError
+        cfg = _write(tmp_path, BASE + f"grid.nx = 16\nrun.horizon = 0.5\nmodel.chi = {value}\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        reason = f"a number has at most 100 characters (got {len(value)})"
+        assert capsys.readouterr().err == f"config error: value: {reason}\n"
+
 
 class TestClassifyCommand:
     def test_borderline_inequality_printout(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import chemolab as cl
 from chemolab import evolve
 from chemolab.diagnostics import lp_norms
+from chemolab.elliptic import solve_helmholtz_array
 from chemolab.errors import ChemolabError, NegativeOvershoot, OutOfRange, StalledDt
 from chemolab.evolve import BLOWUP_LINF, DT_MAX_FACTOR, DT_MIN, RunReport, RunSpec, SimState, run_batch
 from chemolab.grid import Field, face_gradients, integrate
@@ -111,6 +112,56 @@ class TestNonfiniteSource:
         assert isinstance(outcomes[0], RunReport)
         assert isinstance(outcomes[1], OutOfRange)
         assert str(outcomes[1]) == "source: must be finite"
+
+
+class TestChemicalRoute:
+    """For kappa = 1 a step takes v from the implicit solve's coefficients;
+    a row that clamps or fails, and every row when kappa != 1, takes the
+    direct solve of beta*u_new**kappa."""
+
+    @seed(33)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kappa=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+        shape=st.one_of(st.tuples(st.just(1), st.integers(16, 64)),
+                        st.tuples(st.just(2), st.integers(8, 16)),
+                        st.tuples(st.just(3), st.just(8))),
+        # a "step" row leaves roundoff negatives far from its plateau at small
+        # dt, which clamp; an "overshoot" row fails and keeps its old u
+        rows=st.lists(st.tuples(st.sampled_from(["smooth", "step", "overshoot"]),
+                                st.floats(0.05, 5.0), st.floats(-5.0, -1.0),
+                                st.integers(0, 2**32 - 1)),
+                      min_size=1, max_size=3),
+    )
+    def test_v_against_the_direct_solve(self, kappa, shape, rows):
+        dim, cells = shape
+        params, kinetics, states = [], [], []
+        for kind, beta, log_dt, data_seed in rows:
+            p = cl.build_params({"chi": 0.4 if kind == "smooth" else 1e-3, "a": 1, "b": 1,
+                                 "theta": 2, "kappa": kappa, "beta": beta, "dim": dim,
+                                 "L": math.pi})
+            k = cl.make_kinetics(p, "generalized-logistic")
+            g = cl.make_grid(p, cells)
+            if kind == "smooth":
+                u0 = np.random.default_rng(data_seed).uniform(0.5, 1.5, g.shape)
+            else:
+                u0 = np.where(g.coordinates[0] < 0.3, 1.0 if kind == "step" else 1e3, 0.0)
+            params.append(p)
+            kinetics.append(k)
+            states.append(SimState.initial(p, k, Field(u0, g), dt=10.0**log_dt))
+        kernel = evolve._Stepper(states, params, kinetics)
+        kernel.step([s.dt for s in states])
+        failed = {row for row, _ in kernel.failures}
+        for row, k in enumerate(kinetics):
+            u, v = kernel.u[row], kernel.v[row]
+            direct = solve_helmholtz_array(g, k.beta * u**kappa)
+            if kappa != 1.0 or row in failed or kernel.clamped_mass[row] > 0.0:
+                assert v.tobytes() == direct.tobytes()
+            else:
+                assert np.max(np.abs(v - direct)) <= 1e-13 * np.max(np.abs(v))
+                # the shift pins the sum as solve_dct_diagonal pins its own
+                target = k.beta * kernel.mass[row]
+                assert abs(v.sum() - target) <= 1e-14 * target
 
 
 # cell values for the target-error identity: mixed signs, signed zeros,
@@ -318,7 +369,7 @@ class TestRun:
     @given(
         f_kind=st.sampled_from(["generalized-logistic", "power-envelope"]),
         chi=st.floats(0.05, 2.0), a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0),
-        kappa=st.floats(0.5, 2.0), theta=st.floats(1.5, 3.0),
+        kappa=st.one_of(st.just(1.0), st.floats(0.5, 2.0)), theta=st.floats(1.5, 3.0),
         shape=st.one_of(st.tuples(st.just(1), st.integers(16, 64)),
                         st.tuples(st.just(2), st.integers(8, 16)),
                         st.tuples(st.just(3), st.just(8))),
@@ -445,7 +496,7 @@ class TestRunBatch:
     @settings(max_examples=10, deadline=None)
     @given(
         f_kind=st.sampled_from(["generalized-logistic", "power-envelope", "allee"]),
-        kappa=st.floats(0.5, 2.0), theta=st.floats(1.5, 3.0),
+        kappa=st.one_of(st.just(1.0), st.floats(0.5, 2.0)), theta=st.floats(1.5, 3.0),
         shape=st.one_of(st.tuples(st.just(1), st.integers(16, 64)),
                         st.tuples(st.just(2), st.integers(8, 16)),
                         st.tuples(st.just(3), st.just(8))),

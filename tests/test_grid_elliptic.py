@@ -16,9 +16,9 @@ from chemolab.elliptic import (cell_values, cosine_coefficients, screened_symbol
                                solve_dct_diagonal, solve_helmholtz_array)
 from chemolab.errors import NonpositiveV, OutOfRange
 from chemolab.evolve import DT_MAX_FACTOR
-from chemolab.grid import (Field, Grid, chemotaxis_divergence, chemotaxis_flux_derivative,
-                           face_divergence, face_gradients, integrate, laplacian_apply,
-                           mode_groups)
+from chemolab.grid import (Field, Grid, cell_sums, chemotaxis_divergence,
+                           chemotaxis_flux_derivative, face_divergence, face_gradients, integrate,
+                           laplacian_apply, mode_groups)
 
 
 def _grid_params(dim, length=math.pi):
@@ -283,6 +283,21 @@ class TestHelmholtzSolve:
         assert (solve_helmholtz_array(g, rhs[0]).tobytes()
                 == solve_dct_diagonal(g, rhs[0], screened_symbol(g, 1.0)).tobytes())
 
+    @pytest.mark.parametrize("shape", [(16,), (64,), (12, 20), (8, 8, 8)])
+    def test_stacked_solve_keeps_the_implicit_bits_and_solves_the_chemical(self, shape):
+        g = Grid((math.pi, 2.0, 3.0)[: len(shape)], shape)
+        rng = np.random.default_rng(5)
+        rhs = rng.uniform(0.0, 2.0, (3,) + shape)
+        c = rng.uniform(0.0, 0.5, 3).reshape((-1,) + (1,) * len(shape))
+        beta = np.array([0.5, 1.0, 7.0]).reshape(c.shape)
+        v_factor = beta / g.helmholtz_symbol
+        x, y = elliptic.solve_dct_stack(g, rhs, screened_symbol(g, c),
+                                        np.stack((np.ones_like(v_factor), v_factor)))
+        assert x.tobytes() == solve_dct_diagonal(g, rhs, screened_symbol(g, c)).tobytes()
+        direct = solve_helmholtz_array(g, beta * x)
+        assert np.max(np.abs(y - direct)) <= 1e-13 * np.max(np.abs(direct))
+        assert cell_sums(y, g) == pytest.approx(cell_sums(direct, g), rel=1e-14)
+
     @pytest.mark.parametrize("entries", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)])
     def test_rejects_nonfinite_source(self, entries):
         g = _grid_1d(16)
@@ -332,6 +347,17 @@ class TestTransformKernel:
         restored = cell_values(g, values)
         assert np.shares_memory(restored, values)  # the inverse overwrites its input
         assert values.tobytes() == restored.tobytes() == inverse.tobytes(), kernel
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("shape", [shape for shape, _ in SHAPES])
+    def test_stacked_inverse_equals_the_separate_inverses(self, shape, batch):
+        # solve_dct_stack inverts u's and v's coefficients as one (2, B, *shape) array
+        g = Grid((math.pi, 2.0, 3.0)[: len(shape)], shape)
+        pair = np.random.default_rng(7).uniform(-1.0, 2.0, (2, batch) + shape)
+        first, second = (cell_values(g, half.copy()) for half in pair)
+        stacked = cell_values(g, pair)
+        assert stacked[0].tobytes() == first.tobytes()
+        assert stacked[1].tobytes() == second.tobytes()
 
 
 class TestEllipticIdentity:
