@@ -5,9 +5,10 @@ operator: the one with indices k has eigenvalue grid.helmholtz_symbol[k] =
 1 + sum((4/h_i**2)*sin(k_i*pi/(2*n_i))**2) under -lap_h + I.  So every
 constant-coefficient Neumann system (I - c*lap_h) x = b is diagonal in the
 DCT-II basis, and one exact spectral solve serves the chemical equation
-(c = 1) and implicit diffusion (c = dt) in any dimension.  The constant mode
-is projected exactly afterwards, which pins the discrete compatibility
-identity sum(x) = sum(b) to roundoff.
+(c = 1) and implicit diffusion (c = dt) in any dimension.  The constant
+cosine is the only mode with a nonzero cell sum, and every symbol is exactly
+1 there, so the solve keeps the discrete compatibility identity
+sum(x) = sum(b) to roundoff with no projection afterwards.
 
 The transforms call scipy.fft's compiled pocketfft kernel, one axis per
 call with the arguments of the orthonormal dct/idct, and skip wrapper
@@ -26,7 +27,7 @@ from importlib import machinery, util
 import numpy as np
 
 from .errors import NonpositiveV, OutOfRange
-from .grid import Field, Grid, cell_gradients, cell_sums, integrate
+from .grid import Field, Grid, cell_gradients, integrate
 
 
 def _load_pocketfft():
@@ -80,46 +81,15 @@ def screened_symbol(grid: Grid, c) -> np.ndarray:
 
 def solve_dct_diagonal(grid: Grid, rhs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """Solve (I - c*lap_h) x = rhs, mirror-ghost Neumann stencil, c >= 0, given
-    its symbol, screened_symbol(grid, c).
+    its symbol, screened_symbol(grid, c): a forward DCT-II along each axis, a
+    division by the symbol and the inverse transforms.
 
-    A forward DCT-II along each axis diagonalises the operator exactly, the
-    coefficients are divided by the symbol, and the inverse DCT-II along each
-    axis returns to cell values.  rhs may carry a leading batch axis,
-    (B, *grid.shape), with c a float or one value per field shaped to
-    broadcast, (B, 1, ...); each field gets the bits it would get alone.
+    rhs may carry a leading batch axis, (B, *grid.shape), with c a float or
+    one value per field shaped to broadcast, (B, 1, ...); each field gets the
+    bits it would get alone.  A symbol stacked on a further leading axis,
+    (F, B, *grid.shape), gives F solves from the one forward transform.
     """
-    x = cosine_coefficients(grid, rhs)
-    x /= symbol
-    x = cell_values(grid, x)
-    return shift_to_sums(grid, x, cell_sums(rhs, grid, keepdims=True))
-
-
-def shift_to_sums(grid: Grid, x: np.ndarray, sums) -> np.ndarray:
-    """Shift each field of x, in place, by the constant that makes its cell
-    sum ``sums``.  Constants are eigenvectors of every symbol with eigenvalue
-    1, so a solve shifted by its mass defect keeps its residual and meets
-    sum(x) = sum(rhs) to roundoff."""
-    x += (sums - cell_sums(x, grid, keepdims=True)) / grid.n_cells
-    return x
-
-
-def solve_dct_stack(grid: Grid, rhs: np.ndarray, symbol: np.ndarray,
-                    factors: np.ndarray) -> np.ndarray:
-    """For each factor f in ``factors`` (F, *rhs.shape), the cell values of f
-    times the coefficients of x, the solve of (I - c*lap_h) x = rhs, shifted
-    to sum f's constant-mode entry times sum(rhs); one stacked inverse.
-
-    A factor of ones gives x bit for bit as solve_dct_diagonal does: the
-    product by 1.0 is exact and pocketfft transforms each line alone.  A
-    factor beta/grid.helmholtz_symbol gives y with (I - lap_h) y = beta*x
-    and sum(y) = beta*sum(rhs): a linear chemical from the same forward
-    transform.
-    """
-    coeffs = cosine_coefficients(grid, rhs)
-    coeffs /= symbol
-    out = cell_values(grid, factors * coeffs)
-    constant = factors[(Ellipsis,) + (slice(0, 1),) * grid.dim]
-    return shift_to_sums(grid, out, cell_sums(rhs, grid, keepdims=True) * constant)
+    return cell_values(grid, cosine_coefficients(grid, rhs) / symbol)
 
 
 def solve_helmholtz_array(grid: Grid, source: np.ndarray) -> np.ndarray:

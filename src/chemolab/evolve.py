@@ -17,12 +17,11 @@ clamped and counted; overshoot beyond 1e-8 of the max is a hard error
 because it signals under-resolution.
 
 For linear secretion, kappa = 1, v_new's DCT coefficients are beta/sigma_h
-times u_new's, DCT(u*)/sigma_dt, where sigma_h and sigma_dt are the symbols
-of the two operators.  So one forward transform and one stacked inverse give
-both (elliptic.solve_dct_stack): u_new has the bits of the implicit solve
-alone, and  sum(v_new) = beta*sum(u_new)  to roundoff.  A row that clamps,
-or whose beta*sum(u_new) could overflow, is solved directly, as every row is
-for kappa != 1: beta*u_new**kappa goes through
+times u_new's, DCT(u*)/sigma_dt (sigma: the operators' symbols), so one
+solve_dct_diagonal against the stacked symbol [sigma_dt, sigma_dt*sigma_h/beta]
+gives u_new with the bits of its lone solve and v_new with sum beta*sum(u_new).
+A row that clamps, or whose beta*sum(u_new) could overflow, is solved
+directly, as every row is for kappa != 1: beta*u_new**kappa goes through
 elliptic.solve_helmholtz_array, whose finite check fails the point.
 
 Thousands of steps per run make per-step Python overhead the cost, so runs
@@ -47,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import lp_norms
-from .elliptic import screened_symbol, solve_dct_diagonal, solve_dct_stack, solve_helmholtz_array
+from .elliptic import screened_symbol, solve_dct_diagonal, solve_helmholtz_array
 from .errors import ChemolabError, NegativeOvershoot, OutOfRange, StalledDt
 from .grid import Field, Grid, cell_sums, chemotaxis_divergence, face_gradients, integrate
 from .model import Kinetics, ModelParams, growth, growth_prime
@@ -124,8 +123,8 @@ class _Stepper:
     same float arithmetic as a lone point would: numpy calls on a few
     entries cost far more than that arithmetic.  chi, the growth
     coefficients and beta enter the array arithmetic as columns (see
-    _column); for kappa = 1, beta also enters _factors, the stacked solve's
-    factors of ones and beta/sigma_h.  The grid, f_kind, the growth exponent
+    _column); for kappa = 1, _v_symbol holds sigma_h/beta per point, v's
+    symbol over the implicit one.  The grid, f_kind, the growth exponent
     and kappa are shared, because numpy's x**2.0 and x**0.5 take fast paths
     that an array of exponents does not.
 
@@ -151,10 +150,9 @@ class _Stepper:
         self.coeff_cols = tuple(_column(c, grid) for c in zip(*(k.coeffs for k in kinetics)))
         self.beta = [k.beta for k in kinetics]
         self.beta_col = _column(self.beta, grid)
-        self._factors = None
+        self._v_symbol = None
         if self.kappa == 1.0:
-            v_factor = np.reshape(self.beta, (-1,) + (1,) * grid.dim) / grid.helmholtz_symbol
-            self._factors = np.stack((np.ones_like(v_factor), v_factor))
+            self._v_symbol = grid.helmholtz_symbol / np.reshape(self.beta, (-1,) + (1,) * grid.dim)
         self.t = [s.t for s in states]
         self.dt = [s.dt for s in states]
         self.step_count = [s.step_count for s in states]
@@ -166,7 +164,7 @@ class _Stepper:
         self.linf_u = _cell_max(np.abs(self.u), grid)
         self.u_min = _cell_min(self.u, grid)
         self.failures: list[tuple[int, ChemolabError]] = []
-        self._implicit: tuple = (None, None)   # (dt, screened_symbol at dt)
+        self._implicit: tuple = (None, None)   # (dt, the step's symbol at dt)
         self._set_v(np.stack([s.v.values for s in states]))
 
     def _set_v(self, v: np.ndarray) -> None:
@@ -203,13 +201,14 @@ class _Stepper:
         u_star += u
         # dt repeats while it sits at its cap, and so does the implicit symbol
         if dt != self._implicit[0]:
-            self._implicit = (dt, screened_symbol(grid, dt_col))
-        if self._factors is None:
-            u_new, v = solve_dct_diagonal(grid, u_star, self._implicit[1]), None
-        else:
-            # a row whose v overflows is one that _chemical solves directly
-            with np.errstate(over="ignore", invalid="ignore"):
-                u_new, v = solve_dct_stack(grid, u_star, self._implicit[1], self._factors)
+            symbol = screened_symbol(grid, dt_col)
+            if self._v_symbol is not None:
+                symbol = np.stack(np.broadcast_arrays(symbol, symbol * self._v_symbol))
+            self._implicit = (dt, symbol)
+        # a row whose v overflows is one that _chemical solves directly
+        with np.errstate(over="ignore", invalid="ignore"):
+            solved = solve_dct_diagonal(grid, u_star, self._implicit[1])
+        u_new, v = (solved, None) if self._v_symbol is None else solved
 
         mass = cell_sums(u_new, grid).tolist()
         self.last_mass_residual = [
@@ -233,8 +232,8 @@ class _Stepper:
 
     def _chemical(self, u_new, v, mass, u_min) -> np.ndarray:
         """The new v: solve_helmholtz_array of beta*u_new**kappa, as each point
-        alone gets it, but for kappa = 1 the v that came with u_new from
-        solve_dct_stack.  A row that clamped, or whose beta*mass times the
+        alone gets it, but for kappa = 1 the v that came with u_new from the
+        stacked solve.  A row that clamped, or whose beta*mass times the
         cell count is not finite, is solved directly: below that bound no
         value in its stacked solve can overflow.  A row whose source is not
         finite fails and keeps its old u.
@@ -312,7 +311,7 @@ class RunReport:
     series rows carry SERIES_COLUMNS; lp_u is the boundedness-monitor norm
     with exponent p_star = kappa*n/2 + eps.  l1_bound records the a-priori
     mass bound max(int u0, c*|domain|) built from the damping envelope,
-    exact by construction, together with the observed supremum of int u.
+    exact by construction; the series' mass column is what it bounds.
     """
 
     status: str
@@ -331,12 +330,7 @@ class RunReport:
     clamped_mass: float = 0.0
     max_mass_residual: float = 0.0
     l1_bound: float = 0.0
-    l1_observed: float = 0.0
     steps: int = 0
-
-    @property
-    def l1_bound_ok(self) -> bool:
-        return self.l1_observed <= self.l1_bound * 1.01
 
     def column(self, name: str) -> np.ndarray:
         return self.series[:, SERIES_COLUMNS.index(name)]
@@ -443,7 +437,6 @@ class _Point:
     pending: list[float]
     interval: int = 1
     max_mass_residual: float = 0.0
-    l1_observed: float = 0.0
     rows: list[np.ndarray] = field(default_factory=list)
     target_errors: list[tuple[float, float]] = field(default_factory=list)
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = field(default_factory=list)
@@ -465,8 +458,7 @@ class _BatchRun:
         self.grid = kernel.grid
         self.p_star = points[0].spec.p_star
         rows = self._rows()
-        for row, (point, mass) in enumerate(zip(points, kernel.mass)):
-            point.l1_observed = mass * self.grid.cell_volume
+        for row, point in enumerate(points):
             point.rows.append(rows[row])
             self._take_snapshots(row, point)
 
@@ -512,12 +504,10 @@ class _BatchRun:
             clamped_mass=k.clamped_mass[row],
             max_mass_residual=point.max_mass_residual,
             l1_bound=max(integrate(spec.u0.values, grid), _gronwall_constant(spec.k) * grid.volume),
-            l1_observed=point.l1_observed,
             steps=k.step_count[row],
         )
 
     def run(self) -> None:
-        volume = self.grid.cell_volume
         steps = 0
         while self.live:
             dt = self.kernel.adapt_dt()
@@ -548,7 +538,6 @@ class _BatchRun:
                 t, spec = kernel.t[row], point.spec
                 point.max_mass_residual = max(point.max_mass_residual,
                                               kernel.last_mass_residual[row])
-                point.l1_observed = max(point.l1_observed, kernel.mass[row] * volume)
                 if point.pending and t >= point.pending[0] - 1e-12:
                     self._take_snapshots(row, point)
                 done = t >= spec.horizon * (1.0 - 1e-12)

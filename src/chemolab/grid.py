@@ -199,13 +199,13 @@ def integrate(values: np.ndarray, grid: Grid) -> float:
     return float(values.sum()) * grid.cell_volume
 
 
-def cell_sums(values: np.ndarray, grid: Grid, keepdims: bool = False) -> np.ndarray:
+def cell_sums(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Cell sum of each field along the leading batch axes.
 
     numpy sums a C-contiguous field's cells as one contiguous row, alone or
     in a batch, so entry i equals values[i].sum() bit for bit.
     """
-    return np.add.reduce(values, axis=grid.cell_axes, keepdims=keepdims)
+    return np.add.reduce(values, axis=grid.cell_axes)
 
 
 def face_gradients(values: np.ndarray, grid: Grid) -> list[np.ndarray]:

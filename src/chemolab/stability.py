@@ -33,6 +33,7 @@ from .model import Kinetics
 
 EQUILIBRIUM_ATOL = 1e-10
 BRANCH_RTOL = 1e-10
+MODE_BOX = 1 << 20         # index tuples bifurcation_table may enumerate
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,14 @@ def bifurcation_table(e: EquilibriumInfo, lengths, count: int) -> list[Bifurcati
     of -lap + I with its index tuples, grouped by grid.mode_groups.  Rows on
     the growing branch are flagged ``proven`` when the mode multiplicity is
     odd; even-multiplicity crossings leave the topological index unchanged
-    and are reported but not claimed.
+    and are reported but not claimed.  The box of (count + 2)**dim index
+    tuples it enumerates may hold at most MODE_BOX of them.
     """
     if count < 1:
         raise OutOfRange("count", f"must be >= 1 (got {count})")
+    if (count + 2) ** len(lengths) > MODE_BOX:
+        raise OutOfRange("count", f"(count + 2)**{len(lengths)} index tuples exceed "
+                                  f"{MODE_BOX} (got {count})")
     # k <= count along one axis alone gives count + 1 distinct values, so this
     # box holds every member of the first count + 1 groups
     ks = np.indices((count + 2,) * len(lengths))

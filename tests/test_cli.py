@@ -121,6 +121,10 @@ class TestExitCodes:
         ("stability", "stability.chi_lo = 3\nstability.chi_hi = 5\nstability.chi_samples = -1",
          "stability.chi_samples: must be >= 1 (got -1)"),
         ("stability", "stability.count = 0", "stability.count: must be >= 1 (got 0)"),
+        ("stability", "model.dim = 3\nstability.count = 3000",
+         "stability.count: (count + 2)**3 index tuples exceed 1048576 (got 3000)"),
+        ("stability", "stability.count = 1e7",
+         "stability.count: (count + 2)**1 index tuples exceed 1048576 (got 10000000)"),
         ("stability", "stability.u0 = -1", "stability.u0: equilibrium must be > 0 (got -1.0)"),
         ("stability", "stability.u0 = 0", "stability.u0: equilibrium must be > 0 (got 0.0)"),
         ("stability", "stability.scan = true\nstability.scan_lo = 3\nstability.scan_hi = 5\n"
@@ -562,8 +566,8 @@ compare.horizon = 1
 compare.u0_min = 0.5
 compare.u0_max = 1.5
 compare.envelopes = on
-""", "trajectory.csv", "config error: compare.horizon: z not stationary at horizon "
-         "(|z'| = 6.288e-02); extend it"),
+""", "trajectory.csv", "config error: compare.horizon: z not settled at horizon "
+         "(|z(T) - z*| = 6.545e-02 with z* = 1.66667); extend it"),
         ("stability", BASE.replace("model.chi = 0.4", "model.chi = 5") + """
 stability.count = 3
 stability.chi_lo = 0.5

@@ -262,11 +262,22 @@ class TestEnvelopeOdes:
         with pytest.raises(OutOfRange, match=r"^u0_min: must be > 0 \(got 0.0\)$"):
             cl.envelope_odes(p, cl.make_kinetics(p), 0.0, 1.5, 60.0)
 
-    def test_short_horizon_flagged_as_not_stationary(self):
+    def test_short_horizon_flagged_as_not_settled(self):
         p = _params()
         k = cl.make_kinetics(p, "generalized-logistic")
-        with pytest.raises(OutOfRange, match="horizon"):
+        with pytest.raises(OutOfRange, match=r"^horizon: z not settled at horizon .*; extend it$"):
             cl.envelope_odes(p, k, 0.5, 1.5, 0.5)
+
+    @pytest.mark.parametrize("horizon", [20.0, 400.0])
+    def test_settled_whatever_the_horizon(self, horizon):
+        # h'(z*) = -108 here: |z'(T)| reads the integrator's error times 108,
+        # while z(T) itself sits at the zero z* of h
+        p = _params(theta=2.5, chi=6)
+        k = cl.make_kinetics(p, "power-envelope")
+        env = cl.envelope_odes(p, k, 0.5, 1.5, horizon)
+        z_star = brentq(lambda z: float(k.f(np.array([z]))[0]) + p.chi * z**2, 1.5, 100.0)
+        assert env.z_inf == pytest.approx(z_star, rel=1e-8)
+        assert env.z_inf == float(env.z[-1])
 
 
 class TestAgainstScipyRK45:

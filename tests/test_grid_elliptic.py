@@ -250,20 +250,30 @@ class TestHelmholtzSolve:
         assert scipy.linalg.eigvalsh(A).min() >= 1.0 - 1e-12
 
     @seed(9)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         shape=st.one_of(st.tuples(st.integers(8, 256)),
                         st.tuples(st.integers(8, 48), st.integers(8, 48)),
-                        st.tuples(st.integers(8, 12), st.integers(8, 12), st.integers(8, 12))),
+                        st.tuples(st.integers(8, 24), st.integers(8, 24), st.integers(8, 24))),
         lengths=st.tuples(st.floats(0.5, 10.0), st.floats(0.5, 10.0), st.floats(0.5, 10.0)),
+        kind=st.sampled_from(["uniform", "spike", "heavy-tailed"]),
         data_seed=st.integers(0, 2**32 - 1), sparsity=st.floats(0.0, 0.9),
         scale=st.floats(1e-6, 1e6),
     )
-    def test_chemical_mass_equals_source_mass(self, shape, lengths, data_seed, sparsity, scale):
+    def test_chemical_mass_equals_source_mass(self, shape, lengths, kind, data_seed, sparsity,
+                                              scale):
+        # no projection: the constant mode, where every symbol is 1, carries the sum
         g = Grid(lengths[: len(shape)], shape)
         rng = np.random.default_rng(data_seed)
-        source = scale * rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) >= sparsity)
-        source.flat[0] = scale  # not identically zero
+        if kind == "uniform":
+            source = rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) >= sparsity)
+        elif kind == "spike":  # 1e3 in one cell on a 1e-3 floor
+            source = np.full(shape, 1e-3)
+            source.flat[rng.integers(g.n_cells)] = 1e3
+        else:  # |Cauchy| noise: a few cells dwarf the rest
+            source = np.abs(rng.standard_cauchy(shape))
+        source = scale * source
+        source.flat[0] = max(source.flat[0], scale)  # not identically zero
         v = solve_helmholtz_array(g, source)
         assert abs(v.sum() - source.sum()) <= 1e-13 * source.sum()
 
@@ -284,16 +294,17 @@ class TestHelmholtzSolve:
                 == solve_dct_diagonal(g, rhs[0], screened_symbol(g, 1.0)).tobytes())
 
     @pytest.mark.parametrize("shape", [(16,), (64,), (12, 20), (8, 8, 8)])
-    def test_stacked_solve_keeps_the_implicit_bits_and_solves_the_chemical(self, shape):
+    def test_stacked_symbol_keeps_the_implicit_bits_and_solves_the_chemical(self, shape):
+        # the kappa = 1 step's symbol: [sigma_dt, sigma_dt*sigma_h/beta]
         g = Grid((math.pi, 2.0, 3.0)[: len(shape)], shape)
         rng = np.random.default_rng(5)
         rhs = rng.uniform(0.0, 2.0, (3,) + shape)
         c = rng.uniform(0.0, 0.5, 3).reshape((-1,) + (1,) * len(shape))
         beta = np.array([0.5, 1.0, 7.0]).reshape(c.shape)
-        v_factor = beta / g.helmholtz_symbol
-        x, y = elliptic.solve_dct_stack(g, rhs, screened_symbol(g, c),
-                                        np.stack((np.ones_like(v_factor), v_factor)))
-        assert x.tobytes() == solve_dct_diagonal(g, rhs, screened_symbol(g, c)).tobytes()
+        symbol = screened_symbol(g, c)
+        stacked = np.stack(np.broadcast_arrays(symbol, symbol * (g.helmholtz_symbol / beta)))
+        x, y = solve_dct_diagonal(g, rhs, stacked)
+        assert x.tobytes() == solve_dct_diagonal(g, rhs, symbol).tobytes()
         direct = solve_helmholtz_array(g, beta * x)
         assert np.max(np.abs(y - direct)) <= 1e-13 * np.max(np.abs(direct))
         assert cell_sums(y, g) == pytest.approx(cell_sums(direct, g), rel=1e-14)
@@ -351,7 +362,7 @@ class TestTransformKernel:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("shape", [shape for shape, _ in SHAPES])
     def test_stacked_inverse_equals_the_separate_inverses(self, shape, batch):
-        # solve_dct_stack inverts u's and v's coefficients as one (2, B, *shape) array
+        # the kappa = 1 step inverts u's and v's coefficients as one (2, B, *shape) array
         g = Grid((math.pi, 2.0, 3.0)[: len(shape)], shape)
         pair = np.random.default_rng(7).uniform(-1.0, 2.0, (2, batch) + shape)
         first, second = (cell_values(g, half.copy()) for half in pair)
