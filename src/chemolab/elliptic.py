@@ -5,10 +5,13 @@ operator: the one with indices k has eigenvalue grid.helmholtz_symbol[k] =
 1 + sum((4/h_i**2)*sin(k_i*pi/(2*n_i))**2) under -lap_h + I.  So every
 constant-coefficient Neumann system (I - c*lap_h) x = b is diagonal in the
 DCT-II basis, and one exact spectral solve serves the chemical equation
-(c = 1) and implicit diffusion (c = dt) in any dimension.  The constant
-cosine is the only mode with a nonzero cell sum, and every symbol is exactly
-1 there, so the solve keeps the discrete compatibility identity
-sum(x) = sum(b) to roundoff with no projection afterwards.
+(c = 1) and implicit diffusion (c = dt) in any dimension.  The solve
+multiplies by the symbol's reciprocal, computed once where the symbol is:
+per grid for c = 1 (grid.helmholtz_inverse), and per change of dt in the
+stepper.  The constant cosine is the only mode with a nonzero cell sum, and
+every symbol and its reciprocal are exactly 1 there, so the solve keeps the
+discrete compatibility identity sum(x) = sum(b) to roundoff with no
+projection afterwards.
 
 The transforms call scipy.fft's compiled pocketfft kernel, one axis per
 call with the arguments of the orthonormal dct/idct, and skip wrapper
@@ -79,17 +82,19 @@ def screened_symbol(grid: Grid, c) -> np.ndarray:
     return 1.0 + c * grid.laplacian_eigenvalues
 
 
-def solve_dct_diagonal(grid: Grid, rhs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+def solve_dct_diagonal(grid: Grid, rhs: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     """Solve (I - c*lap_h) x = rhs, mirror-ghost Neumann stencil, c >= 0, given
-    its symbol, screened_symbol(grid, c): a forward DCT-II along each axis, a
-    division by the symbol and the inverse transforms.
+    the reciprocal of its symbol, 1/screened_symbol(grid, c): a forward DCT-II
+    along each axis, a product with the reciprocal and the inverse transforms.
+    The reciprocal is computed once per symbol, and is exactly 1 at the
+    constant mode, so sum(x) = sum(rhs) holds to roundoff.
 
     rhs may carry a leading batch axis, (B, *grid.shape), with c a float or
     one value per field shaped to broadcast, (B, 1, ...); each field gets the
-    bits it would get alone.  A symbol stacked on a further leading axis,
+    bits it would get alone.  A reciprocal stacked on a further leading axis,
     (F, B, *grid.shape), gives F solves from the one forward transform.
     """
-    return cell_values(grid, cosine_coefficients(grid, rhs) / symbol)
+    return cell_values(grid, cosine_coefficients(grid, rhs) * inverse)
 
 
 def solve_helmholtz_array(grid: Grid, source: np.ndarray) -> np.ndarray:
@@ -99,8 +104,8 @@ def solve_helmholtz_array(grid: Grid, source: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(source).all():
         raise OutOfRange("source", "must be finite")
-    # the cached symbol is screened_symbol(grid, 1.0): 1.0*eigenvalue is exact
-    return solve_dct_diagonal(grid, source, grid.helmholtz_symbol)
+    # the cached reciprocal is 1/screened_symbol(grid, 1.0): 1.0*eigenvalue is exact
+    return solve_dct_diagonal(grid, source, grid.helmholtz_inverse)
 
 
 def solve_helmholtz(grid: Grid, source: Field) -> Field:

@@ -62,6 +62,11 @@ class NegativeOvershoot(ChemolabError):
     """The cell density went more negative than the resolution guard allows."""
 
 
+class NonfiniteSource(ChemolabError):
+    """A step's secretion beta*u**kappa overflowed: the scheme failed, not the
+    configuration (maps to CLI exit code 1, reported as an error)."""
+
+
 class StalledDt(ChemolabError):
     """The adaptive time step collapsed below the hard floor."""
 

@@ -18,11 +18,15 @@ because it signals under-resolution.
 
 For linear secretion, kappa = 1, v_new's DCT coefficients are beta/sigma_h
 times u_new's, DCT(u*)/sigma_dt (sigma: the operators' symbols), so one
-solve_dct_diagonal against the stacked symbol [sigma_dt, sigma_dt*sigma_h/beta]
-gives u_new with the bits of its lone solve and v_new with sum beta*sum(u_new).
-A row that clamps, or whose beta*sum(u_new) could overflow, is solved
-directly, as every row is for kappa != 1: beta*u_new**kappa goes through
-elliptic.solve_helmholtz_array, whose finite check fails the point.
+solve_dct_diagonal against the stacked reciprocal [1/sigma_dt,
+(1/sigma_dt)*(beta/sigma_h)] gives u_new with the bits of its lone solve and
+v_new with sum beta*sum(u_new).  A row that clamps, or whose beta*sum(u_new)
+could overflow, is solved directly, as every row is for kappa != 1:
+beta*u_new**kappa goes through elliptic.solve_helmholtz_array, and a row
+whose source is not finite fails with NonfiniteSource.
+
+Smooth runs step at the 10*h**2 cap, so adapt_dt skips f' on the cells
+when a bound from max |u| already leaves every point there.
 
 Thousands of steps per run make per-step Python overhead the cost, so runs
 advance plain arrays through one private kernel, _Stepper, with a leading
@@ -47,7 +51,7 @@ import numpy as np
 
 from .diagnostics import lp_norms
 from .elliptic import screened_symbol, solve_dct_diagonal, solve_helmholtz_array
-from .errors import ChemolabError, NegativeOvershoot, OutOfRange, StalledDt
+from .errors import ChemolabError, NegativeOvershoot, NonfiniteSource, OutOfRange, StalledDt
 from .grid import Field, Grid, cell_sums, chemotaxis_divergence, face_gradients, integrate
 from .model import Kinetics, ModelParams, growth, growth_prime
 
@@ -60,6 +64,7 @@ CLAMP_HARD = 1e-8          # beyond this fraction the step errors out
 MONITOR_EPS = 0.5          # epsilon in the monitor exponent kappa*n/2 + eps
 TARGET_TOL = 1e-6          # convergence threshold against a constant target
 BATCH_CELLS = 1 << 16      # cells advanced together: bounds a batch's working memory
+RATE_MARGIN = 1.0 + 1e-12  # covers the rounding of a rate bound against the exact f' pass
 _TINY = np.finfo(float).tiny
 
 
@@ -103,6 +108,32 @@ def _cell_min(values: np.ndarray, grid: Grid) -> list[float]:
     return np.minimum.reduce(values, axis=grid.cell_axes).tolist()
 
 
+def _rate_bound(k: Kinetics) -> tuple[float, tuple[float, ...]] | None:
+    """(q, d) with |f'(s)| <= sum(d[j] * |s|**(q*j)) at every real s where f'
+    is defined, q >= 0 and d[j] >= 0, each d[j] times RATE_MARGIN: a bound on
+    |f'| over the cells of u, evaluated at max |u|.  Logistic: |a| +
+    |b|(kappa+1)*s**kappa; power-envelope: |b|*theta*s**(theta-1); polynomial:
+    sum k*|c_k|*s**(k-1).  None where q < 0 (a power envelope built with
+    theta < 1), as the bound would then not grow with |s|.
+    """
+    if k.f_kind == "generalized-logistic":
+        a, b = k.coeffs
+        q, d = k.exponent, (abs(a), abs(b * (k.exponent + 1.0)))
+    elif k.f_kind == "power-envelope":
+        q, d = k.exponent - 1.0, (0.0, abs(k.coeffs[1] * k.exponent))
+    else:
+        q, d = 1.0, tuple(j * abs(c) for j, c in enumerate(k.coeffs))[1:]
+    return None if q < 0.0 else (q, tuple(c * RATE_MARGIN for c in d))
+
+
+def _horner(d: tuple[float, ...], x: float) -> float:
+    """sum(d[j] * x**j), highest term first."""
+    total = d[-1]
+    for c in d[-2::-1]:
+        total = total * x + c
+    return total
+
+
 def _target_error(u_max: float, u_min: float, target: float) -> float:
     """max |u - target| over the cells of u, from its extremes alone.
 
@@ -123,10 +154,14 @@ class _Stepper:
     same float arithmetic as a lone point would: numpy calls on a few
     entries cost far more than that arithmetic.  chi, the growth
     coefficients and beta enter the array arithmetic as columns (see
-    _column); for kappa = 1, _v_symbol holds sigma_h/beta per point, v's
-    symbol over the implicit one.  The grid, f_kind, the growth exponent
-    and kappa are shared, because numpy's x**2.0 and x**0.5 take fast paths
-    that an array of exponents does not.
+    _column); for kappa = 1, _v_inverse holds beta/sigma_h per point, v's
+    reciprocal symbol over the implicit one.  _rates holds each point's
+    _rate_bound, or is None when a point has none.
+    The grid, f_kind, the growth exponent and kappa are shared, because
+    numpy's x**2.0 and x**0.5 take fast paths that an array of exponents
+    does not.  linf_u and u_min are taken from u_new before a failed row gets
+    its old u back, so they hold for every row that goes on, which is every
+    row the caller keeps.
 
     grad_v holds the face gradients of v and grad_v_inf their largest
     magnitude per point, both refreshed with v: the flux, the dt rule and
@@ -150,9 +185,12 @@ class _Stepper:
         self.coeff_cols = tuple(_column(c, grid) for c in zip(*(k.coeffs for k in kinetics)))
         self.beta = [k.beta for k in kinetics]
         self.beta_col = _column(self.beta, grid)
-        self._v_symbol = None
+        self._v_inverse = None
         if self.kappa == 1.0:
-            self._v_symbol = grid.helmholtz_symbol / np.reshape(self.beta, (-1,) + (1,) * grid.dim)
+            self._v_inverse = np.reshape(self.beta, (-1,) + (1,) * grid.dim) * grid.helmholtz_inverse
+        # q is shared: it follows from f_kind and the exponent
+        bounds = [_rate_bound(k) for k in kinetics]
+        self._rates = None if None in bounds else bounds
         self.t = [s.t for s in states]
         self.dt = [s.dt for s in states]
         self.step_count = [s.step_count for s in states]
@@ -164,7 +202,7 @@ class _Stepper:
         self.linf_u = _cell_max(np.abs(self.u), grid)
         self.u_min = _cell_min(self.u, grid)
         self.failures: list[tuple[int, ChemolabError]] = []
-        self._implicit: tuple = (None, None)   # (dt, the step's symbol at dt)
+        self._implicit: tuple = (None, None)   # (dt, the reciprocal of the step's symbol)
         self._set_v(np.stack([s.v.values for s in states]))
 
     def _set_v(self, v: np.ndarray) -> None:
@@ -182,9 +220,28 @@ class _Stepper:
         )
 
     def adapt_dt(self) -> list[float]:
-        """adapt_dt of every point, without the DT_MIN floor."""
+        """adapt_dt of every point, without the DT_MIN floor.
+
+        A row's |f'| on its cells is at most its _rate_bound at linf_u.  When
+        that bound already leaves every row at the cap, the cap is each row's
+        dt, as the exact pass would give it: the exact reaction limit is no
+        smaller than the bounded one.  Then f' is not evaluated on the cells;
+        otherwise, or when linf_u**q overflows, the exact pass runs.
+        """
+        if self._rates is not None:
+            q = self._rates[0][0]
+            try:
+                dt = self._limits(_horner(d, u**q) for (_, d), u in zip(self._rates, self.linf_u))
+            except OverflowError:  # linf_u**q is past the floats
+                pass
+            else:
+                if min(dt) == self.dt_cap:
+                    return dt
         f_prime = growth_prime(self.f_kind, self.coeff_cols, self.exponent, self.u)
-        reaction = _cell_max(np.abs(f_prime, out=f_prime), self.grid)
+        return self._limits(_cell_max(np.abs(f_prime, out=f_prime), self.grid))
+
+    def _limits(self, reaction) -> list[float]:
+        """Each row's dt from its largest |f'| (or a bound on it) in reaction."""
         return [
             min(DT_SAFETY * min(self.h_min / (chi * g + _TINY), 1.0 / (f + _TINY)), self.dt_cap)
             for chi, g, f in zip(self.chi, self.grad_v_inf, reaction)
@@ -199,16 +256,16 @@ class _Stepper:
         u_star = f_old - chemotaxis_divergence(u, self.grad_v, self.chi_col, grid)
         u_star *= dt_col
         u_star += u
-        # dt repeats while it sits at its cap, and so does the implicit symbol
+        # dt repeats while it sits at its cap, and so does the implicit reciprocal
         if dt != self._implicit[0]:
-            symbol = screened_symbol(grid, dt_col)
-            if self._v_symbol is not None:
-                symbol = np.stack(np.broadcast_arrays(symbol, symbol * self._v_symbol))
-            self._implicit = (dt, symbol)
+            inverse = 1.0 / screened_symbol(grid, dt_col)
+            if self._v_inverse is not None:
+                inverse = np.stack(np.broadcast_arrays(inverse, inverse * self._v_inverse))
+            self._implicit = (dt, inverse)
         # a row whose v overflows is one that _chemical solves directly
         with np.errstate(over="ignore", invalid="ignore"):
             solved = solve_dct_diagonal(grid, u_star, self._implicit[1])
-        u_new, v = (solved, None) if self._v_symbol is None else solved
+        u_new, v = (solved, None) if self._v_inverse is None else solved
 
         mass = cell_sums(u_new, grid).tolist()
         self.last_mass_residual = [
@@ -222,7 +279,7 @@ class _Stepper:
             if m < 0.0:
                 self._clamp(row, u_new, m, u_max[row], mass, dt[row])
 
-        self._set_v(self._chemical(u_new, v, mass, u_min))
+        self._set_v(self._chemical(u_new, v, mass, u_min, dt))
         self.t = [t + d for t, d in zip(self.t, dt)]
         self.step_count = [n + 1 for n in self.step_count]
         # u >= 0 after the clamp, so its clamp bound max(u, 0) is max |u|, and
@@ -230,13 +287,14 @@ class _Stepper:
         self.u, self.dt, self.mass, self.linf_u = u_new, dt, mass, u_max
         self.u_min = [max(m, 0.0) for m in u_min]
 
-    def _chemical(self, u_new, v, mass, u_min) -> np.ndarray:
+    def _chemical(self, u_new, v, mass, u_min, dt) -> np.ndarray:
         """The new v: solve_helmholtz_array of beta*u_new**kappa, as each point
         alone gets it, but for kappa = 1 the v that came with u_new from the
         stacked solve.  A row that clamped, or whose beta*mass times the
         cell count is not finite, is solved directly: below that bound no
         value in its stacked solve can overflow.  A row whose source is not
-        finite fails and keeps its old u.
+        finite fails with NonfiniteSource, a failure of the scheme rather than
+        of the configuration, and keeps its old u.
         """
         grid = self.grid
         if v is None:
@@ -252,11 +310,12 @@ class _Stepper:
             source = beta * u_rows**self.kappa
         try:
             direct = solve_helmholtz_array(grid, source)
-        except OutOfRange as error:
+        except OutOfRange:
             finite = np.logical_and.reduce(np.isfinite(source), axis=grid.cell_axes)
             for i in np.flatnonzero(~finite).tolist():
-                # one error object per failing point
-                self.failures.append((rows[i], OutOfRange(error.name, error.reason)))
+                t = self.t[rows[i]] + dt[rows[i]]
+                self.failures.append((rows[i], NonfiniteSource(
+                    f"source beta*u**kappa is not finite at t = {t:.6g}")))
                 u_new[rows[i]], source[i] = self.u[rows[i]], 0.0
             direct = solve_helmholtz_array(grid, source)
         if v is None:

@@ -11,7 +11,8 @@ import chemolab as cl
 from chemolab import evolve
 from chemolab.diagnostics import lp_norms
 from chemolab.elliptic import solve_helmholtz_array
-from chemolab.errors import ChemolabError, NegativeOvershoot, OutOfRange, StalledDt
+from chemolab.errors import (ChemolabError, ConfigError, NegativeOvershoot, NonfiniteSource,
+                             OutOfRange, StalledDt)
 from chemolab.evolve import BLOWUP_LINF, DT_MAX_FACTOR, DT_MIN, RunReport, RunSpec, SimState, run_batch
 from chemolab.grid import Field, face_gradients, integrate
 
@@ -78,11 +79,14 @@ class TestNonfiniteSource:
         p, k, _ = _setup(nx=g.shape[0], beta=beta)
         return p, k, SimState(t=0.0, u=Field(u, g), v=Field.constant(g, 1.0), dt=1e-3)
 
-    def test_step_raises_out_of_range(self):
+    def test_step_raises_nonfinite_source(self):
+        # a failure of the scheme, not a ConfigError, and it names the time
         _, _, g = _setup(nx=16)
         p, k, s = self._state(g, np.full(g.shape, 10.0), beta=1e308)
-        with pytest.raises(OutOfRange, match="^source: must be finite$"):
+        with pytest.raises(NonfiniteSource,
+                           match=r"^source beta\*u\*\*kappa is not finite at t = 0\.001$"):
             cl.step(s, p, k)
+        assert not issubclass(NonfiniteSource, ConfigError)
 
     def test_only_the_overflowing_row_of_a_batch_fails(self):
         _, _, g = _setup(nx=16)
@@ -94,7 +98,7 @@ class TestNonfiniteSource:
         kernel = evolve._Stepper(states, params, kinetics)
         kernel.step([s.dt for s in states])
         assert [(row, str(error)) for row, error in kernel.failures] == [
-            (1, "source: must be finite")]
+            (1, "source beta*u**kappa is not finite at t = 0.001")]
         assert kernel.u[1].tobytes() == states[1].u.values.tobytes()  # its old u
         for row in (0, 2):
             alone = cl.step(states[row], params[row], kinetics[row])
@@ -246,6 +250,156 @@ class TestAdaptDt:
         s = SimState(t=0.0, u=Field.constant(g, 1.0), v=Field(1e14 * x, g), dt=0.0)
         with pytest.raises(StalledDt):
             cl.adapt_dt(s, p, k)
+
+    @staticmethod
+    def _full_pass(kernel, kinetics):
+        """adapt_dt's limits with f' evaluated on every cell: the pass that the
+        cap shortcut skips."""
+        grid, tiny = kernel.grid, np.finfo(float).tiny
+        dt = []
+        for row, k in enumerate(kinetics):
+            reaction = float(np.max(np.abs(k.f_prime(kernel.u[row]))))
+            grad = max(float(np.max(np.abs(f))) for f in face_gradients(kernel.v[row], grid))
+            limit = min(kernel.h_min / (kernel.chi[row] * grad + tiny), 1.0 / (reaction + tiny))
+            dt.append(min(evolve.DT_SAFETY * limit, kernel.dt_cap))
+        return dt
+
+    @seed(35)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(["generalized-logistic", "power-envelope", "allee", "polynomial"]),
+        power=st.floats(1.05, 3.0),
+        shape=st.one_of(st.tuples(st.integers(8, 64)), st.tuples(st.integers(8, 16), st.just(8))),
+        # per row: coefficient scale, min u, spread of u, chi, amplitude of v,
+        # a shape parameter in (0, 1) and a data seed
+        rows=st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(0.0, 2.0), st.floats(0.0, 8.0),
+                                st.floats(1e-6, 10.0), st.floats(0.0, 5.0), st.floats(0.05, 0.95),
+                                st.integers(0, 2**32 - 1)),
+                      min_size=1, max_size=3),
+    )
+    # every row at the cap
+    @example(family="generalized-logistic", power=2.0, shape=(64,),
+             rows=[(1e-3, 0.5, 1.0, 1e-6, 0.0, 0.5, 1), (1e-3, 0.0, 2.0, 0.1, 0.1, 0.5, 2)])
+    # the advective limit binds in one row, the cap in the other
+    @example(family="power-envelope", power=2.0, shape=(32,),
+             rows=[(1e-3, 0.5, 1.0, 10.0, 5.0, 0.5, 3), (1e-3, 0.5, 1.0, 1e-6, 0.0, 0.5, 4)])
+    # the reaction limit binds at max u only: a bound taken at min u misses it
+    @example(family="power-envelope", power=3.0, shape=(32,),
+             rows=[(10.0, 0.01, 5.0, 1e-6, 0.0, 0.5, 5)])
+    # Allee and polynomial rows where the reaction limit binds, next to a row at the cap
+    @example(family="allee", power=2.0, shape=(16, 8),
+             rows=[(1.0, 0.0, 8.0, 1.0, 1.0, 0.3, 6), (1.0, 0.0, 0.5, 1e-6, 0.0, 0.7, 7)])
+    @example(family="polynomial", power=2.0, shape=(64,),
+             rows=[(1e3, 0.0, 0.1, 1e-6, 0.0, 0.5, 8), (1e-3, 0.0, 0.1, 1e-6, 0.0, 0.5, 9)])
+    def test_cap_shortcut_equals_the_full_pass(self, family, power, shape, rows):
+        # the shortcut skips f' on the cells only when the bound leaves every
+        # row at the cap; dt must keep the full pass's bits either way
+        params, kinetics, states = [], [], []
+        for scale, lo, spread, chi, v_amp, shape_param, data_seed in rows:
+            p = cl.build_params({"chi": chi, "a": scale * shape_param, "b": scale,
+                                 "theta": power, "kappa": power - 1.0, "beta": 1,
+                                 "dim": len(shape), "L": math.pi})
+            if family == "polynomial":
+                k = cl.make_kinetics(p, "polynomial", poly_coeffs=(
+                    scale * shape_param, -scale, scale * (1.0 - shape_param), -scale))
+            else:
+                k = cl.make_kinetics(p, family, allee_c=shape_param)
+            g = cl.make_grid(p, shape)
+            rng = np.random.default_rng(data_seed)
+            u = lo + spread * rng.uniform(0.0, 1.0, g.shape)
+            u.flat[:2] = lo, lo + spread  # the extremes sit on cells
+            v = 1.0 + v_amp * rng.uniform(0.0, 1.0, g.shape)
+            params.append(p)
+            kinetics.append(k)
+            states.append(SimState(0.0, Field(u, g), Field(v, g), dt=0.0))
+        kernel = evolve._Stepper(states, params, kinetics)
+        assert _bits(kernel.adapt_dt()) == _bits(self._full_pass(kernel, kinetics))
+        if len(states) == 1:
+            assert _bits(cl.adapt_dt(states[0], params[0], kinetics[0])) == _bits(
+                self._full_pass(kernel, kinetics)[0])
+
+    def test_margin_covers_pow_rounding_at_the_cap(self):
+        # f' = -u**2 (power-envelope, b = 1/3, theta = 3).  numpy's u**2.0 can
+        # round one ulp above Python's, which evaluates the bound.  The cap is
+        # set where the bound without its margin reads exactly the cap while
+        # the cells' exact f' already gives less; with the margin the exact
+        # pass must run.  Where the two pows agree on every sample, the first
+        # sample is used and the two sides agree trivially.
+        p = cl.build_params({"chi": 0.4, "a": 1, "b": 1.0 / 3.0, "theta": 3, "kappa": 1,
+                             "beta": 1, "dim": 1, "L": math.pi})
+        k = cl.make_kinetics(p, "power-envelope")
+        g = cl.make_grid(p, 16)
+        tiny, coeff = np.finfo(float).tiny, abs(k.coeffs[1] * k.exponent)
+
+        def limit(rate):
+            return evolve.DT_SAFETY * (1.0 / (rate + tiny))
+
+        samples = (1.5 + 1e-5 * np.arange(50_000)).tolist()
+        exact = (coeff * np.array(samples) ** 2.0).tolist()
+        witnesses = [(u, r) for u, r in zip(samples, exact)
+                     if limit(r) < limit(coeff * u**2.0)]
+        u_max, _ = (witnesses or [(samples[0], exact[0])])[0]
+        s = SimState(0.0, Field.constant(g, u_max), Field.constant(g, 1.0), dt=0.0)
+        kernel = evolve._Stepper([s], [p], [k])
+        kernel.dt_cap = limit(coeff * u_max**2.0)
+        assert _bits(kernel.adapt_dt()) == _bits(self._full_pass(kernel, [k]))
+
+    @pytest.mark.parametrize("case", ["overflowing-bound", "theta-below-1"])
+    def test_full_pass_where_the_bound_cannot_decide(self, case):
+        # max|u|**q past the floats, and a power envelope whose |f'| grows
+        # as u falls: neither may take the cap from the bound
+        p, _, g = _setup(nx=16, chi=1e-6, kappa=2)
+        if case == "overflowing-bound":
+            k = cl.make_kinetics(p, "generalized-logistic")
+            u = np.full(g.shape, 1e200)
+        else:
+            k = cl.Kinetics("power-envelope", (1.0, 1.0), 0.5, 1.0, 2.0)
+            u = np.linspace(1e-6, 1.0, 16)
+        kernel = evolve._Stepper([SimState(0.0, Field(u, g), Field.constant(g, 1.0), 0.0)],
+                                 [p], [k])
+        with np.errstate(over="ignore"):  # the exact pass's f'(1e200) overflows too
+            dt = kernel.adapt_dt()
+            assert _bits(dt) == _bits(self._full_pass(kernel, [k]))
+        assert dt[0] < kernel.dt_cap
+
+
+class TestKernelExtremes:
+    """linf_u and u_min, which adapt_dt's cap shortcut and the run loop read,
+    are the max and min of each live row's u."""
+
+    @staticmethod
+    def _assert_extremes(kernel, rows):
+        for row in rows:
+            u = kernel.u[row]
+            assert kernel.linf_u[row].hex() == float(u.max()).hex()
+            assert kernel.u_min[row].hex() == float(u.min()).hex()
+
+    def test_after_every_step_and_every_rebuild(self):
+        # row 0 is smooth, row 1 clamps, row 2 fails by overshoot and row 3 by
+        # a non-finite source: u_max is taken before a failed row gets its old
+        # u back, so only the rows that go on must hold it
+        p, k, g = _setup(nx=32, chi=1e-3)
+        x = g.coordinates[0]
+        big_p, big_k, _ = _setup(nx=32, chi=1e-3, beta=1e308)
+        rows = [(p, k, 1.0 + 0.3 * np.cos(x)), (p, k, np.where(x < 0.3, 1.0, 0.0)),
+                (p, k, np.where(x < 0.3, 1e3, 0.0)), (big_p, big_k, np.full(g.shape, 10.0))]
+        # SimState.initial would already fail on the last row's source
+        states = [SimState.initial(rp, rk, Field(u, g), dt=1e-3) for rp, rk, u in rows[:3]]
+        states.append(SimState(0.0, Field(rows[3][2], g), Field.constant(g, 1.0), dt=1e-3))
+        points = [evolve._Point(RunSpec(rp, rk, Field(u, g), 1.0), []) for rp, rk, u in rows]
+        batch = evolve._BatchRun(points, states)
+        self._assert_extremes(batch.kernel, range(4))
+        batch.kernel.step([1e-3] * 4)
+        failed = sorted(row for row, _ in batch.kernel.failures)
+        assert failed == [2, 3]
+        assert batch.kernel.clamped_mass[1] > 0.0
+        self._assert_extremes(batch.kernel, [0, 1])
+        batch._drop(failed)
+        self._assert_extremes(batch.kernel, [0, 1])
+        for _ in range(5):
+            batch.kernel.step(batch.kernel.adapt_dt())
+            assert batch.kernel.failures == []
+            self._assert_extremes(batch.kernel, [0, 1])
 
 
 class TestBlowupThreshold:

@@ -17,8 +17,8 @@ from chemolab.elliptic import (cell_values, cosine_coefficients, screened_symbol
 from chemolab.errors import NonpositiveV, OutOfRange
 from chemolab.evolve import DT_MAX_FACTOR
 from chemolab.grid import (Field, Grid, cell_sums, chemotaxis_divergence,
-                           chemotaxis_flux_derivative, face_divergence, face_gradients, integrate,
-                           laplacian_apply, mode_groups)
+                           chemotaxis_flux_derivative, face_averages, face_divergence,
+                           face_gradients, integrate, laplacian_apply, mode_groups)
 
 
 def _grid_params(dim, length=math.pi):
@@ -237,7 +237,7 @@ class TestHelmholtzSolve:
             x = cl.solve_helmholtz(g, Field(rhs, g)).values
         else:
             c = DT_MAX_FACTOR * min(g.spacings) ** 2
-            x = solve_dct_diagonal(g, rhs, screened_symbol(g, c))
+            x = solve_dct_diagonal(g, rhs, 1.0 / screened_symbol(g, c))
         A = np.eye(g.n_cells) - c * laplacian_matrix(g).toarray()
         dense = scipy.linalg.solve(A, rhs.ravel())
         assert x.ravel() == pytest.approx(dense, abs=1e-12)
@@ -284,27 +284,27 @@ class TestHelmholtzSolve:
         rhs = rng.uniform(0.0, 2.0, (5,) + shape)
         c = rng.uniform(0.0, 0.5, 5)
         c_col = c.reshape((-1,) + (1,) * len(shape))
-        screened = solve_dct_diagonal(g, rhs, screened_symbol(g, c_col))
+        screened = solve_dct_diagonal(g, rhs, 1.0 / screened_symbol(g, c_col))
         helmholtz = solve_helmholtz_array(g, rhs)
         for i in range(5):
-            alone = solve_dct_diagonal(g, rhs[i], screened_symbol(g, c[i]))
+            alone = solve_dct_diagonal(g, rhs[i], 1.0 / screened_symbol(g, c[i]))
             assert screened[i].tobytes() == alone.tobytes()
             assert helmholtz[i].tobytes() == solve_helmholtz_array(g, rhs[i]).tobytes()
         assert (solve_helmholtz_array(g, rhs[0]).tobytes()
-                == solve_dct_diagonal(g, rhs[0], screened_symbol(g, 1.0)).tobytes())
+                == solve_dct_diagonal(g, rhs[0], 1.0 / screened_symbol(g, 1.0)).tobytes())
 
     @pytest.mark.parametrize("shape", [(16,), (64,), (12, 20), (8, 8, 8)])
     def test_stacked_symbol_keeps_the_implicit_bits_and_solves_the_chemical(self, shape):
-        # the kappa = 1 step's symbol: [sigma_dt, sigma_dt*sigma_h/beta]
+        # the kappa = 1 step's reciprocal symbol: [1/sigma_dt, (1/sigma_dt)*(beta/sigma_h)]
         g = Grid((math.pi, 2.0, 3.0)[: len(shape)], shape)
         rng = np.random.default_rng(5)
         rhs = rng.uniform(0.0, 2.0, (3,) + shape)
         c = rng.uniform(0.0, 0.5, 3).reshape((-1,) + (1,) * len(shape))
         beta = np.array([0.5, 1.0, 7.0]).reshape(c.shape)
-        symbol = screened_symbol(g, c)
-        stacked = np.stack(np.broadcast_arrays(symbol, symbol * (g.helmholtz_symbol / beta)))
+        inverse = 1.0 / screened_symbol(g, c)
+        stacked = np.stack(np.broadcast_arrays(inverse, inverse * (beta * g.helmholtz_inverse)))
         x, y = solve_dct_diagonal(g, rhs, stacked)
-        assert x.tobytes() == solve_dct_diagonal(g, rhs, symbol).tobytes()
+        assert x.tobytes() == solve_dct_diagonal(g, rhs, inverse).tobytes()
         direct = solve_helmholtz_array(g, beta * x)
         assert np.max(np.abs(y - direct)) <= 1e-13 * np.max(np.abs(direct))
         assert cell_sums(y, g) == pytest.approx(cell_sums(direct, g), rel=1e-14)
@@ -416,6 +416,27 @@ class TestDiscreteCalculus:
 
 
 class TestChemotaxisFlux:
+    @pytest.mark.parametrize("shape, batch", [
+        ((64,), (3,)), ((16, 20), (2,)), ((8, 9, 10), (2,)), ((256,), ()),
+    ], ids=["batch-3x64", "batch-2x16x20", "batch-2x8x9x10", "1d-256"])
+    def test_folded_scale_matches_the_face_average_flux(self, shape, batch):
+        # chemotaxis_divergence folds chi, the 1/2 of the face average and 1/h
+        # into one scale per axis; the unfolded chi*avg(u)*grad v agrees at
+        # roundoff, the cell sums telescope, and each field gets its bits alone
+        g = Grid((math.pi, 2.0, 1.5)[: len(shape)], shape)
+        rng = np.random.default_rng(35)
+        u, v = (rng.uniform(0.5, 2.0, batch + shape) for _ in range(2))
+        chi = rng.uniform(0.1, 5.0, batch).reshape(batch + (1,) * len(shape)) if batch else 3.7
+        grad_v = face_gradients(v, g)
+        div = chemotaxis_divergence(u, grad_v, chi, g)
+        unfolded = face_divergence([chi * a * gv for a, gv in zip(face_averages(u, g), grad_v)], g)
+        assert np.max(np.abs(div - unfolded)) <= 1e-14 * np.max(np.abs(unfolded))
+        sums = np.atleast_1d(cell_sums(div, g))
+        assert np.all(np.abs(sums) <= 1e-14 * np.atleast_1d(cell_sums(np.abs(div), g)))
+        for i in range(batch[0] if batch else 0):
+            alone = chemotaxis_divergence(u[i], [gv[i] for gv in grad_v], float(chi[i].item()), g)
+            assert div[i].tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("shape, batch", [
         ((64,), ()), ((16, 20), ()), ((8, 8, 8), ()), ((64,), (3,)),
     ], ids=["1d", "2d", "3d-8", "batch-3x64"])
